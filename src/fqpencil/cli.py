@@ -18,7 +18,8 @@ from .bivar import curve_invariants
 from .counting import (application_bound, count_irreducible_pairs,
                        find_specialization, geyer_jarden_rhs,
                        verify_application)
-from .errors import FqPencilError, NotFoundWithinBudget, ParseError
+from .errors import (ConstraintViolation, FqPencilError, NotFoundWithinBudget,
+                     ParseError)
 from .field import field_of_order, make_field
 from .parallel import default_threads
 from .parsing import parse_poly, parse_univariate
@@ -135,6 +136,9 @@ def run_command(argv):
     report = {"command": args.command, "seed": args.seed}
     code = 0
     try:
+        if threads < 1:
+            raise ConstraintViolation(
+                f"--threads must be at least 1, got {threads}")
         code = _dispatch(args, threads, report)
     except ParseError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc),
@@ -222,8 +226,8 @@ def _dispatch(args, threads, report) -> int:
     if cmd == "count":
         f = parse_poly(args.poly, E)
         mode = "full" if args.mode == "full-degree" else "inclusive"
-        va = verify_application(f, E, threads=threads)
         cr = count_irreducible_pairs(f, E, mode=mode, threads=threads)
+        va = verify_application(f, E, threads=threads, counts=cr)
         report["inputs"] = {"poly": args.poly, "mode": args.mode}
         report.update(cr.as_dict())
         for key in ("app_bound", "app_threshold_ok", "verdict", "note",

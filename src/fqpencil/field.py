@@ -140,7 +140,7 @@ class Field:
         "add", "sub", "neg", "mul", "inv", "scalar",
         "_red", "_red_np", "_yprod_np", "_pows", "_log", "_exp",
         "_embed_cache", "_idx_add", "_idx_mul", "_idx_sub", "_idx_inv",
-        "_idx_of", "_idx_elem",
+        "_idx_of", "_idx_elem", "_np_log_exp",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple | None = None):
@@ -163,6 +163,7 @@ class Field:
         self.zero = (0,) * k
         self.one = (1,) + (0,) * (k - 1)
         self._embed_cache = {}
+        self._np_log_exp = None
         self._build_reduction()
         self._build_ops()
 
@@ -371,6 +372,25 @@ class Field:
             exp.append(cur)
         self._exp = exp
         self._log = {e: i for i, e in enumerate(exp)}
+
+    def log_exp_arrays(self):
+        """numpy (log, exp) arrays over canonical indices; needs log tables.
+
+        Built on first use.  log[0] is 2(q-1) and exp has 4(q-1) + 1
+        entries, zero from 2(q-1) on, so exp[log[i] + log[j]] is the index
+        of the product of the elements with indices i and j, zero included.
+        """
+        if self._np_log_exp is None:
+            import numpy as np
+            n = self.q - 1
+            exp = np.zeros(4 * n + 1, dtype=np.int64)
+            exp[:n] = np.array(self._exp) @ (self.p ** np.arange(self.k))
+            exp[n:2 * n] = exp[:n]
+            log = np.empty(self.q, dtype=np.int64)
+            log[exp[:n]] = np.arange(n)
+            log[0] = 2 * n
+            self._np_log_exp = (log, exp)
+        return self._np_log_exp
 
     def _pow_raw(self, a, e):
         result = self.one

@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from fqpencil import counting
 from fqpencil.bivar import (
     BivariatePoly,
     brute_force_singular_search,
@@ -275,3 +276,29 @@ def test_criterion_10_benchmark_f13999():
         report = count_irreducible_pairs(f, E, threads=8)
         assert report.total_pairs == q * q
         assert Fraction(report.count_inclusive) >= bound.app_bound_hi
+
+
+@pytest.mark.skipif(os.environ.get("FQPENCIL_RUN_BENCHMARK") != "1",
+                    reason="long-running benchmark; set "
+                           "FQPENCIL_RUN_BENCHMARK=1 to enable")
+def test_criterion_11_benchmark_f11_4(monkeypatch):
+    # per-a (full, inclusive) rows, captured from the counting thread map
+    rows = []
+    pmap = counting.pmap
+
+    def recording_pmap(fn, items, threads=1):
+        out = pmap(fn, items, threads)
+        rows.extend(out)
+        return out
+
+    monkeypatch.setattr(counting, "pmap", recording_pmap)
+    with Criterion(11, 600.0):
+        E = make_field(11, 4)
+        f = parse_poly("t^3+x^3+1", E)
+        bound = application_bound(E.q, 3)
+        assert bound.app_threshold_ok           # 14641 > 12996
+        report = count_irreducible_pairs(f, E, threads=2)
+        assert report.total_pairs == E.q ** 2 == len(rows) * E.q
+        assert Fraction(report.count_inclusive) >= bound.app_bound_hi
+        for ai in random.Random(11).sample(range(E.q), 3):
+            assert rows[ai] == counting._generic_row(f, E, ai), ai

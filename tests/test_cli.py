@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from fqpencil import cli, counting
 from fqpencil.cli import run_command
 
 
@@ -131,6 +132,40 @@ def test_budget_error_exit_one():
                           "--trial-budget", "0"])
     assert code in (1, 2)
     assert "error" in rep
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_one_exit_two(threads):
+    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t",
+                          "--threads", threads])
+    assert code == 2
+    assert rep["error"]["type"] == "ConstraintViolation"
+    assert "count_inclusive" not in rep
+
+
+def test_count_command_counts_once(monkeypatch):
+    calls = []
+    original = counting.count_irreducible_pairs
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "count_irreducible_pairs", counted)
+    monkeypatch.setattr(cli, "count_irreducible_pairs", counted)
+    code, rep = run_json(["count", "--q", "331", "--poly", "x^2+x-t"])
+    assert code == 0
+    assert rep["verdict"] == "PASS"
+    assert len(calls) == 1
+
+
+def test_count_command_hypothesis_fail_still_counts():
+    code, rep = run_json(["count", "--q", "7", "--poly", "x^2-t^3"])
+    assert code == 0
+    assert rep["verdict"] == "HYPOTHESIS_FAIL"
+    assert rep["smooth"] is False
+    assert "app_bound" not in rep
+    assert (rep["count_full_degree"], rep["count_inclusive"]) == (16, 16)
 
 
 def test_unknown_command_exit_two():

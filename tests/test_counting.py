@@ -4,10 +4,15 @@ from fractions import Fraction
 from math import sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fqpencil import counting
+from fqpencil.bivar import BivariatePoly
 from fqpencil.field import make_field
 from fqpencil.parsing import parse_poly
 from fqpencil.counting import (
+    BoundReport,
     application_bound,
     check_hypotheses,
     count_irreducible_pairs,
@@ -195,11 +200,44 @@ def test_count_conic_f9():
 
 
 def test_counts_match_brute_force():
+    F25_alt = make_field(5, 2, (1, 1, 1))    # a non-canonical modulus
     for text, E in [("x^2+x-t", F7), ("t^3+x^3+1", F7), ("x^2+x-t", F5),
-                    ("x^2+t^3+t+1", F5), ("x^2+x-t", make_field(3, 2))]:
+                    ("x^2+t^3+t+1", F5), ("x^2+x-t", make_field(3, 2)),
+                    # t^3 coefficient a^3 - 1 of the restriction vanishes
+                    # at a = 1
+                    ("x^3-t^3+t*x+1", make_field(7, 2)),
+                    ("x^3-t^3+2*x+t", F25_alt),
+                    # singular (a cusp), reducible (two lines, three lines)
+                    ("x^2-t^3", F7), ("x^2+x-t^2-t", make_field(13, 1)),
+                    ("x^3-t^3", make_field(7, 2))]:
         f = parse_poly(text, E)
         rep = count_irreducible_pairs(f, E)
         assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
+
+
+@st.composite
+def _curves(draw, E):
+    """Random curves of total degree 2 or 3 over E, sparse ones included."""
+    d = 2 if E.p == 3 else draw(st.sampled_from([2, 3]))
+    elem = st.one_of(st.just(0), st.integers(1, E.q - 1)).map(E.element_at)
+    terms = {(i, j): draw(elem)
+             for i in range(d + 1) for j in range(d + 1 - i)}
+    top = draw(st.integers(0, d))
+    terms[(top, d - top)] = E.element_at(draw(st.integers(1, E.q - 1)))
+    return BivariatePoly(E, terms)
+
+
+# F_9 and F_27 take conics only: 3 divides 3 * 2
+@pytest.mark.parametrize("p, k, modulus", [
+    (5, 1, None), (7, 1, None), (13, 1, None), (3, 2, None), (3, 3, None),
+    (5, 2, None), (7, 2, None), (5, 2, (1, 1, 1))])
+@settings(max_examples=10)
+@given(data=st.data())
+def test_count_kernel_matches_per_pair(p, k, modulus, data):
+    E = make_field(p, k, modulus)
+    f = data.draw(_curves(E))
+    rep = count_irreducible_pairs(f, E)
+    assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
 
 
 def test_counts_thread_invariant():
@@ -291,6 +329,27 @@ def test_verify_application_pass():
 def test_verify_application_threshold_not_met():
     report = verify_application(parse_poly("x^2+x-t", F7), F7)
     assert report["verdict"] == "THRESHOLD_NOT_MET"
+
+
+def test_verify_application_inconclusive_inside_enclosure(monkeypatch):
+    # x^2+x-t over F_7 has count_inclusive 25; put it inside the enclosure
+    def enclosing_bound(q, d):
+        return BoundReport(q=q, d=d, N=2, app_threshold_ok=True,
+                           app_bound=25.0, app_bound_lo=Fraction(49, 2),
+                           app_bound_hi=Fraction(51, 2), positive=True)
+
+    monkeypatch.setattr(counting, "application_bound", enclosing_bound)
+    report = verify_application(parse_poly("x^2+x-t", F7), F7)
+    assert report["count_inclusive"] == 25
+    assert report["verdict"] == "INCONCLUSIVE"
+    assert report["note"] == "count inside the enclosure of the bound"
+
+
+def test_verify_application_uses_given_counts():
+    f = parse_poly("x^2+x-t", F7)
+    counts = count_irreducible_pairs(f, F7)
+    assert verify_application(f, F7, counts=counts) == \
+        verify_application(f, F7)
 
 
 def test_verify_application_hypothesis_fail():
