@@ -131,11 +131,11 @@ def run_command(argv):
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return (2 if exc.code not in (0, None) else 0), ""
-    threads = args.threads if args.threads is not None else default_threads()
     started = time.perf_counter()
     report = {"command": args.command, "seed": args.seed}
     code = 0
     try:
+        threads = default_threads() if args.threads is None else args.threads
         if threads < 1:
             raise ConstraintViolation(
                 f"--threads must be at least 1, got {threads}")
@@ -212,8 +212,15 @@ def _dispatch(args, threads, report) -> int:
         fs = [parse_poly(p, E) for p in args.poly]
         report["inputs"] = {"poly": args.poly, "M": args.M}
         if args.M:
-            t0s, x0s = args.M.split(",")
-            M = (E.element_at(int(t0s)), E.element_at(int(x0s)))
+            try:
+                idx = [int(v) for v in args.M.split(",")]
+            except ValueError:
+                idx = []
+            if len(idx) != 2 or not all(0 <= i < E.q for i in idx):
+                raise ConstraintViolation(
+                    f"--M must be two element indices 't0,x0' in "
+                    f"0..{E.q - 1}, got {args.M!r}")
+            M = tuple(E.element_at(i) for i in idx)
         else:
             M = find_generic_point(fs, E, trial_budget=args.trial_budget,
                                    seed=args.seed)

@@ -16,13 +16,16 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+import sympy
 
 from .bivar import BivariatePoly, is_smooth
-from .errors import DegreeTooSmall, HypothesisViolation, NotFoundWithinBudget
+from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
+                     HypothesisViolation, NotFoundWithinBudget)
 from .field import _LOG_TABLE_LIMIT, make_field
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
 from .parallel import pmap
-from .unipoly import UnivariatePoly, factor, is_irreducible
+from .unipoly import (UnivariatePoly, _count_dtype, _rabin_batch, factor,
+                      is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +127,8 @@ def application_bound(q: int, d: int) -> BoundReport:
     q > 9 (d(d-1)d! + 2)^2."""
     if d < 2:
         raise DegreeTooSmall("the application bound needs d >= 2")
+    if q < 2:
+        raise ConstraintViolation(f"field size q = {q} must be at least 2")
     dfact = factorial(d)
     K = d * (d - 1) * dfact + 2
     threshold_ok = q > 9 * K * K
@@ -185,10 +190,17 @@ def count_irreducible_pairs(f: BivariatePoly, E, mode: str = "inclusive",
     if f.field != E:
         f = f.map_to(E)
     d = f.total_degree()
-    if d <= 3 and (E.k == 1 or E.q <= _LOG_TABLE_LIMIT):
+    if E.k > 1 and E.q > _LOG_TABLE_LIMIT:
+        full, incl = _count_generic(f, E, threads)
+    elif d <= 3:
         full, incl = _count_d_le3(f, E, threads)
     else:
-        full, incl = _count_generic(f, E, threads)
+        try:
+            _count_dtype(E, d)
+        except DegreeOutOfRange:  # p near 10^9: the batch sums would wrap
+            full, incl = _count_generic(f, E, threads)
+        else:
+            full, incl = _count_rabin(f, E)
     return CountReport(q=E.q, total_pairs=E.q ** 2,
                        count_full_degree=full, count_inclusive=incl,
                        mode=mode)
@@ -218,18 +230,10 @@ def _generic_row(f: BivariatePoly, E, ai: int):
 
 def _is_irreducible_small(g: UnivariatePoly) -> bool:
     E = g.field
-    dg = g.degree()
-    if dg == 1:
-        return True
-    if dg == 2:
+    if g.degree() == 2:
         a0, a1, a2 = g.coeffs
         disc = E.sub(E.mul(a1, a1), E.scalar(4, E.mul(a0, a2)))
         return disc != E.zero and not E.is_square(disc)
-    if dg == 3:
-        if not g.gcd(g.derivative()).is_constant():
-            return False
-        x = UnivariatePoly.x(E)
-        return (x.pow_mod(E.q, g) - x).gcd(g).degree() == 0
     return is_irreducible(g)
 
 
@@ -239,7 +243,7 @@ class _IndexArith:
     when k > 1."""
 
     def __init__(self, E):
-        self.p, self.k = E.p, E.k
+        self.p, self.k, self.q = E.p, E.k, E.q
         if E.k > 1:
             self.log, self.exp = E.log_exp_arrays()
             self.digits = [np.arange(E.q) // E.p ** j % E.p
@@ -249,6 +253,17 @@ class _IndexArith:
         if self.k == 1:
             return x * y % self.p
         return self.exp[self.log[x] + self.log[y]]
+
+    def inv(self, x):
+        """Inverse of nonzero x: x^(p-2) for k = 1, exp[-log x] for k > 1."""
+        if self.k > 1:
+            return self.exp[self.q - 1 - self.log[x]]
+        out, e = np.ones_like(x), self.p - 2
+        while e:
+            if e & 1:
+                out = out * x % self.p
+            x, e = x * x % self.p, e >> 1
+        return out
 
     def muladd(self, x, y, z):
         """x * y + z."""
@@ -280,15 +295,7 @@ def _count_d_le3(f: BivariatePoly, E, threads: int):
     ar = _IndexArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
-    # coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b)
-    apow = [np.ones(q, dtype=np.int64)]  # index 1 is the element 1
-    for _ in range(d):
-        apow.append(ar.mul(apow[-1], elems))
-    coef = np.zeros((d + 1, d + 1, q), dtype=np.int64)
-    for (i, j), c in f.terms.items():
-        for l in range(j + 1):
-            cl = E.index_of(E.scalar(comb(j, l), c))
-            coef[i + l, j - l] = ar.muladd(cl, apow[l], coef[i + l, j - l])
+    coef = _line_coefficients(f, E, ar)
     nonsquare = np.ones(q, dtype=bool)
     nonsquare[ar.mul(elems, elems)] = False
     if d == 3:
@@ -313,6 +320,67 @@ def _count_d_le3(f: BivariatePoly, E, threads: int):
 
     parts = pmap(work, range(q), threads)
     return sum(w[0] for w in parts), sum(w[1] for w in parts)
+
+
+def _line_coefficients(f: BivariatePoly, E, ar: _IndexArith):
+    """coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b)."""
+    q, d = E.q, f.total_degree()
+    elems = np.arange(q)
+    apow = [np.ones(q, dtype=np.int64)]  # index 1 is the element 1
+    for _ in range(d):
+        apow.append(ar.mul(apow[-1], elems))
+    coef = np.zeros((d + 1, d + 1, q), dtype=np.int64)
+    for (i, j), c in f.terms.items():
+        for l in range(j + 1):
+            cl = E.index_of(E.scalar(comb(j, l), c))
+            coef[i + l, j - l] = ar.muladd(cl, apow[l], coef[i + l, j - l])
+    return coef
+
+
+def _count_rabin(f: BivariatePoly, E):
+    """Whole-grid count on canonical indices with a batched Rabin test.
+
+    Restrictions with a root in E, a curve point (t, x) with b = x - a t,
+    are dropped; the rest are made monic and tested in one _rabin_batch
+    call per degree n and block of a rows.  That test is exact when n is a
+    prime power, and with no root for n <= 6 (count_monic_irreducibles);
+    the pairs that pass it at larger n are confirmed one by one.
+    """
+    ar = _IndexArith(E)
+    q, d = E.q, f.total_degree()
+    elems = np.arange(q)
+    coef = _line_coefficients(f, E, ar)
+    t_pts, x_pts = _curve_points(f, E, ar)
+    neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
+    # blocks of about 2^22 residue entries inside the Rabin test
+    rows = max(1, (1 << 22) // (q * E.k * d * d))
+    full = incl = 0
+    for start in range(0, q, rows):
+        a = elems[start:start + rows]
+        # c[m]: the coefficient of t^m of each block pair's restriction
+        block = coef[:, :, a, None]
+        c = np.stack([ar.horner(block[m, :d + 1 - m], elems)
+                      for m in range(d + 1)]).reshape(d + 1, -1)
+        has_root = np.zeros((a.size, q), dtype=bool)
+        has_root[np.arange(a.size)[:, None],
+                 ar.muladd(a[:, None], neg_t, x_pts)] = True
+        deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
+        incl += int(np.count_nonzero(deg == 1))
+        for n in range(2, d + 1):
+            cn = c[:n + 1, (deg == n) & ~has_root.reshape(-1)]
+            if not cn.size:
+                continue
+            low = ar.mul(cn[:n], ar.inv(cn[n]))
+            low = np.stack([low // E.p ** u % E.p for u in range(E.k)], 1)
+            good = _rabin_batch(low.astype(_count_dtype(E, n)), E)
+            if n > 6 and len(sympy.primefactors(n)) > 1:
+                for j in np.flatnonzero(good):
+                    good[j] = is_irreducible(UnivariatePoly(
+                        E, [E.element_at(i) for i in cn[:, j].tolist()]))
+            n_irr = int(np.count_nonzero(good))
+            incl += n_irr
+            full += n_irr if n == d else 0
+    return full, incl
 
 
 def _curve_points(f: BivariatePoly, E, ar: _IndexArith):

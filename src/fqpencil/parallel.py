@@ -10,17 +10,24 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ConstraintViolation
+
 ENV_THREADS = "FQPENCIL_THREADS"
 
 
 def default_threads() -> int:
+    """The thread count in FQPENCIL_THREADS, 1 when it is unset or empty."""
     v = os.environ.get(ENV_THREADS)
-    if v:
-        try:
-            return max(1, int(v))
-        except ValueError:
-            pass
-    return 1
+    if not v:
+        return 1
+    try:
+        threads = int(v)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConstraintViolation(
+            f"{ENV_THREADS} must be an integer of at least 1, got {v!r}")
+    return threads
 
 
 def pmap(fn, items, threads: int = 1):

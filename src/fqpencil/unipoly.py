@@ -376,37 +376,22 @@ def is_irreducible(f: UnivariatePoly) -> bool:
     if n == 1:
         return True
     f = f.monic()
-    q = F.q
     x = UnivariatePoly.x(F)
-    # iterated Frobenius images of x modulo f
-    frob = {}
-    h = x
+    if n <= 3:
+        # every proper factorization has a linear factor
+        return (x.pow_mod(F.q, f) - x).gcd(f).is_constant()
+    ctx = _frob_ctx(f, min_degree=4)
+    if ctx is None:  # the table's sums could pass int64
+        return (f.gcd(f.derivative()).is_constant()
+                and _distinct_degree(f) == [(f, n)])
+    # one table product per Frobenius step x^{q^i} mod f
+    stops = {n // ell for ell in sympy.primefactors(n)}
+    h = x_arr = to_array(x.coeffs, F, n)
     for i in range(1, n + 1):
-        h = h.pow_mod(q, f) if i == 1 else _frobenius_step(h, frob1, f)
-        if i == 1:
-            frob1 = h
-        frob[i] = h
-    if frob[n] != x % f:
-        return False
-    for ell in sympy.primefactors(n):
-        g = (frob[n // ell] - x).gcd(f)
-        if not g.is_constant():
+        h = ctx.frobenius(h)
+        if i in stops and not _gcd_array((h - x_arr) % F.p, f).is_constant():
             return False
-    return True
-
-
-def _frobenius_step(h, frob1, f):
-    """h(x)^q mod f given frob1 = x^q mod f.
-
-    Coefficients are fixed by the q-power Frobenius, so h^q = h(x^q) and the
-    step is modular composition by Horner.
-    """
-    F = f.field
-    acc = UnivariatePoly.zero(F)
-    for c in reversed(h.coeffs):
-        acc = (acc * frob1) % f
-        acc = acc + UnivariatePoly(F, [c])
-    return acc % f
+    return bool((h == x_arr).all())
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
@@ -481,14 +466,14 @@ def _pth_root_poly(f: UnivariatePoly) -> UnivariatePoly:
 _DDF_NUMPY_MIN = 8
 
 
-def _frob_ctx(f: UnivariatePoly):
+def _frob_ctx(f: UnivariatePoly, min_degree=_DDF_NUMPY_MIN):
     """Frobenius table modulo monic f, or None when f is too small for it.
 
     Also None when a sum of n*k products of residues could pass int64 (p
     from about 2^31 on), since the numpy kernels would wrap silently.
     """
     F, n = f.field, f.degree()
-    if n < _DDF_NUMPY_MIN or (F.p - 1) ** 2 * n * F.k >= 1 << 63:
+    if n < min_degree or (F.p - 1) ** 2 * n * F.k >= 1 << 63:
         return None
     return FrobCtx(to_array(f.coeffs, F), F)
 
@@ -770,12 +755,7 @@ def _count_dtype(field, n):
 
 
 def _count_chunk(field, n, idx, dtype):
-    """Count irreducibles among the monic polynomials with these indices.
-
-    Residues are (n, k, B) arrays: component u of coefficient i for each of
-    the B polynomials, the batch axis last so every numpy call runs over
-    whole contiguous rows.
-    """
+    """Count irreducibles among the monic polynomials with these indices."""
     q, p, k = field.q, field.p, field.k
     elems = np.array([field.element_at(i) for i in range(q)], dtype=dtype)
     coeffs = np.empty((n, k, idx.size), dtype=dtype)
@@ -798,12 +778,26 @@ def _count_chunk(field, n, idx, dtype):
                     value[0, v : v + k] += pv * coeffs[i]
         _zfold(value, field)
         has_root |= ~(value[0, :k] % p).any(axis=0)
-    keep = ~has_root
+    coeffs = coeffs[:, :, ~has_root]  # and drop the full batch
+    return int(_rabin_batch(coeffs, field).sum())
+
+
+def _rabin_batch(low, field):
+    """Rabin's equality tests on a batch of monic moduli of degree n >= 2.
+
+    low is an (n, k, B) array in the integer type of _count_dtype(field, n):
+    component u of the coefficient of x^i of each of the B moduli f (the
+    leading 1 left out), the batch axis last so numpy runs over whole rows.
+    Returns, per modulus, x^{q^n} == x mod f and x^{q^{n/l}} != x mod f
+    for every prime l | n: irreducibility when n is a prime power, while
+    factor degrees such as {3, 2, 1} at n = 6 pass too.
+    """
+    n, k, size = low.shape
+    p, q = field.p, field.q
     # nf[u] = -y^u (f - x^n), so a stride's spill sum_u c_u y^u x^n is
     # cancelled by adding sum_u c_u nf[u]
-    nf = np.zeros((k, n, 2 * k - 1, int(keep.sum())), dtype=dtype)
-    nf[0, :, :k] = (p - coeffs[:, :, keep]) % p
-    del coeffs
+    nf = np.zeros((k, n, 2 * k - 1, size), dtype=low.dtype)
+    nf[0, :, :k] = (p - low) % p
     for u in range(1, k):
         nf[u, :, 1:] = nf[u - 1, :, :-1]
         _zfold(nf[u], field)
@@ -813,7 +807,7 @@ def _count_chunk(field, n, idx, dtype):
 
     # Iterated Frobenius images H_m = x^{q^m} mod f.  The q-power map is
     # F_q-linear, so H_{m+1} is H_m times the matrix with rows x^{qj} mod f.
-    x_arr = np.zeros((n, k, 1), dtype=dtype)
+    x_arr = np.zeros((n, k, 1), dtype=low.dtype)
     x_arr[1, 0] = 1
     r = _zxpow(q, nf, field, n)
     frob = [np.zeros_like(r), r]
@@ -828,9 +822,8 @@ def _count_chunk(field, n, idx, dtype):
             fixed[m] = (r == x_arr).all(axis=(0, 1))
     good = fixed[n]
     for ell in sympy.primefactors(n):
-        if n // ell > 1:
-            good &= ~fixed[n // ell]
-    return int(good.sum())
+        good &= ~fixed[n // ell]
+    return good
 
 
 def _zfold(wide, field):

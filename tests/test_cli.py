@@ -1,9 +1,13 @@
 """Tests for the fqpencil command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import fqpencil
 from fqpencil import cli, counting
 from fqpencil.cli import run_command
 
@@ -141,6 +145,51 @@ def test_threads_below_one_exit_two(threads):
     assert code == 2
     assert rep["error"]["type"] == "ConstraintViolation"
     assert "count_inclusive" not in rep
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "abc"])
+def test_threads_env_below_one_exit_two(monkeypatch, value):
+    monkeypatch.setenv("FQPENCIL_THREADS", value)
+    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t"])
+    assert code == 2
+    assert rep["error"]["type"] == "ConstraintViolation"
+    assert "count_inclusive" not in rep
+
+
+def test_threads_env_sets_default(monkeypatch):
+    monkeypatch.setenv("FQPENCIL_THREADS", "2")
+    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t"])
+    assert code == 0
+    assert rep["count_inclusive"] == 25
+
+
+@pytest.mark.parametrize("M", ["abc", "1", "99,99"])
+def test_pencil_bad_base_point_exit_two(M):
+    # 99,99 lies outside F_7 and must not wrap to 1,1
+    code, rep = run_json(["pencil", "--q", "7", "--poly", "x^2+x-t",
+                          "--M", M])
+    assert code == 2
+    assert rep["error"]["type"] == "ConstraintViolation"
+    assert "histogram" not in rep
+
+
+def test_bound_negative_q_exit_two():
+    code, rep = run_json(["bound", "--q", "-5", "--d", "2"])
+    assert code == 2
+    assert rep["error"]["type"] == "ConstraintViolation"
+
+
+def test_python_m_fqpencil():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fqpencil.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["bound", "--q", "331", "--d", "2"]
+    out = subprocess.run([sys.executable, "-m", "fqpencil", *argv],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert strip_timing(json.loads(out.stdout)) == \
+        strip_timing(run_json(argv)[1])
 
 
 def test_count_command_counts_once(monkeypatch):

@@ -31,7 +31,7 @@ from fqpencil.intervals import (
     q_pow_quarter_bounds,
     sqrt_bounds,
 )
-from fqpencil.unipoly import is_irreducible
+from fqpencil.unipoly import factor, is_irreducible
 
 
 F5 = make_field(5, 1)
@@ -215,10 +215,49 @@ def test_counts_match_brute_force():
         assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
 
 
+def _factor_count(f, E):
+    """Per-pair oracle through factor: irreducible means one factor of
+    multiplicity one."""
+    d = f.total_degree()
+    full = incl = 0
+    for ai in range(E.q):
+        for bi in range(E.q):
+            g = f.restrict_to_line(E.element_at(ai), E.element_at(bi))
+            if g.degree() < 1:
+                continue
+            facs = factor(g)[1]
+            if len(facs) == 1 and facs[0][1] == 1:
+                incl += 1
+                full += g.degree() == d
+    return full, incl
+
+
+def test_high_degree_counts_match_factor_oracle():
+    F13 = make_field(13, 1)
+    for text, E in [
+            # singular (a cusp at the origin), reducible (four lines, and
+            # two conics)
+            ("x^4-t^3", F7), ("x^4-t^4", F13), ("x^4-t^2", F7),
+            ("x^4-t^2*x^2+t^3+1", make_field(11, 1)),
+            # the t^d coefficient 1 - a^6 vanishes at every a != 0
+            ("x^6-t^6+t^5*x+1", F7),
+            # degree 6: the equality tests alone admit factor degrees
+            # {3, 2, 1}
+            ("x^6+t^6+t*x^2+3", F13),
+            # degree 12: the pairs that pass are confirmed one by one
+            ("x^12+t^11*x+t^3+x^2+2", F13),
+            ("x^4+t^4+t*x+1", make_field(5, 2, (1, 1, 1)))]:
+        f = parse_poly(text, E)
+        rep = count_irreducible_pairs(f, E)
+        assert (rep.count_full_degree, rep.count_inclusive) == \
+            _factor_count(f, E), text
+
+
 @st.composite
-def _curves(draw, E):
-    """Random curves of total degree 2 or 3 over E, sparse ones included."""
-    d = 2 if E.p == 3 else draw(st.sampled_from([2, 3]))
+def _curves(draw, E, degrees=(2, 3)):
+    """Random curves of a total degree in degrees that p allows over E,
+    sparse ones included."""
+    d = draw(st.sampled_from([d for d in degrees if d * (d - 1) % E.p]))
     elem = st.one_of(st.just(0), st.integers(1, E.q - 1)).map(E.element_at)
     terms = {(i, j): draw(elem)
              for i in range(d + 1) for j in range(d + 1 - i)}
@@ -238,6 +277,21 @@ def test_count_kernel_matches_per_pair(p, k, modulus, data):
     f = data.draw(_curves(E))
     rep = count_irreducible_pairs(f, E)
     assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
+
+
+# F_25 takes quartics only: 5 divides 5 * 4 and 6 * 5
+@pytest.mark.parametrize("p, k, modulus, degrees", [
+    (7, 1, None, (4, 5, 6)), (11, 1, None, (4, 5, 6)),
+    (13, 1, None, (4, 5, 6)), (5, 2, None, (4,)), (5, 2, (1, 1, 1), (4,)),
+    (7, 2, None, (4, 6))])
+@settings(max_examples=4)
+@given(data=st.data())
+def test_rabin_count_matches_factor_oracle(p, k, modulus, degrees, data):
+    E = make_field(p, k, modulus)
+    f = data.draw(_curves(E, degrees))
+    rep = count_irreducible_pairs(f, E)
+    assert (rep.count_full_degree, rep.count_inclusive) == \
+        _factor_count(f, E)
 
 
 def test_counts_thread_invariant():

@@ -2,15 +2,16 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
 
 from fqpencil import errors
 from fqpencil.field import make_field
-from fqpencil.unipoly import (UnivariatePoly, count_monic_irreducibles,
-                              discriminant, factor, is_irreducible, resultant,
-                              roots_in_field, squarefree_decomposition,
-                              squarefree_part)
+from fqpencil.unipoly import (UnivariatePoly, _count_dtype, _rabin_batch,
+                              count_monic_irreducibles, discriminant, factor,
+                              is_irreducible, resultant, roots_in_field,
+                              squarefree_decomposition, squarefree_part)
 
 
 def rand_poly(F, rng, deg, monic=False):
@@ -260,3 +261,44 @@ def test_count_degree_guard():
         count_monic_irreducibles(F, 7)
     with pytest.raises(errors.DegreeOutOfRange):
         count_monic_irreducibles(F, 0)
+
+
+def _rabin_expected(f):
+    """Rabin's equality tests read off factor(f): x^{q^m} == x mod f
+    exactly when f is square-free with every factor degree dividing m."""
+    facs = factor(f)[1]
+    n = f.degree()
+
+    def fixed(m):
+        return all(mult == 1 and m % g.degree() == 0 for g, mult in facs)
+
+    return fixed(n) and not any(fixed(n // ell)
+                                for ell in sympy.primefactors(n))
+
+
+def _random_irreducible(F, rng, d):
+    while True:
+        g = rand_poly(F, rng, d, monic=True)
+        if factor(g)[1] == [(g, 1)]:
+            return g
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2)])
+def test_rabin_batch_matches_factor(p, k):
+    F = make_field(p, k)
+    rng = random.Random(p * 10 + k)
+    x = from_ints(F, [0, 1])
+    for n in range(2, 10):
+        polys = [rand_poly(F, rng, n, monic=True) for _ in range(40)]
+        if n == 6:
+            # factor degrees {3, 2, 1} pass the equality tests
+            polys.append(_random_irreducible(F, rng, 3)
+                         * _random_irreducible(F, rng, 2) * x)
+        low = np.array([f.coeffs[:n] for f in polys]).transpose(1, 2, 0)
+        got = _rabin_batch(low.astype(_count_dtype(F, n)), F)
+        for f, passed in zip(polys, got.tolist()):
+            assert passed == _rabin_expected(f), f.format()
+            if len(sympy.primefactors(n)) == 1:
+                assert passed == is_irreducible(f), f.format()
+        if n == 6:
+            assert got[-1]
