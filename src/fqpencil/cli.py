@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -20,12 +21,13 @@ from .counting import (application_bound, count_irreducible_pairs,
                        verify_application)
 from .errors import (ConstraintViolation, FqPencilError, NotFoundWithinBudget,
                      ParseError)
-from .field import field_of_order, make_field
-from .parallel import default_threads
+from .field import field_of_order, make_field, prime_power
 from .parsing import parse_poly, parse_univariate
 from .pencil import find_generic_point, pattern_histogram, pencil_discriminant
 from .reducible import conrad_polynomial, verify_conrad
 from .unipoly import factor
+
+ENV_THREADS = "FQPENCIL_THREADS"
 
 
 def _add_field_args(sp):
@@ -39,8 +41,24 @@ def _add_field_args(sp):
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--format", choices=["json", "csv", "text"],
-                    default="json")
+
+
+def default_threads() -> int:
+    """The thread count in FQPENCIL_THREADS, 1 when it is unset or empty.
+
+    --threads and FQPENCIL_THREADS are validated but change nothing: every
+    command runs on one thread."""
+    v = os.environ.get(ENV_THREADS)
+    if not v:
+        return 1
+    try:
+        threads = int(v)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConstraintViolation(
+            f"{ENV_THREADS} must be an integer of at least 1, got {v!r}")
+    return threads
 
 
 def _resolve_field(args):
@@ -48,12 +66,7 @@ def _resolve_field(args):
     if getattr(args, "modulus", None):
         modulus = tuple(int(v) for v in args.modulus.split(","))
     if args.q is not None:
-        if modulus is not None:
-            import sympy
-            fac = sympy.factorint(args.q)
-            (p, k), = fac.items()
-            return make_field(p, k, modulus)
-        return field_of_order(args.q)
+        return make_field(*prime_power(args.q), modulus)
     if args.p is None:
         raise FqPencilError("specify --q or --p/--k")
     return make_field(args.p, args.k, modulus)
@@ -84,6 +97,7 @@ def build_parser():
     _add_field_args(sp)
     _add_common(sp)
     sp.add_argument("--poly", action="append", required=True)
+    sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--M", help="base point 't0,x0' (element indices); "
                                "found automatically when omitted")
     sp.add_argument("--trial-budget", type=int, default=None)
@@ -139,7 +153,7 @@ def run_command(argv):
         if threads < 1:
             raise ConstraintViolation(
                 f"--threads must be at least 1, got {threads}")
-        code = _dispatch(args, threads, report)
+        code = _dispatch(args, report)
     except ParseError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc),
                            "position": exc.position}
@@ -152,7 +166,7 @@ def run_command(argv):
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
         code = 2
     report["timing_seconds"] = time.perf_counter() - started
-    if args.format == "csv" and "histogram" in report:
+    if getattr(args, "format", None) == "csv" and "histogram" in report:
         lines = ["pattern,count"]
         for key, cnt in sorted(report["histogram"]["counts"].items()):
             lines.append(f"{key},{cnt}")
@@ -162,9 +176,11 @@ def run_command(argv):
     return code, json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
-def _dispatch(args, threads, report) -> int:
+def _dispatch(args, report) -> int:
     cmd = args.command
     if cmd == "bound":
+        if args.s is not None and args.s < 1:
+            raise ConstraintViolation(f"--s must be at least 1, got {args.s}")
         br = application_bound(args.q, args.d)
         report.update(br.as_dict())
         if args.s is not None and args.N is not None and args.g is not None:
@@ -181,7 +197,7 @@ def _dispatch(args, threads, report) -> int:
             inst = conrad_polynomial(args.q, args.b)
             target = inst
             report["inputs"] = inst.as_dict() | {"D": args.D}
-        result = verify_conrad(target, args.D, threads=threads)
+        result = verify_conrad(target, args.D)
         report["result"] = result
         return 0 if result["all_reducible"] else 1
 
@@ -233,8 +249,8 @@ def _dispatch(args, threads, report) -> int:
     if cmd == "count":
         f = parse_poly(args.poly, E)
         mode = "full" if args.mode == "full-degree" else "inclusive"
-        cr = count_irreducible_pairs(f, E, mode=mode, threads=threads)
-        va = verify_application(f, E, threads=threads, counts=cr)
+        cr = count_irreducible_pairs(f, E, mode=mode)
+        va = verify_application(f, E, counts=cr)
         report["inputs"] = {"poly": args.poly, "mode": args.mode}
         report.update(cr.as_dict())
         for key in ("app_bound", "app_threshold_ok", "verdict", "note",
@@ -246,8 +262,7 @@ def _dispatch(args, threads, report) -> int:
     if cmd == "search":
         fs = [parse_poly(p, E) for p in args.poly]
         mode = "full" if args.mode == "full-degree" else "inclusive"
-        res = find_specialization(fs, E, args.smax, mode=mode,
-                                  threads=threads)
+        res = find_specialization(fs, E, args.smax, mode=mode)
         report["inputs"] = {"poly": args.poly, "smax": args.smax,
                             "mode": args.mode}
         report.update(res.as_dict())

@@ -21,9 +21,8 @@ import sympy
 from .bivar import BivariatePoly, is_smooth
 from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
-from .field import _LOG_TABLE_LIMIT, make_field
+from .field import _LOG_TABLE_LIMIT, make_field, prime_power
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
-from .parallel import pmap
 from .unipoly import (UnivariatePoly, _count_dtype, _rabin_batch, factor,
                       is_irreducible)
 
@@ -129,6 +128,7 @@ def application_bound(q: int, d: int) -> BoundReport:
         raise DegreeTooSmall("the application bound needs d >= 2")
     if q < 2:
         raise ConstraintViolation(f"field size q = {q} must be at least 2")
+    prime_power(q)  # NotPrime unless q is a prime power
     dfact = factorial(d)
     K = d * (d - 1) * dfact + 2
     threshold_ok = q > 9 * K * K
@@ -179,8 +179,8 @@ def _check_char(f: BivariatePoly):
             f"characteristic {f.field.p} divides d(d-1) = {d * (d - 1)}")
 
 
-def count_irreducible_pairs(f: BivariatePoly, E, mode: str = "inclusive",
-                            threads: int = 1) -> CountReport:
+def count_irreducible_pairs(f: BivariatePoly, E,
+                            mode: str = "inclusive") -> CountReport:
     """Exact counts of (a, b) in E^2 with f(t, a t + b) irreducible.
 
     count_full_degree additionally requires deg_t = d; count_inclusive
@@ -191,14 +191,14 @@ def count_irreducible_pairs(f: BivariatePoly, E, mode: str = "inclusive",
         f = f.map_to(E)
     d = f.total_degree()
     if E.k > 1 and E.q > _LOG_TABLE_LIMIT:
-        full, incl = _count_generic(f, E, threads)
+        full, incl = _count_generic(f, E)
     elif d <= 3:
-        full, incl = _count_d_le3(f, E, threads)
+        full, incl = map(sum, zip(*_d_le3_rows(f, E)))
     else:
         try:
             _count_dtype(E, d)
         except DegreeOutOfRange:  # p near 10^9: the batch sums would wrap
-            full, incl = _count_generic(f, E, threads)
+            full, incl = _count_generic(f, E)
         else:
             full, incl = _count_rabin(f, E)
     return CountReport(q=E.q, total_pairs=E.q ** 2,
@@ -206,9 +206,8 @@ def count_irreducible_pairs(f: BivariatePoly, E, mode: str = "inclusive",
                        mode=mode)
 
 
-def _count_generic(f: BivariatePoly, E, threads: int):
-    parts = pmap(lambda ai: _generic_row(f, E, ai), range(E.q), threads)
-    return sum(p[0] for p in parts), sum(p[1] for p in parts)
+def _count_generic(f: BivariatePoly, E):
+    return map(sum, zip(*(_generic_row(f, E, ai) for ai in range(E.q))))
 
 
 def _generic_row(f: BivariatePoly, E, ai: int):
@@ -285,8 +284,9 @@ class _IndexArith:
         return acc
 
 
-def _count_d_le3(f: BivariatePoly, E, threads: int):
-    """Whole-grid count for d <= 3 on canonical element indices.
+def _d_le3_rows(f: BivariatePoly, E):
+    """Per-a (full, inclusive) counts for d <= 3 on canonical element
+    indices, a in canonical order.
 
     A restriction of degree 3 is irreducible exactly when it has no root,
     that is when its line misses every affine point of the curve; one of
@@ -302,7 +302,7 @@ def _count_d_le3(f: BivariatePoly, E, threads: int):
         t_pts, x_pts = _curve_points(f, E, ar)
         neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
 
-    def work(a):
+    def row(a):
         c = coef[:, :, a].tolist()
         if d == 3 and c[3][0]:  # the t^3 coefficient is b-independent
             has_root = np.zeros(q, dtype=bool)
@@ -318,8 +318,7 @@ def _count_d_le3(f: BivariatePoly, E, threads: int):
         incl = n2 + int(np.count_nonzero(~quad & (c1 != 0)))
         return (n2 if d == 2 else 0), incl
 
-    parts = pmap(work, range(q), threads)
-    return sum(w[0] for w in parts), sum(w[1] for w in parts)
+    return [row(a) for a in range(q)]
 
 
 def _line_coefficients(f: BivariatePoly, E, ar: _IndexArith):
@@ -460,8 +459,8 @@ class SpecializationResult:
         }
 
 
-def find_specialization(fs, base_field, s_max: int, mode: str = "full",
-                        threads: int = 1) -> SpecializationResult:
+def find_specialization(fs, base_field, s_max: int,
+                        mode: str = "full") -> SpecializationResult:
     """Smallest s <= s_max and lexicographically first (a, b) in F_{q^s}^2
     making every f(t, a t + b) irreducible (at full degree unless
     mode='inclusive'); witnesses are re-verified through factor()."""
@@ -472,29 +471,11 @@ def find_specialization(fs, base_field, s_max: int, mode: str = "full",
     for s in range(1, s_max + 1):
         E = make_field(base_field.p, base_field.k * s)
         fsE = [f.map_to(E) for f in fs]
-
-        def try_a(ai):
-            a = E.element_at(ai)
-            for bi in range(E.q):
-                b = E.element_at(bi)
-                ok = True
-                for fE, d in zip(fsE, degrees):
-                    g = fE.restrict_to_line(a, b)
-                    dg = g.degree()
-                    if mode == "full" and dg != d:
-                        ok = False
-                        break
-                    if dg < 1 or not _is_irreducible_small(g):
-                        ok = False
-                        break
-                if ok:
-                    return ai, bi
-            return None
-
-        hits = [h for h in pmap(try_a, range(E.q), threads) if h is not None]
-        if hits:
-            ai, bi = min(hits)
-            a, b = E.element_at(ai), E.element_at(bi)
+        hit = next(((a, b) for a in E.elements() for b in E.elements()
+                    if all(_specializes(fE.restrict_to_line(a, b), d, mode)
+                           for fE, d in zip(fsE, degrees))), None)
+        if hit is not None:
+            a, b = hit
             witnesses = []
             for fE in fsE:
                 g = fE.restrict_to_line(a, b)
@@ -510,11 +491,19 @@ def find_specialization(fs, base_field, s_max: int, mode: str = "full",
         f"no witness up to s = {s_max}; raise s_max")
 
 
+def _specializes(g: UnivariatePoly, d: int, mode: str) -> bool:
+    """Whether the restriction g of a degree-d curve is irreducible of
+    degree >= 1, and of degree d when mode is 'full'."""
+    dg = g.degree()
+    return (dg >= 1 and (mode != "full" or dg == d)
+            and _is_irreducible_small(g))
+
+
 # ---------------------------------------------------------------------------
 # End-to-end application verdict
 
 
-def verify_application(f: BivariatePoly, E, threads: int = 1,
+def verify_application(f: BivariatePoly, E,
                        counts: CountReport | None = None) -> dict:
     """Bundle of hypothesis checks, threshold, bound and exhaustive count.
 
@@ -540,7 +529,7 @@ def verify_application(f: BivariatePoly, E, threads: int = 1,
         return report
     bound = application_bound(E.q, d)
     if counts is None:
-        counts = count_irreducible_pairs(f, E, threads=threads)
+        counts = count_irreducible_pairs(f, E)
     report["app_threshold_ok"] = bound.app_threshold_ok
     report["app_bound"] = bound.app_bound
     report["count_full_degree"] = counts.count_full_degree

@@ -3,12 +3,12 @@
 Elements are length-k tuples of residues mod p (low power of the generator
 first).  The modulus is, unless overridden, the lexicographically smallest
 monic irreducible of degree k over F_p, coefficients compared from the
-highest index down.  Fields are cached, immutable and safe to share.
+highest index down; candidates are tested with unipoly's Rabin test
+over F_p.  Fields are cached per (p, k) and immutable.
 """
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 
 import sympy
@@ -28,93 +28,6 @@ def element_key(e: Element) -> tuple:
     return tuple(reversed(e))
 
 
-# ---------------------------------------------------------------------------
-# Self-contained prime-field polynomial helpers (ints, low-to-high lists).
-# Only used to pick canonical moduli; everything else goes through unipoly.
-
-
-def _zp_trim(a):
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zp_mulmod(a, b, mod, p):
-    n = len(a) + len(b) - 1
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    # reduce by monic mod
-    dm = len(mod) - 1
-    for i in range(n - 1, dm - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(dm):
-                out[i - dm + j] = (out[i - dm + j] - c * mod[j]) % p
-    return _zp_trim(out[:dm])
-
-
-def _zp_powmod(base, e, mod, p):
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _zp_mulmod(result, b, mod, p)
-        b = _zp_mulmod(b, b, mod, p)
-        e >>= 1
-    return result
-
-
-def _zp_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        # a mod b
-        db = len(b) - 1
-        inv = pow(b[-1], p - 2, p)
-        r = list(a)
-        while len(r) - 1 >= db and r:
-            c = (r[-1] * inv) % p
-            k = len(r) - 1 - db
-            for j in range(db + 1):
-                r[k + j] = (r[k + j] - c * b[j]) % p
-            _zp_trim(r)
-            if not r:
-                break
-        a, b = b, r
-    return a
-
-
-def _zp_is_irreducible(f, p):
-    """Rabin test over F_p for an integer coefficient list (monic assumed)."""
-    n = len(f) - 1
-    if n < 1:
-        return False
-    if n == 1:
-        return True
-    x = [0, 1]
-    h = list(x)
-    powers = {}
-    for i in range(1, n + 1):
-        h = _zp_powmod(h, p, f, p)
-        powers[i] = list(h)
-    if _zp_trim([(a - b) % p for a, b in
-                 zip(powers[n] + [0] * 2, x + [0] * len(powers[n]))]):
-        return False
-    for ell in sympy.primefactors(n):
-        m = n // ell
-        diff = list(powers[m])
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _zp_gcd(f, _zp_trim(diff), p)
-        if len(g) - 1 != 0:
-            return False
-    return True
-
-
 def _canonical_modulus(p: int, k: int) -> tuple:
     """Lexicographically smallest monic irreducible of degree k over F_p."""
     if k == 1:
@@ -127,9 +40,17 @@ def _canonical_modulus(p: int, k: int) -> tuple:
             m //= p
         # digits[j] is coefficient of y^j with c_{k-1} the most significant
         coeffs = digits + [1]
-        if _zp_is_irreducible(coeffs, p):
+        if _irreducible_mod_p(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError("no irreducible modulus found")  # pragma: no cover
+
+
+def _irreducible_mod_p(coeffs, p: int) -> bool:
+    """Whether the integer coefficients (low to high) give an irreducible
+    polynomial over F_p."""
+    from .unipoly import UnivariatePoly, is_irreducible
+    Fp = make_field(p, 1)
+    return is_irreducible(UnivariatePoly(Fp, [(c,) for c in coeffs]))
 
 
 class Field:
@@ -157,7 +78,7 @@ class Field:
             modulus = tuple(int(c) % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise DegreeOutOfRange("modulus must be monic of degree k")
-            if k > 1 and not _zp_is_irreducible(list(modulus), p):
+            if k > 1 and not _irreducible_mod_p(modulus, p):
                 raise DegreeOutOfRange("modulus must be irreducible over F_p")
         self.modulus = modulus
         self.zero = (0,) * k
@@ -217,8 +138,14 @@ class Field:
             if a[0] == 0:
                 raise ZeroDivisionError("inverse of zero field element")
             return (pow(a[0], p - 2, p),)
+
+        def trim(r):
+            while r and r[-1] == 0:
+                r.pop()
+            return r
+
         # extended Euclid against the modulus, over F_p
-        r0, r1 = list(self.modulus), _zp_trim(list(a))
+        r0, r1 = list(self.modulus), trim(list(a))
         if not r1:
             raise ZeroDivisionError("inverse of zero field element")
         s0, s1 = [], [1]
@@ -233,7 +160,7 @@ class Field:
                 quot[d] = c
                 for j in range(len(r1)):
                     r[d + j] = (r[d + j] - c * r1[j]) % p
-                _zp_trim(r)
+                trim(r)
             # s2 = s0 - quot*s1
             qs = [0] * (len(quot) + len(s1) - 1) if s1 else []
             for i, qi in enumerate(quot):
@@ -244,7 +171,7 @@ class Field:
                    (qs[i] if i < len(qs) else 0)) % p
                   for i in range(max(len(s0), len(qs)))]
             r0, r1 = r1, r
-            s0, s1 = s1, _zp_trim(s2)
+            s0, s1 = s1, trim(s2)
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible")
         c = pow(r0[0], p - 2, p)
@@ -487,9 +414,6 @@ class Field:
         return "+".join(parts) if parts else "0"
 
 
-_make_lock = threading.Lock()
-
-
 @lru_cache(maxsize=None)
 def _field_cached(p: int, k: int) -> Field:
     return Field(p, k)
@@ -499,17 +423,21 @@ def make_field(p: int, k: int, modulus: tuple | None = None) -> Field:
     """Canonical F_{p^k}; cached per (p, k) unless a modulus is supplied."""
     if modulus is not None:
         return Field(p, k, modulus)
-    with _make_lock:
-        return _field_cached(p, k)
+    return _field_cached(p, k)
+
+
+def prime_power(q: int) -> tuple:
+    """(p, k) with q = p^k; raises NotPrime unless q is a prime power."""
+    fac = sympy.factorint(q)
+    if q < 2 or len(fac) != 1:
+        raise NotPrime(f"q = {q} is not a prime power")
+    (p, k), = fac.items()
+    return p, k
 
 
 def field_of_order(q: int) -> Field:
     """Factor q into p^k and return the canonical field."""
-    fac = sympy.factorint(q)
-    if len(fac) != 1:
-        raise NotPrime(f"q = {q} is not a prime power")
-    (p, k), = fac.items()
-    return make_field(p, k)
+    return make_field(*prime_power(q))
 
 
 def embed(src: Field, dst: Field, e: Element) -> Element:

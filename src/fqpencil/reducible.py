@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .bivar import BivariatePoly
 from .errors import ConstraintViolation
 from .field import field_of_order
-from .parallel import pmap
-from .polycore import ModCtx, to_array
 from .unipoly import UnivariatePoly, is_irreducible
 
 
@@ -46,7 +42,7 @@ def conrad_polynomial(q: int, b: int | None = None) -> ConradInstance:
     return ConradInstance(q=q, p=E.p, b=b, f=f)
 
 
-def verify_conrad(instance, D: int, threads: int = 1) -> dict:
+def verify_conrad(instance, D: int) -> dict:
     """Substitute every g in F_q[t] with deg g <= D into f and factor.
 
     Accepts a ConradInstance or a bare BivariatePoly (negative control).
@@ -54,6 +50,8 @@ def verify_conrad(instance, D: int, threads: int = 1) -> dict:
     irreducible value.  Degenerate values (zero or constant) are classified
     separately, not counted as irreducible.
     """
+    if D < 0:
+        raise ConstraintViolation(f"degree cap D = {D} must be at least 0")
     f = instance.f if isinstance(instance, ConradInstance) else instance
     E = f.field
     total = E.q ** (D + 1)
@@ -72,7 +70,7 @@ def verify_conrad(instance, D: int, threads: int = 1) -> dict:
             return ("irreducible", g)
         return ("reducible", g)
 
-    results = pmap(work, range(total), threads)
+    results = [work(idx) for idx in range(total)]
     degenerate = sum(1 for kind, _ in results if kind == "degenerate")
     counterexamples = [g for kind, g in results if kind == "irreducible"]
     return {
@@ -88,37 +86,9 @@ def verify_conrad(instance, D: int, threads: int = 1) -> dict:
 
 def _reducible(h: UnivariatePoly) -> bool:
     """Whether h (degree >= 2) is reducible over its coefficient field."""
-    E = h.field
-    n = h.degree()
     dh = h.derivative()
     if dh.is_zero():
         return True  # a p-th power
     if not h.gcd(dh).is_constant():
         return True
-    if E.k == 1:
-        return _reducible_prime_squarefree(h)
     return not is_irreducible(h)
-
-
-def _reducible_prime_squarefree(h: UnivariatePoly) -> bool:
-    """Distinct-degree walk with early exit, numpy-accelerated Frobenius."""
-    E = h.field
-    p = E.p
-    n = h.degree()
-    hm = h.monic()
-    hints = [c[0] for c in hm.coeffs]
-    ctx = ModCtx(to_array(hm.coeffs, E), E)
-    frob = np.zeros((n, 1), dtype=np.int64)
-    if n > 1:
-        frob[1, 0] = 1
-    from .field import _zp_gcd, _zp_trim
-    for i in range(1, n // 2 + 1):
-        frob = ctx.powmod(frob, p)
-        diff = [int(v) for v in frob[:, 0]]
-        while len(diff) < 2:
-            diff.append(0)
-        diff[1] = (diff[1] - 1) % p
-        g = _zp_gcd(hints, _zp_trim(diff), p)
-        if len(g) - 1 > 0:
-            return True
-    return False

@@ -74,7 +74,7 @@ def test_criterion_1_application_count_f331():
         q = 331
         E = make_field(q, 1)
         f = parse_poly("x^2+x-t", E)
-        report = count_irreducible_pairs(f, E, threads=1)
+        report = count_irreducible_pairs(f, E)
         assert report.count_inclusive == 54781
         assert report.count_full_degree == 54450
         # independent closed-form oracle: for x = a t + b the restriction
@@ -273,7 +273,7 @@ def test_criterion_10_benchmark_f13999():
         bound = application_bound(q, 3)
         assert bound.app_threshold_ok           # 13999 > 12996
         assert bound.app_bound == pytest.approx(1.17e6, rel=0.01)
-        report = count_irreducible_pairs(f, E, threads=8)
+        report = count_irreducible_pairs(f, E)
         assert report.total_pairs == q * q
         assert Fraction(report.count_inclusive) >= bound.app_bound_hi
 
@@ -282,22 +282,22 @@ def test_criterion_10_benchmark_f13999():
                     reason="long-running benchmark; set "
                            "FQPENCIL_RUN_BENCHMARK=1 to enable")
 def test_criterion_11_benchmark_f11_4(monkeypatch):
-    # per-a (full, inclusive) rows, captured from the counting thread map
+    # per-a (full, inclusive) rows, captured from the d <= 3 kernel
     rows = []
-    pmap = counting.pmap
+    d_le3_rows = counting._d_le3_rows
 
-    def recording_pmap(fn, items, threads=1):
-        out = pmap(fn, items, threads)
+    def recording_rows(f, E):
+        out = d_le3_rows(f, E)
         rows.extend(out)
         return out
 
-    monkeypatch.setattr(counting, "pmap", recording_pmap)
+    monkeypatch.setattr(counting, "_d_le3_rows", recording_rows)
     with Criterion(11, 600.0):
         E = make_field(11, 4)
         f = parse_poly("t^3+x^3+1", E)
         bound = application_bound(E.q, 3)
         assert bound.app_threshold_ok           # 14641 > 12996
-        report = count_irreducible_pairs(f, E, threads=2)
+        report = count_irreducible_pairs(f, E)
         assert report.total_pairs == E.q ** 2 == len(rows) * E.q
         assert Fraction(report.count_inclusive) >= bound.app_bound_hi
         for ai in random.Random(11).sample(range(E.q), 3):

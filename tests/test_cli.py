@@ -179,6 +179,27 @@ def test_bound_negative_q_exit_two():
     assert rep["error"]["type"] == "ConstraintViolation"
 
 
+@pytest.mark.parametrize("argv,error", [
+    (["field", "--q", "6", "--modulus", "1,1"], "NotPrime"),
+    (["bound", "--q", "6", "--d", "2"], "NotPrime"),
+    (["bound", "--q", "7", "--d", "2", "--s", "0"], "ConstraintViolation"),
+    (["conrad", "--q", "3", "--D", "-1"], "ConstraintViolation"),
+])
+def test_bad_input_exit_two(argv, error):
+    code, rep = run_json(argv)
+    assert code == 2
+    assert rep["error"]["type"] == error
+
+
+@pytest.mark.parametrize("argv", [
+    ["pencil", "--q", "7", "--poly", "x^2+x-t", "--format", "text"],
+    ["count", "--q", "7", "--poly", "x^2+x-t", "--format", "csv"],
+    ["bound", "--q", "7", "--d", "2", "--format", "json"],
+])
+def test_format_only_on_pencil_exit_two(argv):
+    assert run_command(argv) == (2, "")
+
+
 def test_python_m_fqpencil():
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fqpencil.__file__))

@@ -294,15 +294,6 @@ def test_rabin_count_matches_factor_oracle(p, k, modulus, degrees, data):
         _factor_count(f, E)
 
 
-def test_counts_thread_invariant():
-    f = parse_poly("x^2+x-t", make_field(31, 1))
-    base = count_irreducible_pairs(f, f.field, threads=1)
-    for threads in (4, 8):
-        rep = count_irreducible_pairs(f, f.field, threads=threads)
-        assert rep.count_full_degree == base.count_full_degree
-        assert rep.count_inclusive == base.count_inclusive
-
-
 def test_count_rejects_bad_characteristic():
     F3 = make_field(3, 1)
     with pytest.raises(HypothesisViolation):

@@ -93,6 +93,26 @@ def test_construction_errors():
         make_field(3, 2, modulus=(1, 0, 2))
     with pytest.raises(errors.DegreeOutOfRange):
         make_field(3, 2, modulus=(2, 0, 1))   # y^2 + 2 = (y-1)(y+1)
+    # reducible with no root: (y^2 + y + 1)^2 and (y^2 + 1)(y^3 + 2y + 2)
+    with pytest.raises(errors.DegreeOutOfRange):
+        make_field(2, 4, modulus=(1, 0, 1, 0, 1))
+    with pytest.raises(errors.DegreeOutOfRange):
+        make_field(3, 5, modulus=(2, 2, 2, 0, 0, 1))
+
+
+def _sympy_poly(p, coeffs):
+    return sympy.Poly(list(reversed(coeffs)), sympy.Symbol("y"), modulus=p)
+
+
+@pytest.mark.parametrize("p,k", [(p, k) for p in sympy.primerange(2, 47)
+                                 for k in range(2, 12) if p ** k <= 2187])
+def test_canonical_modulus_matches_sympy_oracle(p, k):
+    F = make_field(p, k)
+    assert _sympy_poly(p, F.modulus).is_irreducible
+    # every smaller monic candidate, compared from the top coefficient down
+    for idx in range(F.index_of(F.modulus[:k])):
+        coeffs = list(F.element_at(idx)) + [1]
+        assert not _sympy_poly(p, coeffs).is_irreducible, coeffs
 
 
 def test_modulus_override():

@@ -1,13 +1,15 @@
 """Tests for the always-reducible x^{4q} + t^b construction."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqpencil.field import make_field
 from fqpencil.parsing import parse_poly
-from fqpencil.reducible import conrad_polynomial, verify_conrad
+from fqpencil.reducible import _reducible, conrad_polynomial, verify_conrad
 from fqpencil.errors import ConstraintViolation
 from fqpencil.lifting import bivariate_irreducible
-from fqpencil.unipoly import UnivariatePoly, is_irreducible
+from fqpencil.unipoly import UnivariatePoly, factor, is_irreducible
 
 
 def test_instance_q3():
@@ -76,10 +78,29 @@ def test_negative_control_finds_counterexample():
     assert report["degenerate"] == 3  # the three constant substitutions
 
 
-def test_thread_invariance():
-    inst = conrad_polynomial(3, 5)
-    base = verify_conrad(inst, D=2, threads=1)
-    assert verify_conrad(inst, D=2, threads=4) == base
+@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
+@settings(max_examples=40)
+@given(data=st.data())
+def test_reducible_matches_factor_oracle(p, k, data):
+    E = make_field(p, k)
+    polys = st.lists(st.integers(0, E.q - 1).map(E.element_at), min_size=2,
+                     max_size=8).map(lambda c: UnivariatePoly(E, c))
+    g = data.draw(polys.filter(lambda g: g.degree() >= 1))
+    shape = data.draw(st.sampled_from(["plain", "square", "pth", "product"]))
+    if shape == "square":
+        h = g * g
+    elif shape == "pth":
+        h = UnivariatePoly.one(E)
+        for _ in range(p):
+            h = h * g
+    elif shape == "product":
+        h = g * data.draw(polys.filter(lambda g: g.degree() >= 1))
+    else:
+        h = g
+    if h.degree() < 2:
+        return
+    _unit, facs = factor(h)
+    assert _reducible(h) == (len(facs) != 1 or facs[0][1] != 1)
 
 
 def test_bivariate_certificate_is_inconclusive():
