@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import (CharacteristicDividesDegree, CoordinateChangeExhausted,
                      DegreeTooSmall, ZeroOrConstant)
-from .field import element_key, embed, make_field
+from .field import embed, make_field
 from .unipoly import (UnivariatePoly, factor, roots_in_field,
                       squarefree_decomposition)
 
@@ -67,13 +67,7 @@ class BivariatePoly:
         parts = []
         for i, j in keys:
             c = self.terms[(i, j)]
-            if F.k == 1:
-                cs = str(c[0])
-                unit = c == F.one
-            else:
-                from .unipoly import _elem_str
-                cs = "(" + _elem_str(F, c) + ")"
-                unit = c == F.one
+            cs = F.format(c)
             vars_ = []
             if i:
                 vars_.append("t" + (f"^{i}" if i > 1 else ""))
@@ -81,7 +75,7 @@ class BivariatePoly:
                 vars_.append("x" + (f"^{j}" if j > 1 else ""))
             if not vars_:
                 parts.append(cs)
-            elif unit:
+            elif c == 1:
                 parts.append("*".join(vars_))
             else:
                 parts.append(cs + "*" + "*".join(vars_))
@@ -383,7 +377,7 @@ class SingularWitness:
     def as_dict(self):
         return {
             "extension_degree": self.field.k,
-            "point": [list(c) for c in self.point],
+            "point": [self.field.to_vector(c) for c in self.point],
         }
 
 
@@ -453,8 +447,7 @@ def _singular_point(form: HomogeneousForm):
         _, facs = factor(g)
         irr = facs[0][0]
         E = make_field(F.p, F.k * irr.degree())
-        xi = min(roots_in_field(irr.map_coeffs(lambda c: embed(F, E, c), E)),
-                 key=element_key)
+        xi = roots_in_field(irr.map_coeffs(lambda c: embed(F, E, c), E))[0]
         return SingularWitness(E, (E.one, xi, E.zero))
 
     # Affine chart Z = 1: singular T-coordinates are roots of disc_X.
@@ -469,8 +462,7 @@ def _singular_point(form: HomogeneousForm):
         for irr, _ in factor(fac)[1]:
             E = make_field(F.p, F.k * irr.degree())
             lift = lambda c: embed(F, E, c)
-            tau = min(roots_in_field(irr.map_coeffs(lift, E)),
-                      key=element_key)
+            tau = roots_in_field(irr.map_coeffs(lift, E))[0]
             fx_at = UnivariatePoly(
                 E, [p.map_coeffs(lift, E).evaluate(tau) for p in slices])
             g = fx_at.gcd(fx_at.derivative())
@@ -515,9 +507,8 @@ def _brute_force_singular(form: HomogeneousForm, m_max: int):
         for irr, _ in factor(g)[1]:
             if F.k * irr.degree() <= F.k * m_max:
                 E = make_field(F.p, F.k * irr.degree())
-                xi = min(roots_in_field(
-                    irr.map_coeffs(lambda c: embed(F, E, c), E)),
-                    key=element_key)
+                xi = roots_in_field(
+                    irr.map_coeffs(lambda c: embed(F, E, c), E))[0]
                 return SingularWitness(E, (E.one, xi, E.zero))
 
     # Affine chart Z = 1.
@@ -530,8 +521,7 @@ def _brute_force_singular(form: HomogeneousForm, m_max: int):
         sl = [p.map_coeffs(lift, E) for p in slices]
         tl = [p.map_coeffs(lift, E) for p in ft_slices]
         zl = [p.map_coeffs(lift, E) for p in fz_slices]
-        for idx in range(E.q):
-            tau = E.element_at(idx)
+        for tau in range(E.q):
             fv = UnivariatePoly(E, [p.evaluate(tau) for p in sl])
             if fv.degree() < 1:
                 if fv.is_zero():
@@ -539,8 +529,7 @@ def _brute_force_singular(form: HomogeneousForm, m_max: int):
                     ftv = UnivariatePoly(E, [p.evaluate(tau) for p in tl])
                     fzv = UnivariatePoly(E, [p.evaluate(tau) for p in zl])
                     g2 = ftv.gcd(fzv)
-                    cand = ([E.element_at(i) for i in range(E.q)]
-                            if g2.is_zero() else roots_in_field(g2))
+                    cand = range(E.q) if g2.is_zero() else roots_in_field(g2)
                     for xi in cand:
                         return SingularWitness(E, (tau, xi, E.one))
                 continue

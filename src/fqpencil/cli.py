@@ -64,7 +64,12 @@ def default_threads() -> int:
 def _resolve_field(args):
     modulus = None
     if getattr(args, "modulus", None):
-        modulus = tuple(int(v) for v in args.modulus.split(","))
+        try:
+            modulus = tuple(int(v) for v in args.modulus.split(","))
+        except ValueError:
+            raise ConstraintViolation(
+                f"--modulus must be comma-separated integers, "
+                f"got {args.modulus!r}") from None
     if args.q is not None:
         return make_field(*prime_power(args.q), modulus)
     if args.p is None:
@@ -134,10 +139,6 @@ def build_parser():
     return ap
 
 
-def _elem(e):
-    return list(e)
-
-
 def run_command(argv):
     """Execute argv; returns (exit_code, report_text)."""
     ap = build_parser()
@@ -182,10 +183,10 @@ def _dispatch(args, report) -> int:
         if args.s is not None and args.s < 1:
             raise ConstraintViolation(f"--s must be at least 1, got {args.s}")
         br = application_bound(args.q, args.d)
-        report.update(br.as_dict())
         if args.s is not None and args.N is not None and args.g is not None:
             report["gj_rhs"] = geyer_jarden_rhs(args.q, args.s,
                                                 args.N, args.g)
+        report.update(br.as_dict())
         return 0
 
     if cmd == "conrad":
@@ -213,7 +214,7 @@ def _dispatch(args, report) -> int:
         poly, var = parse_univariate(args.poly, E)
         unit, facs = factor(poly, seed=args.seed)
         report["inputs"] = {"poly": args.poly}
-        report["unit"] = _elem(unit)
+        report["unit"] = E.to_vector(unit)
         report["factors"] = [[g.format(var), m] for g, m in facs]
         return 0
 
@@ -236,7 +237,7 @@ def _dispatch(args, report) -> int:
                 raise ConstraintViolation(
                     f"--M must be two element indices 't0,x0' in "
                     f"0..{E.q - 1}, got {args.M!r}")
-            M = tuple(E.element_at(i) for i in idx)
+            M = tuple(idx)
         else:
             M = find_generic_point(fs, E, trial_budget=args.trial_budget,
                                    seed=args.seed)

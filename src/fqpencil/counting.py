@@ -21,7 +21,7 @@ import sympy
 from .bivar import BivariatePoly, is_smooth
 from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
-from .field import _LOG_TABLE_LIMIT, make_field, prime_power
+from .field import _LOG_TABLE_LIMIT, GridArith, make_field, prime_power
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
 from .unipoly import (UnivariatePoly, _count_dtype, _rabin_batch, factor,
                       is_irreducible)
@@ -85,7 +85,11 @@ def genus_closed_form(d: int, N: int) -> int:
 
 
 def geyer_jarden_rhs_bounds(q, s, N, g):
-    """Outward enclosure of (1/N)(q^s - (N+2g)q^{s/2} - N q^{s/4} - 2(g+N))."""
+    """Outward enclosure of (1/N)(q^s - (N+2g)q^{s/2} - N q^{s/4} - 2(g+N)),
+    for N >= 1 and genus g >= 0."""
+    if N < 1 or g < 0:
+        raise ConstraintViolation(
+            f"need N >= 1 and g >= 0, got N = {N}, g = {g}")
     half = q_pow_half_bounds(q, s)
     quarter = q_pow_quarter_bounds(q, s)
     qs = Fraction(q) ** s
@@ -213,10 +217,9 @@ def _count_generic(f: BivariatePoly, E):
 def _generic_row(f: BivariatePoly, E, ai: int):
     """(full, inclusive) counts over every b for the ai-th a, pair by pair."""
     d = f.total_degree()
-    a = E.element_at(ai)
     full = incl = 0
-    for bi in range(E.q):
-        g = f.restrict_to_line(a, E.element_at(bi))
+    for b in range(E.q):
+        g = f.restrict_to_line(ai, b)
         dg = g.degree()
         if dg < 1:
             continue
@@ -236,54 +239,6 @@ def _is_irreducible_small(g: UnivariatePoly) -> bool:
     return is_irreducible(g)
 
 
-class _IndexArith:
-    """numpy arithmetic on canonical element indices 0..q-1: integers mod p
-    for k = 1; log/exp arrays for products and base-p digits for sums
-    when k > 1."""
-
-    def __init__(self, E):
-        self.p, self.k, self.q = E.p, E.k, E.q
-        if E.k > 1:
-            self.log, self.exp = E.log_exp_arrays()
-            self.digits = [np.arange(E.q) // E.p ** j % E.p
-                           for j in range(E.k)]
-
-    def mul(self, x, y):
-        if self.k == 1:
-            return x * y % self.p
-        return self.exp[self.log[x] + self.log[y]]
-
-    def inv(self, x):
-        """Inverse of nonzero x: x^(p-2) for k = 1, exp[-log x] for k > 1."""
-        if self.k > 1:
-            return self.exp[self.q - 1 - self.log[x]]
-        out, e = np.ones_like(x), self.p - 2
-        while e:
-            if e & 1:
-                out = out * x % self.p
-            x, e = x * x % self.p, e >> 1
-        return out
-
-    def muladd(self, x, y, z):
-        """x * y + z."""
-        p = self.p
-        if self.k == 1:
-            return (x * y + z) % p
-        # the integer sum m + z, less p^(j+1) wherever digit j overflowed
-        m = self.mul(x, y)
-        out = m + z
-        for j, dj in enumerate(self.digits):
-            out -= (dj[m] + dj[z] >= p) * p ** (j + 1)
-        return out
-
-    def horner(self, coeffs, x):
-        """sum_j coeffs[j] x^j, coefficients low to high."""
-        acc = coeffs[-1] + np.zeros_like(x)  # broadcast to the result shape
-        for c in reversed(coeffs[:-1]):
-            acc = self.muladd(acc, x, c)
-        return acc
-
-
 def _d_le3_rows(f: BivariatePoly, E):
     """Per-a (full, inclusive) counts for d <= 3 on canonical element
     indices, a in canonical order.
@@ -292,7 +247,7 @@ def _d_le3_rows(f: BivariatePoly, E):
     that is when its line misses every affine point of the curve; one of
     degree 2 exactly when its discriminant is a non-square.
     """
-    ar = _IndexArith(E)
+    ar = GridArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
     coef = _line_coefficients(f, E, ar)
@@ -321,7 +276,7 @@ def _d_le3_rows(f: BivariatePoly, E):
     return [row(a) for a in range(q)]
 
 
-def _line_coefficients(f: BivariatePoly, E, ar: _IndexArith):
+def _line_coefficients(f: BivariatePoly, E, ar: GridArith):
     """coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b)."""
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
@@ -331,7 +286,7 @@ def _line_coefficients(f: BivariatePoly, E, ar: _IndexArith):
     coef = np.zeros((d + 1, d + 1, q), dtype=np.int64)
     for (i, j), c in f.terms.items():
         for l in range(j + 1):
-            cl = E.index_of(E.scalar(comb(j, l), c))
+            cl = E.scalar(comb(j, l), c)
             coef[i + l, j - l] = ar.muladd(cl, apow[l], coef[i + l, j - l])
     return coef
 
@@ -345,7 +300,7 @@ def _count_rabin(f: BivariatePoly, E):
     prime power, and with no root for n <= 6 (count_monic_irreducibles);
     the pairs that pass it at larger n are confirmed one by one.
     """
-    ar = _IndexArith(E)
+    ar = GridArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
     coef = _line_coefficients(f, E, ar)
@@ -369,26 +324,24 @@ def _count_rabin(f: BivariatePoly, E):
             cn = c[:n + 1, (deg == n) & ~has_root.reshape(-1)]
             if not cn.size:
                 continue
-            low = ar.mul(cn[:n], ar.inv(cn[n]))
-            low = np.stack([low // E.p ** u % E.p for u in range(E.k)], 1)
+            low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n]))).transpose(0, 2, 1)
             good = _rabin_batch(low.astype(_count_dtype(E, n)), E)
             if n > 6 and len(sympy.primefactors(n)) > 1:
                 for j in np.flatnonzero(good):
-                    good[j] = is_irreducible(UnivariatePoly(
-                        E, [E.element_at(i) for i in cn[:, j].tolist()]))
+                    good[j] = is_irreducible(
+                        UnivariatePoly(E, cn[:, j].tolist()))
             n_irr = int(np.count_nonzero(good))
             incl += n_irr
             full += n_irr if n == d else 0
     return full, incl
 
 
-def _curve_points(f: BivariatePoly, E, ar: _IndexArith):
+def _curve_points(f: BivariatePoly, E, ar: GridArith):
     """All affine points of f = 0 over E as index arrays (t, x), evaluated
     on blocks of t values of about 2^22 / k grid cells each."""
     q = E.q
     elems = np.arange(q)
-    slices = [[E.index_of(c) for c in cj.coeffs]
-              for cj in f.x_coefficients()]
+    slices = [cj.coeffs for cj in f.x_coefficients()]
     rows = max(1, (1 << 22) // (q * E.k))
     t_out, x_out = [], []
     for start in range(0, q, rows):
@@ -406,9 +359,10 @@ def _curve_points(f: BivariatePoly, E, ar: _IndexArith):
 
 def check_hypotheses(fs, E):
     """Raise HypothesisViolation unless every curve satisfies the
-    hypotheses (p odd, p does not divide d(d-1), smooth, certified
-    irreducible) and the curves are pairwise non-proportional."""
-    from .lifting import bivariate_irreducible
+    hypotheses (p odd, p does not divide d(d-1), smooth) and the curves are
+    pairwise non-proportional.  A smooth projective plane curve is
+    absolutely irreducible: two components would meet in a singular point
+    (Bezout; Fulton, Algebraic Curves, ch. 5)."""
     if E.p == 2:
         raise HypothesisViolation("the characteristic must be odd")
     for f in fs:
@@ -420,15 +374,10 @@ def check_hypotheses(fs, E):
                 f"characteristic {E.p} divides d(d-1) = {d * (d - 1)}")
         smooth, witness = is_smooth(f)
         if not smooth:
+            point = tuple(tuple(witness.field.to_vector(c))
+                          for c in witness.point)
             raise HypothesisViolation(
-                f"curve {f.format()} is singular at {witness.point}")
-        cert = bivariate_irreducible(f)
-        if cert.status == "reducible":
-            raise HypothesisViolation(
-                f"curve {f.format()} is reducible: {cert.factor.format()}")
-        if cert.status == "inconclusive":
-            raise HypothesisViolation(
-                f"irreducibility of {f.format()} could not be certified")
+                f"curve {f.format()} is singular at {point}")
     for i in range(len(fs)):
         for j in range(i + 1, len(fs)):
             if _proportional(fs[i], fs[j]):
@@ -448,13 +397,15 @@ def _proportional(f: BivariatePoly, g: BivariatePoly) -> bool:
 @dataclass
 class SpecializationResult:
     s: int
-    a: tuple
-    b: tuple
+    a: int                        # elements of field = F_{q^s}
+    b: int
     witnesses: list               # per-curve factorization summaries
+    field: object
 
     def as_dict(self):
+        vec = self.field.to_vector
         return {
-            "witness": {"s": self.s, "a": list(self.a), "b": list(self.b)},
+            "witness": {"s": self.s, "a": vec(self.a), "b": vec(self.b)},
             "verification": self.witnesses,
         }
 
@@ -486,7 +437,7 @@ def find_specialization(fs, base_field, s_max: int,
                     "irreducible_factor": facs[0][0].format("t"),
                     "degree": g.degree(),
                 })
-            return SpecializationResult(s, a, b, witnesses)
+            return SpecializationResult(s, a, b, witnesses, E)
     raise NotFoundWithinBudget(
         f"no witness up to s = {s_max}; raise s_max")
 
@@ -508,7 +459,9 @@ def verify_application(f: BivariatePoly, E,
     """Bundle of hypothesis checks, threshold, bound and exhaustive count.
 
     counts is a CountReport of f over E that the caller already holds; the
-    pairs are counted here when it is None.
+    pairs are counted here when it is None.  Only a singular curve needs an
+    irreducibility certificate: a smooth one is irreducible (see
+    check_hypotheses).
     """
     from .lifting import bivariate_irreducible
     report = {"q": E.q}
@@ -516,11 +469,11 @@ def verify_application(f: BivariatePoly, E,
     report["d"] = d
     try:
         _check_char(f)
-        smooth, witness = is_smooth(f)
-        cert = bivariate_irreducible(f)
+        smooth, _ = is_smooth(f)
         report["smooth"] = smooth
-        report["irreducible"] = cert.status
-        if not smooth or cert.status != "irreducible":
+        report["irreducible"] = ("irreducible" if smooth
+                                 else bivariate_irreducible(f).status)
+        if not smooth:
             report["verdict"] = "HYPOTHESIS_FAIL"
             return report
     except HypothesisViolation as exc:

@@ -1,31 +1,42 @@
 """Finite fields F_{p^k} with a canonical modulus.
 
-Elements are length-k tuples of residues mod p (low power of the generator
-first).  The modulus is, unless overridden, the lexicographically smallest
-monic irreducible of degree k over F_p, coefficients compared from the
-highest index down; candidates are tested with unipoly's Rabin test
-over F_p.  Fields are cached per (p, k) and immutable.
+An element is the Python int c_0 + c_1 p + ... + c_{k-1} p^{k-1} in
+0..q-1, where c_0 + c_1 y + ... + c_{k-1} y^{k-1} is its residue modulo
+the field's modulus.  So 0 and 1 are zero and one, 0..p-1 is the prime
+field, and integer order compares coefficients from the highest power of
+y down.  This module is the only one that knows the encoding: to_vector
+and from_vector convert to and from coefficient vectors at the edges
+(reports, text, the (n, k) digit arrays of polycore).
+
+Arithmetic runs on integers mod p for k = 1.  For k > 1 and q up to
+_LOG_TABLE_LIMIT it reads log/exp and Zech logarithm tables (Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36, 1990), built once with
+numpy; the whole-grid kernels of GridArith read the same tables.  Larger
+fields multiply and invert digit vectors directly.
+
+The modulus is, unless overridden, the lexicographically smallest monic
+irreducible of degree k over F_p, coefficients compared from the highest
+index down; candidates are tested with unipoly's Rabin test over F_p.
+Fields are cached per (p, k) and immutable.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
+import numpy as np
 import sympy
 
 from .errors import DegreeOutOfRange, IncompatibleTower, NotPrime
 
-# Multiplication log tables are built for extension fields up to this size;
-# they make scalar element arithmetic roughly an order of magnitude faster.
-_LOG_TABLE_LIMIT = 1 << 17
-_PAIR_TABLE_LIMIT = 128
-
-Element = tuple
-
-
-def element_key(e: Element) -> tuple:
-    """Total-order key: compare coefficient tuples from highest index down."""
-    return tuple(reversed(e))
+# Log/exp/Zech tables (28 bytes per element) are built for extension
+# fields up to this size.
+_LOG_TABLE_LIMIT = 1 << 18
+# Up to this size the tables are lists, which index faster than arrays.
+_LIST_TABLE_LIMIT = 1 << 12
+# rows per numpy step while the exp table is filled
+_TABLE_CHUNK = 1 << 15
 
 
 def _canonical_modulus(p: int, k: int) -> tuple:
@@ -49,8 +60,22 @@ def _irreducible_mod_p(coeffs, p: int) -> bool:
     """Whether the integer coefficients (low to high) give an irreducible
     polynomial over F_p."""
     from .unipoly import UnivariatePoly, is_irreducible
-    Fp = make_field(p, 1)
-    return is_irreducible(UnivariatePoly(Fp, [(c,) for c in coeffs]))
+    return is_irreducible(UnivariatePoly(make_field(p, 1), list(coeffs)))
+
+
+def _y_poly_str(coeffs) -> str:
+    """Text of the polynomial in y with these coefficients, low to high."""
+    parts = []
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if c == 0:
+            continue
+        if j == 0:
+            parts.append(str(c))
+        else:
+            pre = "" if c == 1 else str(c) + "*"
+            parts.append(f"{pre}y" + (f"^{j}" if j > 1 else ""))
+    return "+".join(parts) if parts else "0"
 
 
 class Field:
@@ -58,10 +83,9 @@ class Field:
 
     __slots__ = (
         "p", "k", "q", "modulus", "zero", "one",
-        "add", "sub", "neg", "mul", "inv", "scalar",
-        "_red", "_red_np", "_yprod_np", "_pows", "_log", "_exp",
-        "_embed_cache", "_idx_add", "_idx_mul", "_idx_sub", "_idx_inv",
-        "_idx_of", "_idx_elem", "_np_log_exp",
+        "add", "sub", "neg", "mul", "inv", "axpy",
+        "_red", "_red_np", "_yprod_np", "_places", "_log", "_exp", "_zech",
+        "_embed_cache",
     )
 
     def __init__(self, p: int, k: int, modulus: tuple | None = None):
@@ -81,20 +105,63 @@ class Field:
             if k > 1 and not _irreducible_mod_p(modulus, p):
                 raise DegreeOutOfRange("modulus must be irreducible over F_p")
         self.modulus = modulus
-        self.zero = (0,) * k
-        self.one = (1,) + (0,) * (k - 1)
+        self.zero = 0
+        self.one = 1
         self._embed_cache = {}
-        self._np_log_exp = None
+        # place values p^j; Python ints once q no longer fits in int64
+        self._places = np.array([p ** j for j in range(k)],
+                                dtype=np.int64 if self.q < 1 << 62 else object)
+        self._log = self._exp = self._zech = None
         self._build_reduction()
-        self._build_ops()
+        if k == 1:
+            self._build_prime_ops()
+        elif self.q <= _LOG_TABLE_LIMIT:
+            self._build_tables()
+            self._build_table_ops()
+        else:
+            self._build_vector_ops()
+
+    # -- coefficient vectors -------------------------------------------------
+
+    def to_vector(self, e):
+        """Coefficients of y^0 .. y^{k-1}: a list for an element, an array
+        with a new last axis of length k for an array of elements."""
+        p = self.p
+        if isinstance(e, np.ndarray):
+            e = e.astype(self._places.dtype)
+            out = np.empty(e.shape + (self.k,), dtype=e.dtype)
+            for j in range(self.k):
+                e, out[..., j] = np.divmod(e, p)
+            return out
+        out = []
+        for _ in range(self.k):
+            e, c = divmod(e, p)
+            out.append(c)
+        return out
+
+    def from_vector(self, v):
+        """Element with coefficient vector v; an array of elements when v
+        is an array whose last axis has length k."""
+        if isinstance(v, np.ndarray):
+            return v.astype(self._places.dtype) @ self._places
+        e = 0
+        for c in reversed(v):
+            e = e * self.p + c
+        return e
+
+    def format(self, e) -> str:
+        """Text of e: the residue itself for k = 1, '(...)' in y otherwise."""
+        if self.k == 1:
+            return str(e)
+        return "(" + _y_poly_str(self.to_vector(e)) + ")"
 
     # -- construction helpers ------------------------------------------------
 
     def _build_reduction(self):
-        """Representations of y^k .. y^{2k-2} as elements (for conv folding).
+        """Representations of y^k .. y^{2k-2} as coefficient vectors.
 
-        _yprod_np[u, v] is the element y^{u+v}, so a product of elements is
-        sum_{u,v} a_u b_v _yprod_np[u, v].
+        _yprod_np[u, v] is the vector of y^{u+v}, so a product of elements
+        is sum_{u,v} a_u b_v _yprod_np[u, v].
         """
         p, k = self.p, self.k
         rows = []
@@ -108,21 +175,26 @@ class Field:
                     nxt[j] = (nxt[j] + top * rows[0][j]) % p
             cur = nxt
         self._red = tuple(rows)
-        import numpy as np
         self._red_np = (np.array(rows, dtype=np.int64)
                         if rows else np.zeros((0, k), dtype=np.int64))
         powers = np.concatenate([np.eye(k, dtype=np.int64), self._red_np])
         self._yprod_np = powers[np.add.outer(np.arange(k), np.arange(k))]
 
-    def _mul_raw(self, a, b):
+    def _mul_raw(self, a: int, b: int) -> int:
+        """Product by schoolbook multiplication of the coefficient vectors."""
         p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
+        bv = []
+        while b:
+            b, bj = divmod(b, p)
+            bv.append(bj)
         w = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
+        i = 0
+        while a:
+            a, ai = divmod(a, p)
             if ai:
-                for j, bj in enumerate(b):
-                    w[i + j] += ai * bj
+                for j, bj in enumerate(bv, i):
+                    w[j] += ai * bj
+            i += 1
         red = self._red
         for j in range(2 * k - 2, k - 1, -1):
             c = w[j] % p
@@ -130,22 +202,21 @@ class Field:
                 row = red[j - k]
                 for t in range(k):
                     w[t] += c * row[t]
-        return tuple(v % p for v in w[:k])
+        out = 0
+        for c in reversed(w[:k]):
+            out = out * p + c % p
+        return out
 
-    def _inv_raw(self, a):
+    def _inv_raw(self, a: int) -> int:
+        """Inverse by the extended Euclidean algorithm against the modulus."""
         p, k = self.p, self.k
-        if k == 1:
-            if a[0] == 0:
-                raise ZeroDivisionError("inverse of zero field element")
-            return (pow(a[0], p - 2, p),)
 
         def trim(r):
             while r and r[-1] == 0:
                 r.pop()
             return r
 
-        # extended Euclid against the modulus, over F_p
-        r0, r1 = list(self.modulus), trim(list(a))
+        r0, r1 = list(self.modulus), trim(self.to_vector(a))
         if not r1:
             raise ZeroDivisionError("inverse of zero field element")
         s0, s1 = [], [1]
@@ -175,216 +246,178 @@ class Field:
         if len(r0) != 1:
             raise ZeroDivisionError("element not invertible")
         c = pow(r0[0], p - 2, p)
-        out = [(x * c) % p for x in s0]
-        out += [0] * (k - len(out))
-        return tuple(out[:k])
+        return self.from_vector([(x * c) % p for x in s0[:k]])
 
-    def _build_ops(self):
-        p, k, q = self.p, self.k, self.q
-        self._idx_mul = None
-        if k == 1:
-            self.add = lambda a, b: ((a[0] + b[0]) % p,)
-            self.sub = lambda a, b: ((a[0] - b[0]) % p,)
-            self.neg = lambda a: ((-a[0]) % p,)
-            def inv_prime(a):
-                if a[0] % p == 0:
-                    raise ZeroDivisionError("inverse of zero field element")
-                return (pow(a[0], p - 2, p),)
-
-            self.mul = lambda a, b: ((a[0] * b[0]) % p,)
-            self.inv = inv_prime
-            self.scalar = lambda c, a: (((c % p) * a[0]) % p,)
-            self._log = self._exp = None
-            if q <= _PAIR_TABLE_LIMIT:
-                self._build_idx_tables()
-            return
-
-        def add(a, b):
-            return tuple((x + y) % p for x, y in zip(a, b))
-
-        def sub(a, b):
-            return tuple((x - y) % p for x, y in zip(a, b))
-
-        def neg(a):
-            return tuple((-x) % p for x in a)
-
-        def scalar(c, a):
-            c %= p
-            return tuple((c * x) % p for x in a)
-
-        self.add, self.sub, self.neg, self.scalar = add, sub, neg, scalar
-
-        if q <= _PAIR_TABLE_LIMIT:
-            self._build_log_tables()
-            elems = [self.element_at(i) for i in range(q)]
-            add_t = {(a, b): add(a, b) for a in elems for b in elems}
-            sub_t = {(a, b): sub(a, b) for a in elems for b in elems}
-            mul_t = {(a, b): self._mul_raw(a, b) for a in elems for b in elems}
-            inv_t = {a: self._inv_raw(a) for a in elems if a != self.zero}
-
-            def inv_lookup(a):
-                try:
-                    return inv_t[a]
-                except KeyError:
-                    raise ZeroDivisionError("inverse of zero field element")
-
-            self.add = lambda a, b: add_t[a, b]
-            self.sub = lambda a, b: sub_t[a, b]
-            self.mul = lambda a, b: mul_t[a, b]
-            self.inv = inv_lookup
-            self._build_idx_tables()
-            return
-
-        if q <= _LOG_TABLE_LIMIT:
-            self._build_log_tables()
-            log, exp, zero = self._log, self._exp, self.zero
-            order = q - 1
-
-            def mul(a, b):
-                la = log.get(a)
-                if la is None:
-                    return zero
-                lb = log.get(b)
-                if lb is None:
-                    return zero
-                return exp[(la + lb) % order]
-
-            def inv(a):
-                la = log.get(a)
-                if la is None:
-                    raise ZeroDivisionError("inverse of zero field element")
-                return exp[(-la) % order]
-
-            self.mul, self.inv = mul, inv
-        else:
-            self._log = self._exp = None
-            self.mul = self._mul_raw
-            self.inv = self._inv_raw
-
-    def _build_idx_tables(self):
-        """Integer lookup tables for fast small-field kernels.
-
-        _idx_add[i][j] / _idx_mul[i][j] / _idx_sub[i][j] give the index of
-        the sum, product or difference of the elements with indices i and j;
-        _idx_inv[i] the index of the inverse.
-        """
-        q = self.q
-        elems = [self.element_at(i) for i in range(q)]
-        idx_of = {e: i for i, e in enumerate(elems)}
-        self._idx_add, self._idx_mul, self._idx_sub = (
-            [[idx_of[op(a, b)] for b in elems] for a in elems]
-            for op in (self.add, self.mul, self.sub))
-        inv = [0] * q
-        for i, a in enumerate(elems):
-            if i:
-                inv[i] = idx_of[self.inv(a)]
-        self._idx_elem = elems
-        self._idx_of = idx_of
-        self._idx_inv = inv
-
-    def _build_log_tables(self):
-        q = self.q
-        gen = None
-        factors = sympy.primefactors(q - 1)
-        for idx in range(1, q):
-            cand = self.element_at(idx)
-            if all(self._pow_raw(cand, (q - 1) // ell) != self.one
-                   for ell in factors):
-                gen = cand
-                break
-        exp = [self.one]
-        cur = self.one
-        for _ in range(q - 2):
-            cur = self._mul_raw(cur, gen)
-            exp.append(cur)
-        self._exp = exp
-        self._log = {e: i for i, e in enumerate(exp)}
-
-    def log_exp_arrays(self):
-        """numpy (log, exp) arrays over canonical indices; needs log tables.
-
-        Built on first use.  log[0] is 2(q-1) and exp has 4(q-1) + 1
-        entries, zero from 2(q-1) on, so exp[log[i] + log[j]] is the index
-        of the product of the elements with indices i and j, zero included.
-        """
-        if self._np_log_exp is None:
-            import numpy as np
-            n = self.q - 1
-            exp = np.zeros(4 * n + 1, dtype=np.int64)
-            exp[:n] = np.array(self._exp) @ (self.p ** np.arange(self.k))
-            exp[n:2 * n] = exp[:n]
-            log = np.empty(self.q, dtype=np.int64)
-            log[exp[:n]] = np.arange(n)
-            log[0] = 2 * n
-            self._np_log_exp = (log, exp)
-        return self._np_log_exp
-
-    def _pow_raw(self, a, e):
-        result = self.one
-        b = a
+    def _pow_raw(self, a: int, e: int) -> int:
+        result = 1
         while e:
             if e & 1:
-                result = self._mul_raw(result, b)
-            b = self._mul_raw(b, b)
+                result = self._mul_raw(result, a)
+            a = self._mul_raw(a, a)
             e >>= 1
         return result
+
+    def _build_prime_ops(self):
+        p = self.p
+
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero field element")
+            return pow(a, p - 2, p)
+
+        self.add = lambda a, b: (a + b) % p
+        self.sub = lambda a, b: (a - b) % p
+        self.neg = lambda a: (-a) % p
+        self.mul = lambda a, b: (a * b) % p
+        self.inv = inv
+        self.axpy = lambda c, xs, ys: [(c * x + y) % p
+                                       for x, y in zip(xs, ys)]
+
+    def _build_tables(self):
+        """log/exp/Zech tables on a primitive element g, n = q - 1.
+
+        exp[i] = g^(i mod n) for i < 2n and 0 from 2n to 4n; log[0] = 2n,
+        so exp[log[a] + log[b]] is the product a b, zero included.
+        zech[d] = log(1 + g^(d mod n)) for d < 2n, 2n where 1 + g^d = 0.
+        They are filled through numpy views of arrays of C ints.
+        """
+        q, n, p = self.q, self.q - 1, self.p
+        factors = sympy.primefactors(n)
+        g = next(c for c in range(1, q)
+                 if all(self._pow_raw(c, n // ell) != 1 for ell in factors))
+        self._exp = array("i", [0]) * (4 * n + 1)
+        exp = np.frombuffer(self._exp, dtype=np.int32)
+        exp[0] = 1
+        # block [m, 2m) is block [0, m) times g^m, an F_p-linear map
+        m = 1
+        while m < n:
+            gm = self.to_vector(self._mul_raw(int(exp[m - 1]), g))
+            mat = np.tensordot(gm, self._yprod_np, axes=(0, 0)) % p
+            step = min(m, n - m)
+            for s in range(0, step, _TABLE_CHUNK):
+                blk = exp[s:min(s + _TABLE_CHUNK, step)]
+                exp[m + s:m + s + blk.size] = self.from_vector(
+                    self.to_vector(blk) @ mat % p)
+            m += step
+        exp[n:2 * n] = exp[:n]
+        self._log = array("i", [0]) * q
+        log = np.frombuffer(self._log, dtype=np.int32)
+        log[exp[:n]] = np.arange(n)
+        log[0] = 2 * n
+        self._zech = array("i", [0]) * (2 * n)
+        low = exp[:2 * n] % p  # 1 + x raises the y^0 coefficient only
+        np.frombuffer(self._zech, dtype=np.int32)[:] = \
+            log[exp[:2 * n] - low + (low + 1) % p]
+        if q <= _LIST_TABLE_LIMIT:
+            self._log, self._exp, self._zech = (
+                t.tolist() for t in (self._log, self._exp, self._zech))
+
+    def _build_table_ops(self):
+        log, exp, zech = self._log, self._exp, self._zech
+        n = self.q - 1
+        n2 = 2 * n
+        half = n // 2 if self.p != 2 else 0  # -1 = g^half
+
+        def add(a, b):
+            if not a:
+                return b
+            if not b:
+                return a
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+
+        def sub(a, b):
+            if not b:
+                return a
+            lb = log[b] + half  # the log of -b
+            if not a:
+                return exp[lb]
+            la = log[a]
+            return exp[la + zech[lb - la]]
+
+        def inv(a):
+            if not a:
+                raise ZeroDivisionError("inverse of zero field element")
+            return exp[n - log[a]]
+
+        def axpy(c, xs, ys):
+            # lm, the log of c x, is below 2n exactly when c x != 0
+            lc = log[c]
+            return [(exp[(ly := log[y]) + zech[lm - ly]] if y else exp[lm])
+                    if (lm := lc + log[x]) < n2 else y
+                    for x, y in zip(xs, ys)]
+
+        self.add, self.sub, self.inv, self.axpy = add, sub, inv, axpy
+        self.neg = lambda a: exp[log[a] + half]
+        self.mul = lambda a, b: exp[log[a] + log[b]]
+
+    def _build_vector_ops(self):
+        p = self.p
+
+        def combine(a, b, s):
+            """Coefficient-wise a + s b (s = 1 or -1), digit by digit."""
+            out, place = 0, 1
+            while a or b:
+                a, x = divmod(a, p)
+                b, y = divmod(b, p)
+                out += (x + s * y) % p * place
+                place *= p
+            return out
+
+        def add(a, b):
+            return combine(a, b, 1)
+
+        self.add = add
+        self.sub = lambda a, b: combine(a, b, -1)
+        self.neg = lambda a: combine(0, a, -1)
+        self.mul, self.inv = self._mul_raw, self._inv_raw
+        self.axpy = lambda c, xs, ys: [add(self._mul_raw(c, x), y)
+                                       for x, y in zip(xs, ys)]
 
     # -- element utilities ---------------------------------------------------
 
-    def from_int(self, c: int) -> Element:
+    def from_int(self, c: int) -> int:
         """Prime-subfield element c."""
-        return (c % self.p,) + (0,) * (self.k - 1)
+        return c % self.p
 
-    def pow(self, a: Element, e: int) -> Element:
+    def scalar(self, c: int, a: int) -> int:
+        """The integer c times a."""
+        return self.mul(c % self.p, a)
+
+    def pow(self, a: int, e: int) -> int:
         if e < 0:
-            return self.pow(self.inv(a), -e)
-        if a == self.zero:
-            return self.one if e == 0 else self.zero
-        e %= self.q - 1
+            a, e = self.inv(a), -e
+        if self.k == 1:
+            return pow(a, e, self.p)
+        if not a:
+            return 1 if e == 0 else 0
+        n = self.q - 1
         if self._log is not None:
-            la = self._log[a]
-            return self._exp[(la * e) % (self.q - 1)]
-        result = self.one
-        b = a
+            return self._exp[self._log[a] * e % n]
+        e %= n
+        result = 1
         while e:
             if e & 1:
-                result = self.mul(result, b)
-            b = self.mul(b, b)
+                result = self.mul(result, a)
+            a = self.mul(a, a)
             e >>= 1
         return result
 
-    def is_square(self, a: Element) -> bool:
-        """Whether a is a square (zero counts as a square). Odd q only."""
-        if a == self.zero:
-            return True
-        if self.p == 2:
+    def is_square(self, a: int) -> bool:
+        """Whether a is a square (zero counts as a square)."""
+        if not a or self.p == 2:
             return True
         if self._log is not None:
             return self._log[a] % 2 == 0
-        return self.pow(a, (self.q - 1) // 2) == self.one
+        return self.pow(a, (self.q - 1) // 2) == 1
 
-    def element_at(self, idx: int) -> Element:
-        """idx-th element in the canonical total order."""
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            out.append(idx % p)
-            idx //= p
-        return tuple(out)
-
-    def index_of(self, e: Element) -> int:
-        idx = 0
-        for c in reversed(e):
-            idx = idx * self.p + c
-        return idx
+    def element_at(self, idx: int) -> int:
+        """idx-th element in the canonical total order (idx taken mod q)."""
+        return idx % self.q
 
     def elements(self):
         """All elements in the canonical total order."""
-        for i in range(self.q):
-            yield self.element_at(i)
-
-    def random_element(self, rng) -> Element:
-        return self.element_at(rng.randrange(self.q))
+        return range(self.q)
 
     # -- dunder --------------------------------------------------------------
 
@@ -399,19 +432,56 @@ class Field:
         return f"Field(p={self.p}, k={self.k}, q={self.q})"
 
     def modulus_str(self) -> str:
+        return "y" if self.k == 1 else _y_poly_str(self.modulus)
+
+
+class GridArith:
+    """numpy arithmetic on arrays of elements: integers mod p for k = 1;
+    for k > 1 the field's log/exp tables for products and coefficient
+    digits for sums."""
+
+    def __init__(self, E):
+        self.p, self.k, self.q = E.p, E.k, E.q
+        if E.k > 1:
+            # int64 copies: gathers then index with numpy's native intp
+            self.log = np.array(E._log, dtype=np.int64)
+            self.exp = np.array(E._exp, dtype=np.int64)
+            self.digits = np.ascontiguousarray(E.to_vector(np.arange(E.q)).T)
+
+    def mul(self, x, y):
         if self.k == 1:
-            return "y"
-        parts = []
-        for j in range(self.k, -1, -1):
-            c = 1 if j == self.k else self.modulus[j]
-            if c == 0:
-                continue
-            if j == 0:
-                parts.append(str(c))
-            else:
-                pre = "" if c == 1 else str(c) + "*"
-                parts.append(f"{pre}y" + (f"^{j}" if j > 1 else ""))
-        return "+".join(parts) if parts else "0"
+            return x * y % self.p
+        return self.exp[self.log[x] + self.log[y]]
+
+    def inv(self, x):
+        """Inverse of nonzero x: x^(p-2) for k = 1, exp[-log x] for k > 1."""
+        if self.k > 1:
+            return self.exp[self.q - 1 - self.log[x]]
+        out, e = np.ones_like(x), self.p - 2
+        while e:
+            if e & 1:
+                out = out * x % self.p
+            x, e = x * x % self.p, e >> 1
+        return out
+
+    def muladd(self, x, y, z):
+        """x * y + z."""
+        p = self.p
+        if self.k == 1:
+            return (x * y + z) % p
+        # the integer sum m + z, less p^(j+1) wherever digit j overflowed
+        m = self.mul(x, y)
+        out = m + z
+        for j, dj in enumerate(self.digits):
+            out -= (dj[m] + dj[z] >= p) * p ** (j + 1)
+        return out
+
+    def horner(self, coeffs, x):
+        """sum_j coeffs[j] x^j, coefficients low to high."""
+        acc = coeffs[-1] + np.zeros_like(x)  # broadcast to the result shape
+        for c in reversed(coeffs[:-1]):
+            acc = self.muladd(acc, x, c)
+        return acc
 
 
 @lru_cache(maxsize=None)
@@ -440,23 +510,21 @@ def field_of_order(q: int) -> Field:
     return make_field(*prime_power(q))
 
 
-def embed(src: Field, dst: Field, e: Element) -> Element:
+def embed(src: Field, dst: Field, e: int) -> int:
     """Ring-homomorphic image of e under the canonical embedding.
 
-    Sends the source generator to the lexicographically smallest root of the
-    source modulus in dst; fixes the prime field.
+    Sends the source generator to the smallest root of the source modulus
+    in dst; fixes the prime field.
     """
     if src.p != dst.p:
         raise IncompatibleTower("different characteristics")
     if dst.k % src.k != 0:
         raise IncompatibleTower(f"{src.k} does not divide {dst.k}")
-    if src.k == dst.k and src.modulus == dst.modulus:
+    if src.k == 1 or (src.k == dst.k and src.modulus == dst.modulus):
         return e
-    if src.k == 1:
-        return dst.from_int(e[0])
     pows = _embedding_powers(src, dst)
-    acc = dst.zero
-    for c, pw in zip(e, pows):
+    acc = 0
+    for c, pw in zip(src.to_vector(e), pows):
         if c:
             acc = dst.add(acc, dst.scalar(c, pw))
     return acc
@@ -468,15 +536,12 @@ def _embedding_powers(src: Field, dst: Field):
     if cached is not None:
         return cached
     from .unipoly import UnivariatePoly, roots_in_field
-    coeffs = [dst.from_int(c) for c in src.modulus]
-    poly = UnivariatePoly(dst, coeffs)
-    roots = roots_in_field(poly)
+    roots = roots_in_field(UnivariatePoly(dst, list(src.modulus)))
     if not roots:
         raise IncompatibleTower("source modulus has no root in target field")
-    root = min(roots, key=element_key)
-    pows = [dst.one]
+    pows = [1]
     for _ in range(src.k - 1):
-        pows.append(dst.mul(pows[-1], root))
+        pows.append(dst.mul(pows[-1], roots[0]))
     pows = tuple(pows)
     src._embed_cache[key] = pows
     return pows

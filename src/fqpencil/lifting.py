@@ -35,8 +35,7 @@ class IrreducibilityCertificate:
     def as_dict(self):
         out = {"status": self.status}
         if self.witness is not None:
-            out["witness"] = {k: (list(v) if isinstance(v, tuple) else v)
-                              for k, v in self.witness.items()}
+            out["witness"] = dict(self.witness)
         if self.factor is not None:
             out["factor"] = self.factor.format()
         return out
@@ -89,8 +88,7 @@ def bivariate_irreducible(f: BivariatePoly) -> IrreducibilityCertificate:
         for transposed in (False, True):
             g = fE.transpose() if transposed else fE
             dmain = g.deg_x()
-            for idx in range(E.q):
-                a = E.element_at(idx)
+            for a in range(E.q):
                 spec = g.specialize_t(a)
                 if spec.degree() != dmain:
                     continue
@@ -101,7 +99,7 @@ def bivariate_irreducible(f: BivariatePoly) -> IrreducibilityCertificate:
                             "kind": "specialization",
                             "variable": "x" if transposed else "t",
                             "extension": m,
-                            "value": a,
+                            "value": E.to_vector(a),
                             "specialized": spec.format(),
                         })
 
@@ -127,10 +125,8 @@ class _Series:
     def __init__(self, field, P):
         self.F = field
         self.P = P
-        self.zero = np.zeros((1, field.k), dtype=np.int64)
-        one = np.zeros((1, field.k), dtype=np.int64)
-        one[0] = field.one
-        self.one = one
+        self.zero = to_array([0], field)
+        self.one = to_array([1], field)
 
     def of_poly(self, poly: UnivariatePoly):
         return to_array(poly.coeffs[: self.P], self.F)
@@ -163,22 +159,14 @@ class _Series:
 
     def inverse(self, a):
         """Inverse of a series with invertible constant term (Newton)."""
-        c0 = tuple(int(v) for v in a[0])
-        v = np.zeros((1, self.F.k), dtype=np.int64)
-        v[0] = self.F.inv(c0)
+        v = to_array([self.F.inv(from_array(a[:1], self.F)[0])], self.F)
         prec = 1
         while prec < self.P:
             prec *= 2
             av = poly_mul(a[:prec], v, self.F)[:prec]
-            two_minus = self.sub(_two(self.F), av)
+            two_minus = self.sub(to_array([self.F.from_int(2)], self.F), av)
             v = poly_mul(v, two_minus, self.F)[:prec]
         return v[: self.P]
-
-
-def _two(F):
-    out = np.zeros((1, F.k), dtype=np.int64)
-    out[0] = F.add(F.one, F.one)
-    return out
 
 
 # polynomials in x over the series ring: list of arrays, low x-degree first
@@ -235,12 +223,7 @@ def _px_divmod(A, B, S):
 
 def _px_of_unipoly(p: UnivariatePoly, S):
     """Constant-in-t polynomial in x from a univariate poly in x."""
-    out = []
-    for c in p.coeffs:
-        arr = np.zeros((1, S.F.k), dtype=np.int64)
-        arr[0] = c
-        out.append(arr)
-    return _px_trim(out, S)
+    return _px_trim([to_array([c], S.F) for c in p.coeffs], S)
 
 
 def _hensel_pair(fpx, g0, h0, s0, u0, S):
@@ -305,8 +288,7 @@ def _lift_factor(f: BivariatePoly):
     P = 2 * d * d
     coeffs = f.x_coefficients()
     lc = coeffs[dx]
-    for idx in range(F.q):
-        a = F.element_at(idx)
+    for a in range(F.q):
         if lc.evaluate(a) == F.zero:
             continue
         spec = f.specialize_t(a)

@@ -59,7 +59,7 @@ class PencilDescriptor:
 
     def as_dict(self):
         return {
-            "M": [list(self.M[0]), list(self.M[1])],
+            "M": [self.field.to_vector(c) for c in self.M],
             "d": self.d,
             "delta": self.delta.format("u"),
             "deficit": self.deficit,
@@ -158,9 +158,9 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1,
 
     def candidates():
         for idx in range(min(q2, max(_EXHAUSTIVE_THRESHOLD, 0))):
-            yield E.element_at(idx // E.q), E.element_at(idx % E.q)
+            yield divmod(idx, E.q)
         while True:
-            yield E.random_element(rng), E.random_element(rng)
+            yield rng.randrange(E.q), rng.randrange(E.q)
 
     for M in candidates():
         if tried >= trial_budget:
@@ -279,7 +279,7 @@ def pattern_histogram(pds) -> PatternHistogram:
     ramified_patterns = []
     vertical_key = ""
     total = 0
-    params = [INFINITY] + [E.element_at(i) for i in range(E.q)]
+    params = [INFINITY, *range(E.q)]
     for u in params:
         pats = [fiber_pattern(pd, u) for pd in pds]
         key = "|".join(p.key() for p in pats)

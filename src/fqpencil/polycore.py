@@ -1,8 +1,9 @@
 """Vectorized polynomial arithmetic over F_{p^k}.
 
 A polynomial of degree < n is stored as an int64 array of shape (n, k):
-row i holds the coefficient of x^i as a length-k vector over F_p (low power
-of the field generator y first).  All routines keep entries reduced mod p.
+row i holds the coefficient vector of x^i over F_p (Field.to_vector, low
+power of the field generator y first).  All routines keep entries reduced
+mod p.
 
 Every operation is a few whole-array numpy calls, whatever k is.  A product
 is one convolution of the Kronecker-packed operands (component u of
@@ -24,14 +25,14 @@ def to_array(coeffs, field, length=None) -> np.ndarray:
     n = len(coeffs) if length is None else length
     out = np.zeros((max(n, 1), field.k), dtype=np.int64)
     if coeffs:
-        out[: len(coeffs)] = coeffs
+        out[: len(coeffs)] = field.to_vector(np.array(coeffs))
     return out
 
 
 def from_array(arr, field):
     """Unpack an (n, k) array into a trimmed list of field elements."""
-    coeffs = list(map(tuple, arr.tolist()))
-    while len(coeffs) > 1 and coeffs[-1] == field.zero:
+    coeffs = field.from_vector(arr).tolist()
+    while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
@@ -96,11 +97,7 @@ class ModCtx:
         self.field = field
         p, k = field.p, field.k
         n = modulus.shape[0] - 1
-        if k == 1:
-            assert int(modulus[n, 0]) == 1
-        else:
-            top = tuple(int(v) for v in modulus[n])
-            assert top == field.one
+        assert modulus[n, 0] == 1 and not modulus[n, 1:].any()
         self.n = n
         self.modulus = modulus
         # red[j, u] = y^u x^{n+j} mod M, for j = 0 .. headroom-1.  Rows
@@ -143,7 +140,7 @@ class ModCtx:
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
         field = self.field
         result = np.zeros((self.n, field.k), dtype=np.int64)
-        result[0] = field.one
+        result[0, 0] = 1
         base = self.reduce(a)
         while e:
             if e & 1:
@@ -167,7 +164,7 @@ class ModCtx:
         if e >> s > top:
             s += 1
         mono = np.zeros(((e >> s) + 1, k), dtype=np.int64)
-        mono[-1] = self.field.one
+        mono[-1, 0] = 1
         result = self.reduce(mono)
         for i in range(s - 1, -1, -1):
             result = self.mulmod(result, result)

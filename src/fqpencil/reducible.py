@@ -60,7 +60,7 @@ def verify_conrad(instance, D: int) -> dict:
         coeffs = []
         m = idx
         for _ in range(D + 1):
-            coeffs.append(E.element_at(m % E.q))
+            coeffs.append(m % E.q)
             m //= E.q
         g = UnivariatePoly(E, coeffs)
         h = f.substitute_x(g)

@@ -1,9 +1,9 @@
 """Univariate polynomials over a finite field.
 
-Coefficients are field elements (tuples), stored low degree first, always
-trimmed; the zero polynomial has coeffs == [zero].  Provides Euclidean
-arithmetic, modular powering, Rabin irreducibility, square-free / distinct
-degree / equal degree factorization, resultants and discriminants.
+Coefficients are field elements (ints, see field.py), stored low degree
+first, always trimmed; the zero polynomial has coeffs == [0].  Provides
+Euclidean arithmetic, modular powering, Rabin irreducibility, square-free /
+distinct degree / equal degree factorization, resultants and discriminants.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .field import element_key
 from .polycore import FrobCtx, from_array, to_array
 
 
@@ -83,9 +82,8 @@ class UnivariatePoly:
         return hash((self.field, tuple(self.coeffs)))
 
     def sort_key(self):
-        """Canonical order: by degree, then coefficient keys high to low."""
-        return (self.degree(),
-                tuple(element_key(c) for c in reversed(self.coeffs)))
+        """Canonical order: by degree, then coefficients high to low."""
+        return self.degree(), tuple(reversed(self.coeffs))
 
     # -- ring operations -------------------------------------------------------
 
@@ -118,17 +116,14 @@ class UnivariatePoly:
         F = self.field
         if self.is_zero() or other.is_zero():
             return UnivariatePoly.zero(F)
-        if F._idx_mul is not None:
-            return _idx_mul_poly(self, other)
         a, b = self.coeffs, other.coeffs
-        zero, add, mul = F.zero, F.add, F.mul
-        out = [zero] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == zero:
-                continue
-            for j, bj in enumerate(b):
-                if bj != zero:
-                    out[i + j] = add(out[i + j], mul(ai, bj))
+        if len(a) > len(b):  # one row operation per term of the shorter
+            a, b = b, a
+        nb, axpy = len(b), F.axpy
+        out = [0] * (len(a) + nb - 1)
+        for i, c in enumerate(a):
+            if c:
+                out[i:i + nb] = axpy(c, b, out[i:i + nb])
         return UnivariatePoly(F, out)
 
     def scale(self, c):
@@ -152,24 +147,11 @@ class UnivariatePoly:
         F = self.field
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        db = other.degree()
-        if self.degree() < db:
+        if self.degree() < other.degree():
             return UnivariatePoly.zero(F), self
-        if F._idx_mul is not None:
-            return _idx_divmod(self, other)
-        inv_lc = F.inv(other.leading())
-        rem = list(self.coeffs)
-        q = [F.zero] * (len(rem) - db)
-        b = other.coeffs
-        for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == F.zero:
-                continue
-            c = F.mul(c, inv_lc)
-            q[i - db] = c
-            for j in range(db + 1):
-                rem[i - db + j] = F.sub(rem[i - db + j], F.mul(c, b[j]))
-        return UnivariatePoly(F, q), UnivariatePoly(F, rem[:db] or [F.zero])
+        quot = [0] * (len(self.coeffs) - other.degree())
+        rem = _reduce(list(self.coeffs), other.coeffs, F, quot)
+        return UnivariatePoly(F, quot), UnivariatePoly(F, rem)
 
     def __mod__(self, other):
         return self.divmod(other)[1]
@@ -183,15 +165,12 @@ class UnivariatePoly:
         return q
 
     def gcd(self, other):
+        """Monic gcd (zero when both are zero)."""
         F = self.field
-        if F._idx_mul is not None:
-            return _idx_gcd(self, other)
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a % b
-        if a.is_zero():
-            return a
-        return a.monic()
+        a, b = list(self.coeffs), list(other.coeffs)
+        while b[-1]:
+            a, b = b, _reduce(a, b, F)
+        return UnivariatePoly(F, a).monic()
 
     def pow_mod(self, e, modulus):
         F = self.field
@@ -244,12 +223,9 @@ class UnivariatePoly:
         parts = []
         for i in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[i]
-            if c == F.zero:
+            if c == 0:
                 continue
-            if F.k == 1:
-                cs = str(c[0])
-            else:
-                cs = "(" + _elem_str(F, c) + ")"
+            cs = F.format(c)
             if i == 0:
                 parts.append(cs)
             else:
@@ -258,109 +234,23 @@ class UnivariatePoly:
         return "+".join(parts)
 
 
-def _elem_str(F, e):
-    parts = []
-    for j in range(F.k - 1, -1, -1):
-        c = e[j]
-        if c == 0:
-            continue
-        if j == 0:
-            parts.append(str(c))
-        else:
-            pre = "" if c == 1 else str(c) + "*"
-            parts.append(f"{pre}y" + (f"^{j}" if j > 1 else ""))
-    return "+".join(parts) if parts else "0"
-
-
-def _idx_gcd(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Euclidean gcd in the small-field integer-index representation."""
-    F = f.field
-    iof = F._idx_of
-    a = _idx_gcd_core([iof[c] for c in f.coeffs],
-                      [iof[c] for c in g.coeffs], F)
-    elems = F._idx_elem
-    return UnivariatePoly(F, [elems[c] for c in a])
-
-
-def _idx_mul_poly(f: UnivariatePoly, g: UnivariatePoly) -> UnivariatePoly:
-    """Product in the index representation, one row update per term of f."""
-    F = f.field
-    iof, add, mul = F._idx_of, F._idx_add, F._idx_mul
-    b = [iof[c] for c in g.coeffs]
-    nb = len(b)
-    out = [0] * (len(f.coeffs) + nb - 1)
-    for i, c in enumerate(f.coeffs):
-        c = iof[c]
+def _reduce(a, b, F, quot=None):
+    """Remainder of the coefficient list a by b (trimmed, b nonzero), with
+    a consumed.  With quot, a list of len(a) - deg b zeros, the quotient
+    is filled in."""
+    minus_inv = F.neg(F.inv(b[-1]))
+    mul, axpy = F.mul, F.axpy
+    for top in range(len(a) - len(b), -1, -1):
+        c = a.pop()
         if c:
-            row = mul[c]
-            out[i : i + nb] = [add[o][row[v]]
-                               for o, v in zip(out[i : i + nb], b)]
-    elems = F._idx_elem
-    return UnivariatePoly(F, [elems[c] for c in out])
-
-
-def _idx_divmod(f: UnivariatePoly, g: UnivariatePoly):
-    """Quotient and remainder in the index representation (deg f >= deg g)."""
-    F = f.field
-    iof, elems = F._idx_of, F._idx_elem
-    b = [iof[c] for c in g.coeffs]
-    quot = [0] * (len(f.coeffs) - len(b) + 1)
-    rem = _idx_reduce([iof[c] for c in f.coeffs], b, F, quot)
-    return (UnivariatePoly(F, [elems[c] for c in quot]),
-            UnivariatePoly(F, [elems[c] for c in rem]))
-
-
-def _idx_gcd_core(a, b, F):
-    """Monic gcd of two trimmed index lists (low degree first).
-
-    a and b are consumed.  A remainder step whose quotient c1 x + c0 has
-    degree one, the usual case, is a single pass a - (c1 x + c0) b.
-    """
-    mul, sub, inv = F._idx_mul, F._idx_sub, F._idx_inv
-    while b[-1]:
-        db = len(b) - 1
-        if not db:
-            return [1]
-        if len(a) == db + 2:
-            over_lead = mul[inv[b[-1]]]
-            r1 = mul[over_lead[a[-1]]]
-            r0 = mul[over_lead[sub[a[-2]][r1[b[-2]]]]]
-            a = [sub[sub[u][r1[v1]]][r0[v0]]
-                 for u, v1, v0 in zip(a, [0] + b, b[:db])]
-            while len(a) > 1 and not a[-1]:
-                a.pop()
-        elif len(a) > db:
-            a = _idx_reduce(a, b, F)
-        a, b = b, a
-    if a[-1] > 1:
-        row = mul[inv[a[-1]]]
-        a = [row[c] for c in a]
-    return a
-
-
-def _idx_reduce(a, b, F, quot=None):
-    """Remainder of index list a by b (deg b >= 1), reduced in place.
-
-    Each elimination is one list comprehension over rows of the product and
-    difference tables.  With quot, a list of len(a) - deg b zeros, the
-    quotient is filled in.
-    """
-    mul, sub = F._idx_mul, F._idx_sub
-    db = len(b) - 1
-    over_lead = mul[F._idx_inv[b[-1]]]
-    for top in range(len(a) - 1, db - 1, -1):
-        c = a[top]
-        if c:
-            c = over_lead[c]
+            c = mul(c, minus_inv)  # minus the quotient coefficient
             if quot is not None:
-                quot[top - db] = c
-            row = mul[c]
-            off = top - db
-            a[off:top] = [sub[u][row[v]] for u, v in zip(a[off:top], b)]
-    del a[db:]
+                quot[top] = F.neg(c)
+            # zip in axpy stops before b's leading term
+            a[top:] = axpy(c, b, a[top:])
     while len(a) > 1 and not a[-1]:
         a.pop()
-    return a
+    return a or [0]
 
 
 # ---------------------------------------------------------------------------
@@ -540,19 +430,7 @@ def _distinct_degree(f: UnivariatePoly, ctx=None):
 
 def _gcd_array(arr, g: UnivariatePoly) -> UnivariatePoly:
     """Monic gcd of g and the polynomial held in a packed (n, k) array."""
-    F = g.field
-    if F._idx_mul is None:
-        return UnivariatePoly(F, from_array(arr, F)).gcd(g)
-    if F.k == 1:
-        a = arr[:, 0].tolist()
-    else:
-        a = (arr @ F.p ** np.arange(F.k)).tolist()
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    iof = F._idx_of
-    a = _idx_gcd_core(a, [iof[c] for c in g.coeffs], F)
-    elems = F._idx_elem
-    return UnivariatePoly(F, [elems[c] for c in a])
+    return UnivariatePoly(g.field, from_array(arr, g.field)).gcd(g)
 
 
 def _equal_degree(f: UnivariatePoly, d: int, rng, ctx=None):
@@ -573,7 +451,7 @@ def _equal_degree(f: UnivariatePoly, d: int, rng, ctx=None):
     one = UnivariatePoly.one(F)
     while True:
         a = UnivariatePoly(
-            F, [F.element_at(rng.randrange(q)) for _ in range(n)])
+            F, [rng.randrange(q) for _ in range(n)])
         if a.degree() < 1:
             continue
         if ctx is not None:
@@ -595,7 +473,7 @@ def _equal_degree(f: UnivariatePoly, d: int, rng, ctx=None):
                 for _ in range(d - 1):
                     t = ctx.frobenius(t)
                     acc = ctx.mulmod(acc, t)
-                acc[0] = (acc[0] - F.one) % F.p
+                acc[0, 0] = (acc[0, 0] - 1) % F.p
                 g = _gcd_array(acc, f)
         elif F.p == 2:
             # trace map T(a) = a + a^2 + ... + a^{2^{kd-1}}
@@ -650,7 +528,7 @@ def roots_in_field(f: UnivariatePoly):
     for irr, _ in facs:
         if irr.degree() == 1:
             roots.append(F.neg(irr.coeffs[0]))
-    roots.sort(key=element_key)
+    roots.sort()
     return roots
 
 
@@ -757,18 +635,18 @@ def _count_dtype(field, n):
 def _count_chunk(field, n, idx, dtype):
     """Count irreducibles among the monic polynomials with these indices."""
     q, p, k = field.q, field.p, field.k
-    elems = np.array([field.element_at(i) for i in range(q)], dtype=dtype)
+    elems = field.to_vector(np.arange(q))
     coeffs = np.empty((n, k, idx.size), dtype=dtype)
     for i in range(n):
-        coeffs[i] = elems[(idx // q ** i) % q].T
+        coeffs[i] = elems[idx // q ** i % q].T
 
     # Discard polynomials with a root in the base field.
     has_root = np.zeros(idx.size, dtype=bool)
-    for a_idx in range(q):
-        a = field.element_at(a_idx)
-        powers = [field.one]
+    for a in range(q):
+        powers = [1]
         for _ in range(n):
             powers.append(field.mul(powers[-1], a))
+        powers = field.to_vector(np.array(powers)).tolist()
         value = np.zeros((1, 2 * k - 1, idx.size), dtype=dtype)
         value[0, :k] = np.array(powers[n], dtype=dtype)[:, None]
         for i in range(n):

@@ -97,7 +97,7 @@ def test_criterion_1_application_count_f331():
 def test_criterion_2_worked_pencil_histogram():
     with Criterion(2, 1.0):
         F7 = make_field(7, 1)
-        pd = pencil_discriminant(parse_poly("x^2+x-t", F7), ((0,), (1,)), F7)
+        pd = pencil_discriminant(parse_poly("x^2+x-t", F7), (0, 1), F7)
         hist = pattern_histogram(pd)
         assert hist.counts["1+1"] == 3          # split
         assert hist.counts["2"] == 3            # inert
@@ -121,9 +121,9 @@ def test_criterion_3_branch_degree_realization():
         for M in points:
             pd = pencil_discriminant(fE, M, E)
             assert pd.branch_count == 6
-        rational = [((i,), (j,)) for i in range(7) for j in range(7)
-                    if cubic.evaluate((i,), (j,)) != F7.zero
-                    and is_generic_point(cubic, ((i,), (j,)), F7)]
+        rational = [(i, j) for i in range(7) for j in range(7)
+                    if cubic.evaluate(i, j) != F7.zero
+                    and is_generic_point(cubic, (i, j), F7)]
         assert len(rational) == 15
         for M in rational:
             assert pencil_discriminant(cubic, M, F7).branch_count == 6
@@ -206,8 +206,8 @@ def test_criterion_8_smoothness_battery():
         battery = [
             ("x^2+x-t", F7, True, None),
             ("t^3+x^3+1", F7, True, None),
-            ("x^2-t^3-t^2", F7, False, ((0,), (0,), (1,))),   # nodal
-            ("x^2-t^3", F7, False, ((0,), (0,), (1,))),       # cuspidal
+            ("x^2-t^3-t^2", F7, False, (0, 0, 1)),   # nodal
+            ("x^2-t^3", F7, False, (0, 0, 1)),       # cuspidal
         ]
         for text, E, smooth_expected, sing_point in battery:
             smooth, witness = is_smooth(parse_poly(text, E))

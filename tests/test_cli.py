@@ -184,11 +184,28 @@ def test_bound_negative_q_exit_two():
     (["bound", "--q", "6", "--d", "2"], "NotPrime"),
     (["bound", "--q", "7", "--d", "2", "--s", "0"], "ConstraintViolation"),
     (["conrad", "--q", "3", "--D", "-1"], "ConstraintViolation"),
+    (["field", "--q", "9", "--modulus", "a,1"], "ConstraintViolation"),
+    (["bound", "--q", "7", "--d", "2", "--s", "1", "--N", "0", "--g", "1"],
+     "ConstraintViolation"),
+    (["bound", "--q", "7", "--d", "2", "--s", "1", "--N", "2", "--g", "-1"],
+     "ConstraintViolation"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)
     assert code == 2
     assert rep["error"]["type"] == error
+
+
+def test_smooth_curve_passes_hypotheses_in_count_and_search():
+    # smooth, so irreducible, with no irreducibility certificate over F_3
+    code, rep = run_json(["count", "--q", "3", "--poly", "x^5+t^5+1"])
+    assert code == 0
+    assert rep["smooth"] is True and rep["irreducible"] == "irreducible"
+    assert rep["verdict"] == "THRESHOLD_NOT_MET"
+    code, rep = run_json(["search", "--q", "3", "--poly", "x^5+t^5+1"])
+    assert code == 0
+    assert rep["witness"]["s"] == 2
+    assert rep["verification"][0]["degree"] == 5
 
 
 @pytest.mark.parametrize("argv", [

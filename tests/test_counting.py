@@ -23,7 +23,8 @@ from fqpencil.counting import (
     geyer_jarden_rhs_bounds,
     verify_application,
 )
-from fqpencil.errors import DegreeTooSmall, HypothesisViolation
+from fqpencil.errors import (ConstraintViolation, DegreeTooSmall,
+                             HypothesisViolation)
 from fqpencil.intervals import (
     fourth_root_bounds,
     mul_bounds,
@@ -125,6 +126,12 @@ def test_genus_closed_form_matches_closure_track():
 
 # ---------------------------------------------------------------------------
 # Bounds
+
+
+@pytest.mark.parametrize("N,g", [(0, 1), (-2, 1), (2, -1)])
+def test_geyer_jarden_rhs_rejects_bad_parameters(N, g):
+    with pytest.raises(ConstraintViolation):
+        geyer_jarden_rhs_bounds(7, 1, N, g)
 
 
 def test_geyer_jarden_rhs_values():
@@ -314,6 +321,19 @@ def test_check_hypotheses_accepts_pair():
     check_hypotheses(fs, F7)
 
 
+def test_check_hypotheses_accepts_smooth_curve_without_certificate():
+    # x^5 + t^5 + 1 is smooth, so irreducible, though the specialization
+    # scan and Hensel lifting of the irreducibility certificate give no
+    # verdict for it over F_3
+    F3 = make_field(3, 1)
+    f = parse_poly("x^5+t^5+1", F3)
+    check_hypotheses([f], F3)
+    report = verify_application(f, F3)
+    assert report["smooth"] is True
+    assert report["irreducible"] == "irreducible"
+    assert report["verdict"] != "HYPOTHESIS_FAIL"
+
+
 def test_check_hypotheses_rejects_char_two():
     F4 = make_field(2, 2)
     with pytest.raises(HypothesisViolation):
@@ -339,11 +359,11 @@ def test_find_specialization_pair():
     fs = [parse_poly("x^2+x-t", F7), parse_poly("t^3+x^3+1", F7)]
     res = find_specialization(fs, F7, s_max=3)
     assert res.s == 2
-    assert res.a == (1, 0)
-    assert res.b == (3, 1)
+    E = make_field(7, 2)
+    assert E.to_vector(res.a) == [1, 0]
+    assert E.to_vector(res.b) == [3, 1]
     assert len(res.witnesses) == 2
     # re-verify the witness independently
-    E = make_field(7, 2)
     for f, w in zip(fs, res.witnesses):
         g = f.map_to(E).restrict_to_line(res.a, res.b)
         assert g.degree() == f.total_degree()

@@ -4,11 +4,13 @@ import random
 
 import pytest
 import sympy
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fqpencil import errors
-from fqpencil.field import element_key, embed, field_of_order, make_field
+from fqpencil.field import embed, field_of_order, make_field
 
-AXIOM_FIELDS = [(2, 1), (7, 1), (3, 2), (7, 2), (2, 3)]
+AXIOM_FIELDS = [(2, 1), (7, 1), (3, 2), (7, 2), (2, 3), (3, 13)]
 
 
 def test_canonical_moduli():
@@ -46,7 +48,7 @@ def test_frobenius_fixes_exactly_prime_field():
         for i in range(F.q):
             e = F.element_at(i)
             fixed = F.pow(e, p) == e
-            in_prime = all(c == 0 for c in e[1:])
+            in_prime = all(c == 0 for c in F.to_vector(e)[1:])
             assert fixed == in_prime, (p, k, e)
 
 
@@ -64,7 +66,7 @@ def test_element_index_round_trip():
     for p, k in [(5, 1), (3, 2), (2, 3)]:
         F = make_field(p, k)
         for i in range(F.q):
-            assert F.index_of(F.element_at(i)) == i
+            assert F.from_vector(F.to_vector(F.element_at(i))) == i
         assert len(list(F.elements())) == F.q
 
 
@@ -110,8 +112,8 @@ def test_canonical_modulus_matches_sympy_oracle(p, k):
     F = make_field(p, k)
     assert _sympy_poly(p, F.modulus).is_irreducible
     # every smaller monic candidate, compared from the top coefficient down
-    for idx in range(F.index_of(F.modulus[:k])):
-        coeffs = list(F.element_at(idx)) + [1]
+    for idx in range(F.from_vector(F.modulus[:k])):
+        coeffs = F.to_vector(F.element_at(idx)) + [1]
         assert not _sympy_poly(p, coeffs).is_irreducible, coeffs
 
 
@@ -119,7 +121,8 @@ def test_modulus_override():
     F = make_field(3, 2, modulus=(2, 2, 1))
     assert F.modulus == (2, 2, 1)
     # y^2 = -2y - 2 = y + 1
-    assert F.mul((0, 1), (0, 1)) == (1, 1)
+    y = F.from_vector([0, 1])
+    assert F.to_vector(F.mul(y, y)) == [1, 1]
 
 
 def test_field_of_order():
@@ -149,9 +152,54 @@ def test_embed_homomorphism_sampled_9_81():
 
 def test_embed_incompatible_tower():
     with pytest.raises(errors.IncompatibleTower):
-        embed(make_field(3, 2), make_field(3, 3), (1, 0))
+        embed(make_field(3, 2), make_field(3, 3), 1)
 
 
-def test_element_key_orders_from_top_down():
-    assert element_key((2, 0)) < element_key((0, 1))
-    assert element_key((0, 1)) < element_key((1, 1))
+def test_int_order_compares_from_top_down():
+    F = make_field(3, 2)
+    assert F.from_vector([2, 0]) < F.from_vector([0, 1])
+    assert F.from_vector([0, 1]) < F.from_vector([1, 1])
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic against sympy polynomials modulo the field's modulus
+
+# a prime field, small table fields, F_{7^6} near the table limit and
+# F_{3^13} past it (digit-vector arithmetic)
+ORACLE_FIELDS = [(7, 1), (3, 2), (7, 2), (5, 3), (7, 6), (3, 13)]
+
+
+def _oracle_powmod(a, e, m):
+    out = sympy.Poly(1, a.gen, modulus=a.get_modulus())
+    while e:
+        if e & 1:
+            out = out.mul(a).rem(m)
+        a, e = a.mul(a).rem(m), e >> 1
+    return out
+
+
+@pytest.mark.parametrize("p,k", ORACLE_FIELDS)
+@given(data=st.data())
+def test_arithmetic_matches_sympy_oracle(p, k, data):
+    F = make_field(p, k)
+    m = _sympy_poly(p, F.modulus)
+
+    def poly(e):
+        return _sympy_poly(p, F.to_vector(e))
+
+    def elem(poly):
+        coeffs = [int(c) % p for c in reversed(poly.rem(m).all_coeffs())]
+        return F.from_vector(coeffs + [0] * (k - len(coeffs)))
+
+    a, b = (data.draw(st.integers(0, F.q - 1)) for _ in range(2))
+    e = data.draw(st.integers(0, 2 * F.q))
+    assert F.add(a, b) == elem(poly(a) + poly(b))
+    assert F.sub(a, b) == elem(poly(a) - poly(b))
+    assert F.neg(a) == elem(-poly(a))
+    assert F.mul(a, b) == elem(poly(a) * poly(b))
+    assert F.pow(a, e) == elem(_oracle_powmod(poly(a), e, m))
+    if a:
+        assert F.inv(a) == elem(poly(a).invert(m))
+        assert F.pow(a, -e) == elem(_oracle_powmod(poly(a).invert(m), e, m))
+    euler = _oracle_powmod(poly(a), (F.q - 1) // 2, m)
+    assert F.is_square(a) == (not a or p == 2 or elem(euler) == 1)

@@ -38,7 +38,7 @@ def cubic(E):
 
 
 def test_conic_descriptor():
-    M = ((0,), (1,))
+    M = (0, 1)
     pd = pencil_discriminant(conic(F7), M, F7)
     assert pd.d == 2
     assert pd.delta.format("u") == "u^2+u+1"
@@ -50,7 +50,7 @@ def test_conic_descriptor():
 
 def test_parabola_descriptor():
     # x^2 - t has its second branch point at u = infinity.
-    pd = pencil_discriminant(parse_poly("x^2-t", F5), ((0,), (1,)), F5)
+    pd = pencil_discriminant(parse_poly("x^2-t", F5), (0, 1), F5)
     assert pd.delta.degree() == 1
     assert pd.deficit == 1
     assert pd.generic
@@ -60,8 +60,8 @@ def test_parabola_descriptor():
 def test_discriminant_degree_identity():
     # deg(delta) + deficit = d(d-1) for every descriptor.
     cases = [
-        (conic(F7), ((0,), (1,)), F7),
-        (parse_poly("x^2-t", F5), ((0,), (1,)), F5),
+        (conic(F7), (0, 1), F7),
+        (parse_poly("x^2-t", F5), (0, 1), F5),
         (cubic(F7), find_generic_point(cubic(F7), F7), F7),
     ]
     for f, M, E in cases:
@@ -73,13 +73,13 @@ def test_discriminant_degree_identity():
 def test_base_point_on_curve_raises():
     # 2^2 + 2 - 6 = 0 in F_7, so (6, 2) lies on the conic.
     with pytest.raises(BasePointOnCurve):
-        pencil_discriminant(conic(F7), ((6,), (2,)), F7)
+        pencil_discriminant(conic(F7), (6, 2), F7)
 
 
 def test_characteristic_obstruction():
     F3 = make_field(3, 1)
     with pytest.raises(CharacteristicObstruction):
-        pencil_discriminant(cubic(F3), ((0,), (1,)), F3)
+        pencil_discriminant(cubic(F3), (0, 1), F3)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def test_characteristic_obstruction():
 
 def test_find_generic_point_conic():
     M = find_generic_point(conic(F7), F7)
-    assert M == ((0,), (1,))
+    assert M == (0, 1)
     assert is_generic_point(conic(F7), M, F7)
 
 
@@ -118,12 +118,12 @@ def test_joint_generic_point_disjoint_branch_loci():
 
 
 def test_fiber_patterns_conic():
-    pd = pencil_discriminant(conic(F7), ((0,), (1,)), F7)
-    split = fiber_pattern(pd, (0,))
+    pd = pencil_discriminant(conic(F7), (0, 1), F7)
+    split = fiber_pattern(pd, 0)
     assert split.key() == "1+1" and not split.ramified
-    inert = fiber_pattern(pd, (1,))
+    inert = fiber_pattern(pd, 1)
     assert inert.key() == "2" and not inert.ramified
-    ramified = fiber_pattern(pd, (4,))
+    ramified = fiber_pattern(pd, 4)
     assert ramified.key() == "1^2" and ramified.ramified
     vertical = fiber_pattern(pd, INFINITY)
     assert vertical.key() == "1+1"
@@ -152,7 +152,7 @@ def test_ramified_patterns_have_one_double_part():
 
 
 def test_conic_histogram_f7():
-    pd = pencil_discriminant(conic(F7), ((0,), (1,)), F7)
+    pd = pencil_discriminant(conic(F7), (0, 1), F7)
     hist = pattern_histogram(pd)
     assert hist.counts == {"1+1": 3, "2": 3}
     assert hist.ramified == 2
@@ -163,7 +163,7 @@ def test_conic_histogram_f7():
 def test_histogram_total_is_projective_line():
     for s in (1, 2, 3):
         E = make_field(7, s)
-        pd = pencil_discriminant(conic(E), ((0,) * s, (1,) + (0,) * (s - 1)), E)
+        pd = pencil_discriminant(conic(E), (0, 1), E)
         hist = pattern_histogram(pd)
         assert hist.total == E.q + 1
         assert sum(hist.counts.values()) + hist.ramified == hist.total
@@ -172,7 +172,7 @@ def test_histogram_total_is_projective_line():
 def test_cycle_type_completeness_conic():
     # Over a large enough extension every S_2 cycle type occurs.
     E = make_field(7, 2)
-    pd = pencil_discriminant(conic(E), ((0, 0), (1, 0)), E)
+    pd = pencil_discriminant(conic(E), (0, 1), E)
     hist = pattern_histogram(pd)
     assert set(hist.counts) == {"1+1", "2"}
     assert all(v > 0 for v in hist.counts.values())
@@ -198,7 +198,7 @@ def test_joint_histogram_keys():
 
 
 def test_descriptor_as_dict_round_trip():
-    pd = pencil_discriminant(conic(F7), ((0,), (1,)), F7)
+    pd = pencil_discriminant(conic(F7), (0, 1), F7)
     d = pd.as_dict()
     assert d["d"] == 2
     assert d["delta"] == "u^2+u+1"

@@ -294,7 +294,8 @@ def test_rabin_batch_matches_factor(p, k):
             # factor degrees {3, 2, 1} pass the equality tests
             polys.append(_random_irreducible(F, rng, 3)
                          * _random_irreducible(F, rng, 2) * x)
-        low = np.array([f.coeffs[:n] for f in polys]).transpose(1, 2, 0)
+        low = F.to_vector(np.array([f.coeffs[:n] for f in polys]))
+        low = low.transpose(1, 2, 0)
         got = _rabin_batch(low.astype(_count_dtype(F, n)), F)
         for f, passed in zip(polys, got.tolist()):
             assert passed == _rabin_expected(f), f.format()
