@@ -19,7 +19,7 @@ import numpy as np
 import sympy
 
 from .bivar import BivariatePoly, is_smooth
-from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
+from .errors import (ConstraintViolation, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
 from .field import _LOG_TABLE_LIMIT, GridArith, make_field, prime_power
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
@@ -188,92 +188,102 @@ def count_irreducible_pairs(f: BivariatePoly, E,
     """Exact counts of (a, b) in E^2 with f(t, a t + b) irreducible.
 
     count_full_degree additionally requires deg_t = d; count_inclusive
-    admits any irreducible specialization of degree >= 1.
+    admits any irreducible specialization of degree >= 1.  Fields past
+    q = 2^18 (field._LOG_TABLE_LIMIT) raise ConstraintViolation: their
+    q^2 >= 6.9e10 pairs are out of reach of an exhaustive count.
     """
+    if E.q > _LOG_TABLE_LIMIT:
+        raise ConstraintViolation(
+            f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {E.q}")
     _check_char(f)
     if f.field != E:
         f = f.map_to(E)
-    d = f.total_degree()
-    if E.k > 1 and E.q > _LOG_TABLE_LIMIT:
-        full, incl = _count_generic(f, E)
-    elif d <= 3:
-        full, incl = map(sum, zip(*_d_le3_rows(f, E)))
-    else:
-        try:
-            _count_dtype(E, d)
-        except DegreeOutOfRange:  # p near 10^9: the batch sums would wrap
-            full, incl = _count_generic(f, E)
-        else:
-            full, incl = _count_rabin(f, E)
+    full, incl = _count_rows(f, E).sum(axis=0).tolist()
     return CountReport(q=E.q, total_pairs=E.q ** 2,
                        count_full_degree=full, count_inclusive=incl,
                        mode=mode)
 
 
-def _count_generic(f: BivariatePoly, E):
-    return map(sum, zip(*(_generic_row(f, E, ai) for ai in range(E.q))))
+def _block_rows(E) -> int:
+    """Rows of q grid cells per block: about 2^16 coefficient digits.
+
+    Small blocks keep numpy's temporaries inside the memory that the
+    allocator reuses: with 2^20 digits per block the F_{11^4} cubic count
+    took 2.3 times as long, with 1.3e7 page faults against about 2,000.
+    """
+    return max(1, (1 << 16) // (E.q * E.k))
 
 
-def _generic_row(f: BivariatePoly, E, ai: int):
-    """(full, inclusive) counts over every b for the ai-th a, pair by pair."""
-    d = f.total_degree()
-    full = incl = 0
-    for b in range(E.q):
-        g = f.restrict_to_line(ai, b)
-        dg = g.degree()
-        if dg < 1:
-            continue
-        if _is_irreducible_small(g):
-            incl += 1
-            if dg == d:
-                full += 1
-    return full, incl
+def _count_rows(f: BivariatePoly, E):
+    """Per-a (full, inclusive) counts over every b, a (q, 2) array with a
+    in canonical order, on canonical element indices.
 
-
-def _is_irreducible_small(g: UnivariatePoly) -> bool:
-    E = g.field
-    if g.degree() == 2:
-        a0, a1, a2 = g.coeffs
-        disc = E.sub(E.mul(a1, a1), E.scalar(4, E.mul(a0, a2)))
-        return disc != E.zero and not E.is_square(disc)
-    return is_irreducible(g)
-
-
-def _d_le3_rows(f: BivariatePoly, E):
-    """Per-a (full, inclusive) counts for d <= 3 on canonical element
-    indices, a in canonical order.
-
-    A restriction of degree 3 is irreducible exactly when it has no root,
-    that is when its line misses every affine point of the curve; one of
-    degree 2 exactly when its discriminant is a non-square.
+    A restriction with a root in E, a curve point (t, x) with b = x - a t,
+    is irreducible only when it is linear.  The t^d coefficient of
+    f(t, a t + b) is f_d(1, a), whatever b is: on a row where it is
+    nonzero every restriction has degree d, and for d <= 3 it is then
+    irreducible exactly when it has no root.  The other rows, at most d
+    of them when d <= 3 and every row when d >= 4, go to _grid_rows.
     """
     ar = GridArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
     coef = _line_coefficients(f, E, ar)
-    nonsquare = np.ones(q, dtype=bool)
-    nonsquare[ar.mul(elems, elems)] = False
-    if d == 3:
-        t_pts, x_pts = _curve_points(f, E, ar)
-        neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
+    t_pts, x_pts = _curve_points(f, E, ar)
+    neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
+    out = np.zeros((q, 2), dtype=np.int64)
+    rows = _block_rows(E)
+    for start in range(0, q, rows):
+        a = elems[start:start + rows]
+        b = ar.muladd(a[:, None], neg_t, x_pts)
+        b += np.arange(0, a.size * q, q)[:, None]  # flat (a, b) cells
+        has_root = np.zeros(a.size * q, dtype=bool)
+        has_root[b] = True
+        has_root = has_root.reshape(a.size, q)
+        by_roots = (coef[d, 0, a] != 0) & (d <= 3)
+        out[a[by_roots]] = q - np.count_nonzero(has_root[by_roots],
+                                                axis=1)[:, None]
+        if not by_roots.all():
+            out[a[~by_roots]] = _grid_rows(f, E, ar, coef, a[~by_roots],
+                                           has_root[~by_roots])
+    return out
 
-    def row(a):
-        c = coef[:, :, a].tolist()
-        if d == 3 and c[3][0]:  # the t^3 coefficient is b-independent
-            has_root = np.zeros(q, dtype=bool)
-            has_root[ar.muladd(a, neg_t, x_pts)] = True  # b = x - a t
-            n_irr = q - int(np.count_nonzero(has_root))
-            return n_irr, n_irr
-        # degrees <= 2 (either d == 2, or the cubic coefficient vanished)
-        # the t^m coefficient has degree <= d - m in b
-        c2, c1, c0 = (ar.horner(c[m][:d + 1 - m], elems) for m in (2, 1, 0))
-        quad = c2 != 0
-        disc = ar.muladd(c1, c1, ar.mul(-4 % E.p, ar.mul(c0, c2)))
-        n2 = int(np.count_nonzero(quad & nonsquare[disc]))
-        incl = n2 + int(np.count_nonzero(~quad & (c1 != 0)))
-        return (n2 if d == 2 else 0), incl
 
-    return [row(a) for a in range(q)]
+def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, a, has_root):
+    """(full, inclusive) counts of the rows a, with has_root[i, b] marking
+    the restrictions of row a[i] that have a root in E.
+
+    Each pair's restriction is expanded from coef.  A rootless one of
+    degree n <= 3 is irreducible; those of degree n >= 4 are made monic
+    and tested in one _rabin_batch call per n.  That test is exact when n
+    is a prime power, and with no root for n <= 6
+    (count_monic_irreducibles); the pairs that pass it at larger n are
+    confirmed one by one.
+    """
+    q, d = E.q, f.total_degree()
+    # c[m]: the coefficient of t^m of each pair's restriction
+    block = coef[:, :, a, None]
+    c = np.stack([ar.horner(block[m, :d + 1 - m], np.arange(q))
+                  for m in range(d + 1)]).reshape(d + 1, -1)
+    deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
+    irr = deg == 1
+    rootless = ~has_root.reshape(-1)
+    for n in range(2, d + 1):
+        idx = np.flatnonzero((deg == n) & rootless)
+        if n > 3 and idx.size:
+            cn = c[:n + 1, idx]
+            low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n]))).transpose(0, 2, 1)
+            good = _rabin_batch(low.astype(_count_dtype(E, n)), E)
+            if n > 6 and len(sympy.primefactors(n)) > 1:
+                for j in np.flatnonzero(good):
+                    good[j] = is_irreducible(
+                        UnivariatePoly(E, cn[:, j].tolist()))
+            idx = idx[good]
+        irr[idx] = True
+    irr = irr.reshape(a.size, q)
+    return np.stack([np.count_nonzero(irr & (deg.reshape(a.size, q) == d),
+                                      axis=1),
+                     np.count_nonzero(irr, axis=1)], axis=1)
 
 
 def _line_coefficients(f: BivariatePoly, E, ar: GridArith):
@@ -291,58 +301,13 @@ def _line_coefficients(f: BivariatePoly, E, ar: GridArith):
     return coef
 
 
-def _count_rabin(f: BivariatePoly, E):
-    """Whole-grid count on canonical indices with a batched Rabin test.
-
-    Restrictions with a root in E, a curve point (t, x) with b = x - a t,
-    are dropped; the rest are made monic and tested in one _rabin_batch
-    call per degree n and block of a rows.  That test is exact when n is a
-    prime power, and with no root for n <= 6 (count_monic_irreducibles);
-    the pairs that pass it at larger n are confirmed one by one.
-    """
-    ar = GridArith(E)
-    q, d = E.q, f.total_degree()
-    elems = np.arange(q)
-    coef = _line_coefficients(f, E, ar)
-    t_pts, x_pts = _curve_points(f, E, ar)
-    neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
-    # blocks of about 2^22 residue entries inside the Rabin test
-    rows = max(1, (1 << 22) // (q * E.k * d * d))
-    full = incl = 0
-    for start in range(0, q, rows):
-        a = elems[start:start + rows]
-        # c[m]: the coefficient of t^m of each block pair's restriction
-        block = coef[:, :, a, None]
-        c = np.stack([ar.horner(block[m, :d + 1 - m], elems)
-                      for m in range(d + 1)]).reshape(d + 1, -1)
-        has_root = np.zeros((a.size, q), dtype=bool)
-        has_root[np.arange(a.size)[:, None],
-                 ar.muladd(a[:, None], neg_t, x_pts)] = True
-        deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
-        incl += int(np.count_nonzero(deg == 1))
-        for n in range(2, d + 1):
-            cn = c[:n + 1, (deg == n) & ~has_root.reshape(-1)]
-            if not cn.size:
-                continue
-            low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n]))).transpose(0, 2, 1)
-            good = _rabin_batch(low.astype(_count_dtype(E, n)), E)
-            if n > 6 and len(sympy.primefactors(n)) > 1:
-                for j in np.flatnonzero(good):
-                    good[j] = is_irreducible(
-                        UnivariatePoly(E, cn[:, j].tolist()))
-            n_irr = int(np.count_nonzero(good))
-            incl += n_irr
-            full += n_irr if n == d else 0
-    return full, incl
-
-
 def _curve_points(f: BivariatePoly, E, ar: GridArith):
     """All affine points of f = 0 over E as index arrays (t, x), evaluated
-    on blocks of t values of about 2^22 / k grid cells each."""
+    on blocks of t values (_block_rows)."""
     q = E.q
     elems = np.arange(q)
     slices = [cj.coeffs for cj in f.x_coefficients()]
-    rows = max(1, (1 << 22) // (q * E.k))
+    rows = _block_rows(E)
     t_out, x_out = [], []
     for start in range(0, q, rows):
         ts = elems[start:start + rows]
@@ -415,6 +380,8 @@ def find_specialization(fs, base_field, s_max: int,
     """Smallest s <= s_max and lexicographically first (a, b) in F_{q^s}^2
     making every f(t, a t + b) irreducible (at full degree unless
     mode='inclusive'); witnesses are re-verified through factor()."""
+    if s_max < 1:
+        raise ConstraintViolation(f"s_max must be at least 1, got {s_max}")
     if isinstance(fs, BivariatePoly):
         fs = [fs]
     check_hypotheses(fs, base_field)
@@ -446,8 +413,7 @@ def _specializes(g: UnivariatePoly, d: int, mode: str) -> bool:
     """Whether the restriction g of a degree-d curve is irreducible of
     degree >= 1, and of degree d when mode is 'full'."""
     dg = g.degree()
-    return (dg >= 1 and (mode != "full" or dg == d)
-            and _is_irreducible_small(g))
+    return dg >= 1 and (mode != "full" or dg == d) and is_irreducible(g)
 
 
 # ---------------------------------------------------------------------------

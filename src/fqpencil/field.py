@@ -11,7 +11,8 @@ and from_vector convert to and from coefficient vectors at the edges
 Arithmetic runs on integers mod p for k = 1.  For k > 1 and q up to
 _LOG_TABLE_LIMIT it reads log/exp and Zech logarithm tables (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36, 1990), built once with
-numpy; the whole-grid kernels of GridArith read the same tables.  Larger
+numpy; GridArith, the arithmetic of counting's whole-grid count, reads
+the same tables, so that count takes q <= _LOG_TABLE_LIMIT only.  Larger
 fields multiply and invert digit vectors directly.
 
 The modulus is, unless overridden, the lexicographically smallest monic
@@ -31,7 +32,7 @@ import sympy
 from .errors import DegreeOutOfRange, IncompatibleTower, NotPrime
 
 # Log/exp/Zech tables (28 bytes per element) are built for extension
-# fields up to this size.
+# fields up to this size; it also bounds counting.count_irreducible_pairs.
 _LOG_TABLE_LIMIT = 1 << 18
 # Up to this size the tables are lists, which index faster than arrays.
 _LIST_TABLE_LIMIT = 1 << 12
@@ -478,9 +479,16 @@ class GridArith:
 
     def horner(self, coeffs, x):
         """sum_j coeffs[j] x^j, coefficients low to high."""
-        acc = coeffs[-1] + np.zeros_like(x)  # broadcast to the result shape
+        shape = np.broadcast_shapes(np.shape(x), *map(np.shape, coeffs))
+        acc = np.zeros(shape, dtype=np.int64)
+        acc += coeffs[-1]
         for c in reversed(coeffs[:-1]):
-            acc = self.muladd(acc, x, c)
+            if self.k > 1:
+                acc = self.muladd(acc, x, c)
+            else:  # in place: a new array per step costs page faults
+                acc *= x
+                acc += c
+                acc %= self.p
         return acc
 
 

@@ -17,7 +17,7 @@ from math import comb
 
 from .bivar import BivariatePoly, discriminant_poly_coeffs
 from .errors import (BasePointOnCurve, CharacteristicObstruction,
-                     GenericPointNotFound)
+                     ConstraintViolation, GenericPointNotFound)
 from .unipoly import UnivariatePoly, factor, squarefree_part
 
 INFINITY = None  # pencil parameter of the vertical line
@@ -146,6 +146,9 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1,
     Points are tried in the deterministic element order up to an exhaustive
     threshold, then by seeded random sampling, up to trial_budget candidates.
     """
+    if trial_budget is not None and trial_budget < 1:
+        raise ConstraintViolation(
+            f"the trial budget must be at least 1, got {trial_budget}")
     if isinstance(fs, BivariatePoly):
         fs = [fs]
     fs = [f.map_to(E) if f.field != E else f for f in fs]

@@ -354,6 +354,8 @@ def _pth_root_poly(f: UnivariatePoly) -> UnivariatePoly:
 
 
 _DDF_NUMPY_MIN = 8
+# The tables of a FrobCtx hold (n k)^2 int64 entries: 128 MiB at this n k.
+_FROB_TABLE_LIMIT = 4096
 
 
 def _frob_ctx(f: UnivariatePoly, min_degree=_DDF_NUMPY_MIN):
@@ -361,10 +363,16 @@ def _frob_ctx(f: UnivariatePoly, min_degree=_DDF_NUMPY_MIN):
 
     Also None when a sum of n*k products of residues could pass int64 (p
     from about 2^31 on), since the numpy kernels would wrap silently.
+    Raises DegreeOutOfRange, before any table is allocated, past
+    n k = _FROB_TABLE_LIMIT.
     """
     F, n = f.field, f.degree()
     if n < min_degree or (F.p - 1) ** 2 * n * F.k >= 1 << 63:
         return None
+    if n * F.k > _FROB_TABLE_LIMIT:
+        raise DegreeOutOfRange(
+            f"degree n = {n} over F_{F.q} (k = {F.k}) is past the table "
+            f"limit n k <= {_FROB_TABLE_LIMIT}")
     return FrobCtx(to_array(f.coeffs, F), F)
 
 

@@ -282,16 +282,16 @@ def test_criterion_10_benchmark_f13999():
                     reason="long-running benchmark; set "
                            "FQPENCIL_RUN_BENCHMARK=1 to enable")
 def test_criterion_11_benchmark_f11_4(monkeypatch):
-    # per-a (full, inclusive) rows, captured from the d <= 3 kernel
+    # per-a (full, inclusive) rows, captured from the count kernel
     rows = []
-    d_le3_rows = counting._d_le3_rows
+    count_rows = counting._count_rows
 
     def recording_rows(f, E):
-        out = d_le3_rows(f, E)
-        rows.extend(out)
+        out = count_rows(f, E)
+        rows.extend(map(tuple, out.tolist()))
         return out
 
-    monkeypatch.setattr(counting, "_d_le3_rows", recording_rows)
+    monkeypatch.setattr(counting, "_count_rows", recording_rows)
     with Criterion(11, 600.0):
         E = make_field(11, 4)
         f = parse_poly("t^3+x^3+1", E)
@@ -301,4 +301,17 @@ def test_criterion_11_benchmark_f11_4(monkeypatch):
         assert report.total_pairs == E.q ** 2 == len(rows) * E.q
         assert Fraction(report.count_inclusive) >= bound.app_bound_hi
         for ai in random.Random(11).sample(range(E.q), 3):
-            assert rows[ai] == counting._generic_row(f, E, ai), ai
+            assert rows[ai] == _per_pair_row(f, E, ai), ai
+
+
+def _per_pair_row(f, E, a):
+    """Oracle: (full, inclusive) counts over every b for one a, pair by
+    pair through restrict_to_line and is_irreducible."""
+    d = f.total_degree()
+    full = incl = 0
+    for b in E.elements():
+        g = f.restrict_to_line(a, b)
+        if g.degree() >= 1 and is_irreducible(g):
+            incl += 1
+            full += g.degree() == d
+    return full, incl

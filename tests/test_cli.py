@@ -1,11 +1,15 @@
 """Tests for the fqpencil command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fqpencil
 from fqpencil import cli, counting
@@ -189,6 +193,20 @@ def test_bound_negative_q_exit_two():
      "ConstraintViolation"),
     (["bound", "--q", "7", "--d", "2", "--s", "1", "--N", "2", "--g", "-1"],
      "ConstraintViolation"),
+    (["search", "--q", "9", "--poly", "x^2+x-t", "--smax", "0"],
+     "ConstraintViolation"),
+    (["search", "--q", "9", "--poly", "x^2+x-t", "--smax", "-2"],
+     "ConstraintViolation"),
+    (["pencil", "--q", "7", "--poly", "x^2+x-t", "--trial-budget", "0"],
+     "ConstraintViolation"),
+    (["pencil", "--q", "7", "--poly", "x^2+x-t", "--trial-budget", "-1"],
+     "ConstraintViolation"),
+    # a Frobenius table of 5000^2 entries
+    (["factor", "--q", "7", "--poly", "x^5000+x+1"], "DegreeOutOfRange"),
+    # counts past q = 2^18
+    (["count", "--p", "3", "--k", "12", "--poly", "x^2+x-t"],
+     "ConstraintViolation"),
+    (["count", "--q", "1000003", "--poly", "x^2+x-t"], "ConstraintViolation"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)
@@ -215,6 +233,44 @@ def test_smooth_curve_passes_hypotheses_in_count_and_search():
 ])
 def test_format_only_on_pencil_exit_two(argv):
     assert run_command(argv) == (2, "")
+
+
+_POLYS = ["x^2+x-t", "t^3+x^3+1", "x^2-t^3", "x+t", "x^2+1", "3",
+          "x^^2", "2*", "y+1", "", "x^2+"]
+# numeric flags by subcommand; --k, --seed and --threads go to any of them
+_FLAGS = {"field": [], "factor": [], "curve": [], "count": [],
+          "pencil": ["--trial-budget"], "bound": ["--d", "--s", "--N", "--g"],
+          "search": ["--smax"], "conrad": ["--D", "--b"]}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    # conrad substitutes all q^(D+1) polynomials of degree <= D (4 by
+    # default), so it takes the smallest field only
+    qs = [3, 6] if command == "conrad" else [3, 4, 6, 7, 9, 25]
+    argv = [command, "--q", str(draw(st.sampled_from(qs)))]
+    flags = st.sampled_from(["--k", "--seed", "--threads"] + _FLAGS[command])
+    for flag, value in draw(st.lists(st.tuples(flags, st.integers(-2, 3)),
+                                     max_size=3)):
+        argv += [flag, str(value)]
+    for poly in draw(st.lists(st.sampled_from(_POLYS), max_size=2)):
+        argv += ["--poly", poly]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argvs())
+def test_run_command_never_raises(argv):
+    with contextlib.redirect_stderr(io.StringIO()):  # argparse usage text
+        code, text = run_command(argv)
+    assert code in (0, 1, 2)
+    if not text:  # argparse rejected argv
+        assert code == 2
+        return
+    report = json.loads(text)
+    assert code != 2 or "error" in report
+    assert code != 0 or "error" not in report
 
 
 def test_python_m_fqpencil():

@@ -101,8 +101,9 @@ def test_find_generic_point_count():
 
 
 def test_find_generic_point_budget_exhausted():
+    # the first candidate, (0, 0), lies on the conic
     with pytest.raises(GenericPointNotFound):
-        find_generic_point(conic(F7), F7, trial_budget=0)
+        find_generic_point(conic(F7), F7, trial_budget=1)
 
 
 def test_joint_generic_point_disjoint_branch_loci():
