@@ -159,13 +159,9 @@ def run_command(argv):
         report["error"] = {"type": type(exc).__name__, "message": str(exc),
                            "position": exc.position}
         code = 2
-    except NotFoundWithinBudget as exc:
-        report["error"] = {"type": "NotFoundWithinBudget",
-                           "message": str(exc)}
-        code = 1
     except FqPencilError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
-        code = 2
+        code = 1 if isinstance(exc, NotFoundWithinBudget) else 2
     report["timing_seconds"] = time.perf_counter() - started
     if getattr(args, "format", None) == "csv" and "histogram" in report:
         lines = ["pattern,count"]

@@ -205,11 +205,10 @@ def count_irreducible_pairs(f: BivariatePoly, E,
 
 
 def _block_rows(E) -> int:
-    """Rows of q grid cells per block: about 2^16 coefficient digits.
+    """Rows of q grid cells per block: about 2^16 float64 digits.
 
-    Small blocks keep numpy's temporaries inside the memory that the
-    allocator reuses: with 2^20 digits per block the F_{11^4} cubic count
-    took 2.3 times as long, with 1.3e7 page faults against about 2,000.
+    Each block's GridArith.dot product, (k rows, q) digits per row, then
+    stays inside memory that the allocator reuses and the cache holds.
     """
     return max(1, (1 << 16) // (E.q * E.k))
 
@@ -224,18 +223,24 @@ def _count_rows(f: BivariatePoly, E):
     nonzero every restriction has degree d, and for d <= 3 it is then
     irreducible exactly when it has no root.  The other rows, at most d
     of them when d <= 3 and every row when d >= 4, go to _grid_rows.
+    Every grid is a GridArith.dot against the columns of z^e, e <= d.
     """
     ar = GridArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
-    coef = _line_coefficients(f, E, ar)
-    t_pts, x_pts = _curve_points(f, E, ar)
-    neg_t = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
+    powers = [np.ones(q, dtype=np.int64)]  # index 1 is the element 1
+    for _ in range(d):
+        powers.append(ar.mul(powers[-1], elems))
+    pcols = ar.columns(np.array(powers))
+    coef = _line_coefficients(f, E, ar, pcols)
+    t_pts, x_pts = _curve_points(f, E, ar, pcols)
+    # b = a (-t) + 1 x; E.p - 1 is the index of -1
+    bcols = ar.columns(np.stack([ar.mul(E.p - 1, t_pts), x_pts]))
     out = np.zeros((q, 2), dtype=np.int64)
     rows = _block_rows(E)
     for start in range(0, q, rows):
         a = elems[start:start + rows]
-        b = ar.muladd(a[:, None], neg_t, x_pts)
+        b = ar.dot(np.stack([a, np.ones_like(a)]), bcols)
         b += np.arange(0, a.size * q, q)[:, None]  # flat (a, b) cells
         has_root = np.zeros(a.size * q, dtype=bool)
         has_root[b] = True
@@ -244,12 +249,13 @@ def _count_rows(f: BivariatePoly, E):
         out[a[by_roots]] = q - np.count_nonzero(has_root[by_roots],
                                                 axis=1)[:, None]
         if not by_roots.all():
-            out[a[~by_roots]] = _grid_rows(f, E, ar, coef, a[~by_roots],
-                                           has_root[~by_roots])
+            out[a[~by_roots]] = _grid_rows(f, E, ar, coef, pcols,
+                                           a[~by_roots], has_root[~by_roots])
     return out
 
 
-def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, a, has_root):
+def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, pcols, a,
+               has_root):
     """(full, inclusive) counts of the rows a, with has_root[i, b] marking
     the restrictions of row a[i] that have a root in E.
 
@@ -262,8 +268,7 @@ def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, a, has_root):
     """
     q, d = E.q, f.total_degree()
     # c[m]: the coefficient of t^m of each pair's restriction
-    block = coef[:, :, a, None]
-    c = np.stack([ar.horner(block[m, :d + 1 - m], np.arange(q))
+    c = np.stack([ar.dot(coef[m, :d + 1 - m][:, a], pcols[:d + 1 - m])
                   for m in range(d + 1)]).reshape(d + 1, -1)
     deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
     irr = deg == 1
@@ -286,34 +291,32 @@ def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, a, has_root):
                      np.count_nonzero(irr, axis=1)], axis=1)
 
 
-def _line_coefficients(f: BivariatePoly, E, ar: GridArith):
-    """coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b)."""
+def _line_coefficients(f: BivariatePoly, E, ar: GridArith, pcols):
+    """coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b), the
+    sum over l of binomial(e + l, l) f_{m-l, e+l} a^l."""
     q, d = E.q, f.total_degree()
-    elems = np.arange(q)
-    apow = [np.ones(q, dtype=np.int64)]  # index 1 is the element 1
-    for _ in range(d):
-        apow.append(ar.mul(apow[-1], elems))
-    coef = np.zeros((d + 1, d + 1, q), dtype=np.int64)
+    w = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)  # w[l, m, e]
     for (i, j), c in f.terms.items():
         for l in range(j + 1):
-            cl = E.scalar(comb(j, l), c)
-            coef[i + l, j - l] = ar.muladd(cl, apow[l], coef[i + l, j - l])
-    return coef
+            w[l, i + l, j - l] = E.scalar(comb(j, l), c)
+    return ar.dot(w.reshape(d + 1, -1), pcols).reshape(d + 1, d + 1, q)
 
 
-def _curve_points(f: BivariatePoly, E, ar: GridArith):
-    """All affine points of f = 0 over E as index arrays (t, x), evaluated
-    on blocks of t values (_block_rows)."""
-    q = E.q
-    elems = np.arange(q)
-    slices = [cj.coeffs for cj in f.x_coefficients()]
+def _curve_points(f: BivariatePoly, E, ar: GridArith, pcols):
+    """All affine points of f = 0 over E as index arrays (t, x): the zeros
+    of sum_j c_j(t) x^j, on blocks of t values (_block_rows)."""
+    q, d = E.q, f.total_degree()
+    nx = 1 + max(j for _, j in f.terms)
+    fc = np.zeros((d + 1, nx), dtype=np.int64)  # fc[i, j] = f_{i, j}
+    for (i, j), c in f.terms.items():
+        fc[i, j] = c
+    ct = ar.dot(fc, pcols)  # ct[j, t] = c_j(t)
     rows = _block_rows(E)
     t_out, x_out = [], []
     for start in range(0, q, rows):
-        ts = elems[start:start + rows]
-        cols = [ar.horner(s, ts)[:, None] for s in slices]
-        ti, xi = np.nonzero(ar.horner(cols, elems) == 0)
-        t_out.append(ts[ti])
+        zero = ar.dot(ct[:, start:start + rows], pcols[:nx], zero=True)
+        ti, xi = np.divmod(np.flatnonzero(zero), q)  # faster than nonzero
+        t_out.append(ti + start)
         x_out.append(xi)
     return np.concatenate(t_out), np.concatenate(x_out)
 

@@ -37,10 +37,6 @@ class CharacteristicObstruction(FqPencilError):
     pass
 
 
-class GenericPointNotFound(FqPencilError):
-    pass
-
-
 class HypothesisViolation(FqPencilError):
     pass
 
@@ -50,6 +46,10 @@ class DegreeTooSmall(FqPencilError):
 
 
 class NotFoundWithinBudget(FqPencilError):
+    pass
+
+
+class GenericPointNotFound(NotFoundWithinBudget):
     pass
 
 

@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 import sympy
 
-from .errors import DegreeOutOfRange, IncompatibleTower, NotPrime
+from .errors import (ConstraintViolation, DegreeOutOfRange, IncompatibleTower,
+                     NotPrime)
 
 # Log/exp/Zech tables (28 bytes per element) are built for extension
 # fields up to this size; it also bounds counting.count_irreducible_pairs.
@@ -437,9 +438,17 @@ class Field:
 
 
 class GridArith:
-    """numpy arithmetic on arrays of elements: integers mod p for k = 1;
-    for k > 1 the field's log/exp tables for products and coefficient
-    digits for sums."""
+    """numpy arithmetic on arrays of elements: products by the field's
+    log/exp tables (integers mod p for k = 1), and sums of products by dot.
+
+    dot(C, columns(X)) is sum_j C[j, r] X[j, c] over F_q.  It writes the
+    products in base-p digits: digit l of the result is the sum over j and
+    v of digit l of C[j, r] y^v times digit v of X[j, c], before reduction
+    mod p.  So each output digit is one float64 matrix product of inner
+    size n k, which numpy hands to BLAS, with no carries; k = 1 is the
+    case of one digit.  Every sum is an integer of at most n k (p - 1)^2,
+    exact in float64 while that is below 2^53; dot refuses larger n.
+    """
 
     def __init__(self, E):
         self.p, self.k, self.q = E.p, E.k, E.q
@@ -447,7 +456,10 @@ class GridArith:
             # int64 copies: gathers then index with numpy's native intp
             self.log = np.array(E._log, dtype=np.int64)
             self.exp = np.array(E._exp, dtype=np.int64)
-            self.digits = np.ascontiguousarray(E.to_vector(np.arange(E.q)).T)
+        # digits[l, e]: the coefficient of y^l of e; the elements y^v are
+        # the place values p^v
+        self.digits = E.to_vector(np.arange(E.q)).T.astype(np.float64)
+        self.places = E._places
 
     def mul(self, x, y):
         if self.k == 1:
@@ -465,31 +477,40 @@ class GridArith:
             x, e = x * x % self.p, e >> 1
         return out
 
-    def muladd(self, x, y, z):
-        """x * y + z."""
-        p = self.p
-        if self.k == 1:
-            return (x * y + z) % p
-        # the integer sum m + z, less p^(j+1) wherever digit j overflowed
-        m = self.mul(x, y)
-        out = m + z
-        for j, dj in enumerate(self.digits):
-            out -= (dj[m] + dj[z] >= p) * p ** (j + 1)
-        return out
+    def columns(self, X):
+        """The right-hand side of dot for the (n, Q) element array X: an
+        (n, k, Q) float64 array, digit v of X[j, c] at [j, v, c]."""
+        return np.ascontiguousarray(np.moveaxis(self.digits[:, X], 0, 1))
 
-    def horner(self, coeffs, x):
-        """sum_j coeffs[j] x^j, coefficients low to high."""
-        shape = np.broadcast_shapes(np.shape(x), *map(np.shape, coeffs))
-        acc = np.zeros(shape, dtype=np.int64)
-        acc += coeffs[-1]
-        for c in reversed(coeffs[:-1]):
-            if self.k > 1:
-                acc = self.muladd(acc, x, c)
-            else:  # in place: a new array per step costs page faults
-                acc *= x
-                acc += c
-                acc %= self.p
-        return acc
+    def dot(self, C, cols, zero=False):
+        """sum_j C[j, r] X[j, c] over F_q, an (R, Q) element array, for the
+        (n, R) element array C and cols = columns(X) of shape (n, k, Q);
+        with zero=True, the boolean mask of its zero entries."""
+        n, k, Q = cols.shape
+        p = self.p
+        if n * k * (p - 1) ** 2 >= 1 << 53:
+            raise ConstraintViolation(
+                f"a sum of {n * k} digit products over F_{p} can reach "
+                f"2^53, past exact float64")
+        R = C.shape[1]
+        # lhs[(l, r), (j, v)]: digit l of C[j, r] y^v
+        lhs = self.digits[:, self.mul(C[:, None], self.places[:, None])]
+        lhs = lhs.transpose(0, 3, 1, 2).reshape(k * R, n * k)
+        S = (lhs @ cols.reshape(n * k, Q)).reshape(k, R, Q)
+        # the multiple of p below S: floor of a correctly rounded S / p is
+        # exact for integers S < 2^53
+        m = S / p
+        np.floor(m, out=m)
+        m *= p
+        if zero:
+            return (S == m).all(axis=0)
+        S -= m
+        del m  # so that the output below can take its memory
+        out = S[-1]  # the digits in base p, from the highest down
+        for l in range(k - 2, -1, -1):
+            out *= p
+            out += S[l]
+        return out.astype(np.int64)
 
 
 @lru_cache(maxsize=None)

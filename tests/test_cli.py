@@ -136,10 +136,11 @@ def test_hypothesis_error_exit_two():
 
 
 def test_budget_error_exit_one():
+    # the one candidate tried, (0, 0), lies on the conic
     code, rep = run_json(["pencil", "--q", "7", "--poly", "x^2+x-t",
-                          "--trial-budget", "0"])
-    assert code in (1, 2)
-    assert "error" in rep
+                          "--trial-budget", "1"])
+    assert code == 1
+    assert rep["error"]["type"] == "GenericPointNotFound"
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

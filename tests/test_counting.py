@@ -1,5 +1,6 @@
 """Tests for Galois parameters, bounds, counting, and specialization search."""
 
+import random
 from fractions import Fraction
 from math import sqrt
 
@@ -173,20 +174,22 @@ def test_application_bound_degree_guard():
 # Exhaustive counting
 
 
-def _brute_count(f, E):
-    """Independent oracle: scalar restriction plus general irreducibility."""
+def _per_pair_row(f, E, a):
+    """Independent oracle: (full, inclusive) counts over every b for one a,
+    by scalar restriction plus general irreducibility."""
     d = f.total_degree()
     full = incl = 0
-    for ai in range(E.q):
-        for bi in range(E.q):
-            g = f.restrict_to_line(E.element_at(ai), E.element_at(bi))
-            if g.degree() < 1:
-                continue
-            if g.degree() == 1 or is_irreducible(g):
-                incl += 1
-                if g.degree() == d:
-                    full += 1
+    for b in E.elements():
+        g = f.restrict_to_line(a, b)
+        if g.degree() >= 1 and is_irreducible(g):
+            incl += 1
+            full += g.degree() == d
     return full, incl
+
+
+def _brute_count(f, E):
+    rows = [_per_pair_row(f, E, a) for a in E.elements()]
+    return tuple(sum(col) for col in zip(*rows))
 
 
 def test_count_conic_f7():
@@ -299,6 +302,18 @@ def test_rabin_count_matches_factor_oracle(p, k, modulus, degrees, data):
     rep = count_irreducible_pairs(f, E)
     assert (rep.count_full_degree, rep.count_inclusive) == \
         _factor_count(f, E)
+
+
+# blocks of several rows, with three and four digits per element; the t^3
+# coefficient a^3 - 1 of the restriction vanishes at a = 1
+@pytest.mark.parametrize("p, k", [(5, 4), (7, 3)])
+def test_count_rows_match_per_pair_above_f49(p, k):
+    E = make_field(p, k)
+    f = parse_poly("x^3-t^3+t*x+1", E)
+    rows = counting._count_rows(f, E)
+    assert counting._block_rows(E) > 1
+    for a in [1] + random.Random(p ** k).sample(range(2, E.q), 3):
+        assert tuple(rows[a]) == _per_pair_row(f, E, a), a
 
 
 def test_count_rejects_bad_characteristic():

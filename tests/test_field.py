@@ -2,13 +2,14 @@
 
 import random
 
+import numpy as np
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil import errors
-from fqpencil.field import embed, field_of_order, make_field
+from fqpencil.field import GridArith, embed, field_of_order, make_field
 
 AXIOM_FIELDS = [(2, 1), (7, 1), (3, 2), (7, 2), (2, 3), (3, 13)]
 
@@ -203,3 +204,51 @@ def test_arithmetic_matches_sympy_oracle(p, k, data):
         assert F.pow(a, -e) == elem(_oracle_powmod(poly(a).invert(m), e, m))
     euler = _oracle_powmod(poly(a), (F.q - 1) // 2, m)
     assert F.is_square(a) == (not a or p == 2 or elem(euler) == 1)
+
+
+# ---------------------------------------------------------------------------
+# GridArith.dot against scalar arithmetic, up to the float64 edge
+
+# 262139 is the largest prime below 2^18; the other fields are near that
+# size with 18, 11 and 2 digits
+DOT_FIELDS = [(7, 1), (3, 2), (262139, 1), (2, 18), (3, 11), (509, 2)]
+
+
+@pytest.mark.parametrize("p,k", DOT_FIELDS)
+@settings(max_examples=15)
+@given(data=st.data())
+def test_grid_dot_matches_scalar_arithmetic(p, k, data):
+    F = make_field(p, k)
+    ar = GridArith(F)
+    n, R, Q = (data.draw(st.integers(1, hi)) for hi in (7, 3, 3))
+    # q - 1 has the largest digit, p - 1, in every place
+    elem = st.one_of(st.sampled_from([0, 1, p - 1, F.q - 1]),
+                     st.integers(0, F.q - 1))
+    C = np.array(data.draw(st.lists(elem, min_size=n * R, max_size=n * R)),
+                 dtype=np.int64).reshape(n, R)
+    X = np.array(data.draw(st.lists(elem, min_size=n * Q, max_size=n * Q)),
+                 dtype=np.int64).reshape(n, Q)
+    expected = [[0] * Q for _ in range(R)]
+    for r in range(R):
+        for c in range(Q):
+            for j in range(n):
+                expected[r][c] = F.add(expected[r][c],
+                                       F.mul(int(C[j, r]), int(X[j, c])))
+    cols = ar.columns(X)
+    assert ar.dot(C, cols).tolist() == expected
+    assert ar.dot(C, cols, zero=True).tolist() == \
+        [[e == 0 for e in row] for row in expected]
+
+
+@pytest.mark.parametrize("p,k", [(262139, 1), (509, 2)])
+def test_grid_dot_refuses_sums_past_float64(p, k):
+    F = make_field(p, k)
+    ar = GridArith(F)
+    n = -(-(1 << 53) // (k * (p - 1) ** 2))  # least n with n k (p-1)^2 >= 2^53
+    with pytest.raises(errors.ConstraintViolation):
+        ar.dot(np.zeros((n, 0), dtype=np.int64), np.zeros((n, k, 0)))
+    if k == 1:
+        # one row fewer is exact even where every term is (p - 1)^2
+        C = np.full((n - 1, 1), p - 1, dtype=np.int64)
+        assert ar.dot(C, ar.columns(C)).tolist() == \
+            [[(n - 1) * (p - 1) ** 2 % p]]

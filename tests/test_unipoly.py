@@ -5,6 +5,8 @@ import random
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqpencil import errors
 from fqpencil.field import make_field
@@ -151,6 +153,25 @@ def test_factor_multiply_back_and_irreducible_factors(p, k):
             for _ in range(m):
                 acc = acc * g
         assert acc == f
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (7, 2), (3, 5)])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_factor_multiply_back_property(p, k, data):
+    F = make_field(p, k)
+    n = data.draw(st.integers(1, 30))
+    elem = st.one_of(st.just(0), st.integers(0, F.q - 1))
+    coeffs = data.draw(st.lists(elem, min_size=n, max_size=n))
+    f = UnivariatePoly(F, coeffs + [data.draw(st.integers(1, F.q - 1))])
+    unit, facs = factor(f)
+    acc = UnivariatePoly(F, [unit])
+    for g, m in facs:
+        assert g.leading() == F.one
+        assert is_irreducible(g)
+        for _ in range(m):
+            acc = acc * g
+    assert acc == f
 
 
 def test_factor_near_int64_limit():
