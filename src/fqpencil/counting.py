@@ -19,12 +19,12 @@ import numpy as np
 import sympy
 
 from .bivar import BivariatePoly, is_smooth
-from .errors import (ConstraintViolation, DegreeTooSmall,
+from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
 from .field import _LOG_TABLE_LIMIT, GridArith, make_field, prime_power
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
-from .unipoly import (UnivariatePoly, _count_dtype, _rabin_batch, factor,
-                      is_irreducible)
+from .unipoly import (_FROB_TABLE_LIMIT, UnivariatePoly, _count_dtype,
+                      _rabin_batch, factor, is_irreducible)
 
 
 # ---------------------------------------------------------------------------
@@ -204,13 +204,13 @@ def count_irreducible_pairs(f: BivariatePoly, E,
                        mode=mode)
 
 
-def _block_rows(E) -> int:
-    """Rows of q grid cells per block: about 2^16 float64 digits.
+def _block_rows(E, width=None) -> int:
+    """Rows of width cells (q by default) per block: about 2^16 digits.
 
     Each block's GridArith.dot product, (k rows, q) digits per row, then
     stays inside memory that the allocator reuses and the cache holds.
     """
-    return max(1, (1 << 16) // (E.q * E.k))
+    return max(1, (1 << 16) // ((width or E.q) * E.k))
 
 
 def _count_rows(f: BivariatePoly, E):
@@ -228,10 +228,7 @@ def _count_rows(f: BivariatePoly, E):
     ar = GridArith(E)
     q, d = E.q, f.total_degree()
     elems = np.arange(q)
-    powers = [np.ones(q, dtype=np.int64)]  # index 1 is the element 1
-    for _ in range(d):
-        powers.append(ar.mul(powers[-1], elems))
-    pcols = ar.columns(np.array(powers))
+    pcols = ar.power_columns(d)
     coef = _line_coefficients(f, E, ar, pcols)
     t_pts, x_pts = _curve_points(f, E, ar, pcols)
     # b = a (-t) + 1 x; E.p - 1 is the index of -1
@@ -259,36 +256,66 @@ def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, pcols, a,
     """(full, inclusive) counts of the rows a, with has_root[i, b] marking
     the restrictions of row a[i] that have a root in E.
 
-    Each pair's restriction is expanded from coef.  A rootless one of
-    degree n <= 3 is irreducible; those of degree n >= 4 are made monic
-    and tested in one _rabin_batch call per n.  That test is exact when n
-    is a prime power, and with no root for n <= 6
-    (count_monic_irreducibles); the pairs that pass it at larger n are
-    confirmed one by one.
+    Each pair's restriction is expanded from coef and classified by
+    _irreducible_mask, the step that reducible.verify_conrad shares.
     """
     q, d = E.q, f.total_degree()
     # c[m]: the coefficient of t^m of each pair's restriction
     c = np.stack([ar.dot(coef[m, :d + 1 - m][:, a], pcols[:d + 1 - m])
                   for m in range(d + 1)]).reshape(d + 1, -1)
-    deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
-    irr = deg == 1
-    rootless = ~has_root.reshape(-1)
-    for n in range(2, d + 1):
-        idx = np.flatnonzero((deg == n) & rootless)
-        if n > 3 and idx.size:
-            cn = c[:n + 1, idx]
-            low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n]))).transpose(0, 2, 1)
-            good = _rabin_batch(low.astype(_count_dtype(E, n)), E)
-            if n > 6 and len(sympy.primefactors(n)) > 1:
-                for j in np.flatnonzero(good):
-                    good[j] = is_irreducible(
-                        UnivariatePoly(E, cn[:, j].tolist()))
-            idx = idx[good]
-        irr[idx] = True
+    deg, irr = _irreducible_mask(c, has_root.reshape(-1), E, ar)
     irr = irr.reshape(a.size, q)
     return np.stack([np.count_nonzero(irr & (deg.reshape(a.size, q) == d),
                                       axis=1),
                      np.count_nonzero(irr, axis=1)], axis=1)
+
+
+# Entries n^2 k B of the Frobenius tables of one _rabin_batch call on B
+# moduli of degree n: 8 to 32 MiB, as the integer type goes.
+_RABIN_BATCH = 1 << 22
+
+
+def _irreducible_mask(c, has_root, E, ar: GridArith):
+    """(deg, irr) of a batch of polynomials over E: c[m] is the element
+    array of their t^m coefficients, has_root marks those with a root in E.
+
+    deg is 0 for constants and for zero, and irr marks the irreducible
+    ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
+    root is not, and a rootless one of degree 2 or 3 is.  The rootless
+    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
+    call per n and chunk of _RABIN_BATCH table entries.  That test is
+    exact when n is a prime power, and with no root for n <= 6
+    (count_monic_irreducibles); the polynomials that pass it at larger n
+    are confirmed one by one.  Past n k = _FROB_TABLE_LIMIT it raises
+    DegreeOutOfRange before any table is allocated.
+    """
+    deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
+    irr = deg == 1
+    rootless = ~has_root
+    for n in range(2, c.shape[0]):
+        idx = np.flatnonzero((deg == n) & rootless)
+        if n > 3 and idx.size:
+            if n * E.k > _FROB_TABLE_LIMIT:
+                raise DegreeOutOfRange(
+                    f"degree n = {n} over F_{E.q} (k = {E.k}) is past the "
+                    f"table limit n k <= {_FROB_TABLE_LIMIT}")
+            confirm = n > 6 and len(sympy.primefactors(n)) > 1
+            step = max(1, _RABIN_BATCH // (n * n * E.k))
+            passed = []
+            for start in range(0, idx.size, step):
+                part = idx[start:start + step]
+                cn = c[:n + 1, part]
+                low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n])))
+                good = _rabin_batch(
+                    low.transpose(0, 2, 1).astype(_count_dtype(E, n)), E)
+                if confirm:
+                    for j in np.flatnonzero(good):
+                        good[j] = is_irreducible(
+                            UnivariatePoly(E, cn[:, j].tolist()))
+                passed.append(part[good])
+            idx = np.concatenate(passed)
+        irr[idx] = True
+    return deg, irr
 
 
 def _line_coefficients(f: BivariatePoly, E, ar: GridArith, pcols):
@@ -428,9 +455,10 @@ def verify_application(f: BivariatePoly, E,
     """Bundle of hypothesis checks, threshold, bound and exhaustive count.
 
     counts is a CountReport of f over E that the caller already holds; the
-    pairs are counted here when it is None.  Only a singular curve needs an
-    irreducibility certificate: a smooth one is irreducible (see
-    check_hypotheses).
+    pairs are counted here, in inclusive mode, when it is None.  The
+    verdict compares the count that counts.mode names with the bound.
+    Only a singular curve needs an irreducibility certificate: a smooth
+    one is irreducible (see check_hypotheses).
     """
     from .lifting import bivariate_irreducible
     report = {"q": E.q}
@@ -456,14 +484,16 @@ def verify_application(f: BivariatePoly, E,
     report["app_bound"] = bound.app_bound
     report["count_full_degree"] = counts.count_full_degree
     report["count_inclusive"] = counts.count_inclusive
+    count = (counts.count_full_degree if counts.mode == "full"
+             else counts.count_inclusive)
     if not bound.app_threshold_ok:
         report["verdict"] = "THRESHOLD_NOT_MET"
     elif bound.app_bound_hi <= 0:
         report["verdict"] = "PASS"
         report["note"] = "bound nonpositive: vacuously satisfied"
-    elif Fraction(counts.count_inclusive) >= bound.app_bound_hi:
+    elif count >= bound.app_bound_hi:
         report["verdict"] = "PASS"
-    elif Fraction(counts.count_inclusive) < bound.app_bound_lo:
+    elif count < bound.app_bound_lo:
         report["verdict"] = "FAIL"
     else:
         report["verdict"] = "INCONCLUSIVE"

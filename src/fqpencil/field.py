@@ -477,6 +477,14 @@ class GridArith:
             x, e = x * x % self.p, e >> 1
         return out
 
+    def power_columns(self, n):
+        """columns() of the powers z^e, e <= n, of every element z."""
+        elems = np.arange(self.q)
+        powers = [np.ones(self.q, dtype=np.int64)]  # index 1 is the element 1
+        for _ in range(n):
+            powers.append(self.mul(powers[-1], elems))
+        return self.columns(np.array(powers))
+
     def columns(self, X):
         """The right-hand side of dot for the (n, Q) element array X: an
         (n, k, Q) float64 array, digit v of X[j, c] at [j, v, c]."""

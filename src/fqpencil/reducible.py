@@ -5,6 +5,12 @@ For a prime power q and an exponent b with 1 < b < 4q and gcd(b, p(q-1)) = 1
 x^{4q} + t^b into a reducible polynomial.  The verifier substitutes every g
 of degree <= D and checks reducibility exhaustively; it also runs as a
 negative control on arbitrary curves, reporting the first irreducible value.
+
+It is one batched pass over blocks of substitutions.  A block's values
+f(t, g(t)) are built together by a Horner step in x on digit arrays
+(unipoly._zmul), their roots in F_q are marked by GridArith.dot zero masks
+against the powers of every element, and counting._irreducible_mask, the
+step of the count kernel, classifies them.
 """
 
 from __future__ import annotations
@@ -12,10 +18,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .bivar import BivariatePoly
-from .errors import ConstraintViolation
-from .field import field_of_order
-from .unipoly import UnivariatePoly, is_irreducible
+from .counting import _block_rows, _irreducible_mask
+from .errors import ConstraintViolation, DegreeOutOfRange
+from .field import _LOG_TABLE_LIMIT, GridArith, field_of_order
+from .unipoly import UnivariatePoly, _zmul
+
+# float64 digits (N + 1) k q of the root test's power table: 128 MiB.
+_POWER_TABLE_LIMIT = 1 << 24
 
 
 @dataclass
@@ -43,52 +55,85 @@ def conrad_polynomial(q: int, b: int | None = None) -> ConradInstance:
 
 
 def verify_conrad(instance, D: int) -> dict:
-    """Substitute every g in F_q[t] with deg g <= D into f and factor.
+    """Substitute every g in F_q[t] with deg g <= D into f and classify.
 
     Accepts a ConradInstance or a bare BivariatePoly (negative control).
     Returns a report; all_reducible is true iff no substitution produced an
-    irreducible value.  Degenerate values (zero or constant) are classified
-    separately, not counted as irreducible.
+    irreducible value, and counterexample is the first such g in index
+    order, g = sum_i g_i t^i at index sum_i g_i q^i.  Degenerate values
+    (zero or constant) are classified separately, not counted as
+    irreducible.  Raises ConstraintViolation past q = _LOG_TABLE_LIMIT,
+    where GridArith has no tables, and DegreeOutOfRange when the values'
+    degree bound N makes the power table of the root test pass
+    _POWER_TABLE_LIMIT digits, or when a value that reaches the Rabin test
+    is past n k = _FROB_TABLE_LIMIT.
     """
     if D < 0:
         raise ConstraintViolation(f"degree cap D = {D} must be at least 0")
     f = instance.f if isinstance(instance, ConradInstance) else instance
     E = f.field
-    total = E.q ** (D + 1)
-
-    def work(idx):
-        coeffs = []
-        m = idx
-        for _ in range(D + 1):
-            coeffs.append(m % E.q)
-            m //= E.q
-        g = UnivariatePoly(E, coeffs)
-        h = f.substitute_x(g)
-        if h.degree() < 1:
-            return ("degenerate", g)
-        if h.degree() == 1 or not _reducible(h):
-            return ("irreducible", g)
-        return ("reducible", g)
-
-    results = [work(idx) for idx in range(total)]
-    degenerate = sum(1 for kind, _ in results if kind == "degenerate")
-    counterexamples = [g for kind, g in results if kind == "irreducible"]
+    q, k = E.q, E.k
+    if q > _LOG_TABLE_LIMIT:
+        raise ConstraintViolation(
+            f"verifying substitutions needs q <= {_LOG_TABLE_LIMIT}, "
+            f"got q = {q}")
+    N = max((i + j * D for i, j in f.terms), default=0)  # >= deg f(t, g)
+    if (N + 1) * k * q > _POWER_TABLE_LIMIT:
+        raise DegreeOutOfRange(
+            f"values of degree up to {N} over F_{q} need a power table "
+            f"past {_POWER_TABLE_LIMIT} digits")
+    # cs[j]: the (deg + 1, k) digits of the coefficient c_j(t) of x^j
+    lens = [1] * (1 + max((j for _, j in f.terms), default=0))
+    for i, j in f.terms:
+        lens[j] = max(lens[j], i + 1)
+    cs = [np.zeros((n, k), dtype=np.int64) for n in lens]
+    for (i, j), c in f.terms.items():
+        cs[j][i] = E.to_vector(c)
+    ar = GridArith(E)
+    pcols = ar.power_columns(N)
+    total = q ** (D + 1)
+    rows, root_rows = _block_rows(E, max(N, D) + 1), _block_rows(E)
+    degenerate = irreducible = 0
+    counterexample = None
+    for start in range(0, total, rows):
+        # g[i]: the coefficient of t^i of each substitution of the block
+        m = np.arange(start, min(start + rows, total))
+        g = np.empty((D + 1, m.size), dtype=np.int64)
+        for i in range(D + 1):
+            m, g[i] = np.divmod(m, q)
+        c = _values(cs, g, E)
+        has_root = np.zeros(g.shape[1], dtype=bool)
+        need = np.flatnonzero(c[2:].any(axis=0))  # degree >= 2
+        for s in range(0, need.size, root_rows):
+            part = need[s:s + root_rows]
+            has_root[part] = ar.dot(c[:, part], pcols, zero=True).any(axis=1)
+        deg, irr = _irreducible_mask(c, has_root, E, ar)
+        degenerate += int(np.count_nonzero(deg < 1))
+        irreducible += int(np.count_nonzero(irr))
+        if counterexample is None and irr.any():
+            first = UnivariatePoly(E, g[:, np.argmax(irr)].tolist())
+            counterexample = first.format("t")
     return {
         "substitutions": total,
         "degree_cap": D,
-        "reducible": total - degenerate - len(counterexamples),
+        "reducible": total - degenerate - irreducible,
         "degenerate": degenerate,
-        "all_reducible": not counterexamples,
-        "counterexample": (counterexamples[0].format("t")
-                           if counterexamples else None),
+        "all_reducible": counterexample is None,
+        "counterexample": counterexample,
     }
 
 
-def _reducible(h: UnivariatePoly) -> bool:
-    """Whether h (degree >= 2) is reducible over its coefficient field."""
-    dh = h.derivative()
-    if dh.is_zero():
-        return True  # a p-th power
-    if not h.gcd(dh).is_constant():
-        return True
-    return not is_irreducible(h)
+def _values(cs, g, E):
+    """c[m], the t^m coefficients of f(t, g(t)) for each column g[:, b] of
+    coefficients of t^i, where cs[j] holds the (deg + 1, k) digits of the
+    coefficient of x^j of f: Horner steps h = h g + c_j in x on (n, k, B)
+    digit arrays."""
+    gd = E.to_vector(g).transpose(0, 2, 1)
+    h = np.repeat(cs[-1][:, :, None], g.shape[1], axis=2)
+    for c in reversed(cs[:-1]):
+        h = _zmul(gd, h, E)[:, :E.k]
+        if len(c) > len(h):
+            h = np.pad(h, ((0, len(c) - len(h)), (0, 0), (0, 0)))
+        h[:len(c)] += c[:, :, None]
+        h %= E.p
+    return E.from_vector(h.transpose(0, 2, 1))

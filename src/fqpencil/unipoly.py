@@ -699,7 +699,12 @@ def _rabin_batch(low, field):
     frob = [np.zeros_like(r), r]
     frob[0][0, 0] = 1
     for _ in range(2, n):
-        frob.append(_zmulmod(frob[-1], r, nf, field, n))
+        if q < n:  # times x^q: a shift and q reduction steps
+            wide = np.zeros((n + q, 2 * k - 1, size), dtype=r.dtype)
+            wide[q:, :k] = frob[-1]
+            frob.append(_zreduce(wide, nf, field, n))
+        else:
+            frob.append(_zmulmod(frob[-1], r, nf, field, n))
     fixed = {}
     for m in range(1, n + 1):
         if m > 1:
@@ -737,15 +742,23 @@ def _zreduce(low, nf, field, n):
     return low[:n, :k] % p
 
 
-def _zmulmod(a, b, nf, field, n):
-    """Batched product of (n, k, B) residues modulo the monic moduli in nf."""
-    k = field.k
-    wide = np.zeros((2 * n - 1, 2 * k - 1, a.shape[2]), dtype=a.dtype)
-    for i in range(n):
+def _zmul(a, b, field):
+    """Batched product of (m, k, B) and (n, k, B) polynomials, one term of
+    a per row operation: a y-folded, unreduced (m+n-1, 2k-1, B) array
+    whose first k components hold the product (see _zfold)."""
+    m, k = a.shape[0], field.k
+    n = b.shape[0]
+    wide = np.zeros((m + n - 1, 2 * k - 1, b.shape[2]), dtype=b.dtype)
+    for i in range(m):
         for u in range(k):
             wide[i : i + n, u : u + k] += a[i, u] * b
     _zfold(wide, field)
-    return _zreduce(wide, nf, field, n)
+    return wide
+
+
+def _zmulmod(a, b, nf, field, n):
+    """Batched product of (n, k, B) residues modulo the monic moduli in nf."""
+    return _zreduce(_zmul(a, b, field), nf, field, n)
 
 
 def _zxpow(e, nf, field, n):

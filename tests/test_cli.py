@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import fqpencil
 from fqpencil import cli, counting
 from fqpencil.cli import run_command
+from fqpencil.counting import BoundReport
 
 
 def run_json(argv):
@@ -208,6 +210,11 @@ def test_bound_negative_q_exit_two():
     (["count", "--p", "3", "--k", "12", "--poly", "x^2+x-t"],
      "ConstraintViolation"),
     (["count", "--q", "1000003", "--poly", "x^2+x-t"], "ConstraintViolation"),
+    # F_{3^12}, past the log tables of the batched verifier
+    (["conrad", "--q", "531441", "--poly", "x^2+x-t", "--D", "0"],
+     "ConstraintViolation"),
+    # values of degree 2q - 1 = 131041: a power table of 8.6e9 digits
+    (["conrad", "--q", "65521", "--D", "0"], "DegreeOutOfRange"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)
@@ -248,8 +255,8 @@ _FLAGS = {"field": [], "factor": [], "curve": [], "count": [],
 def _argvs(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     # conrad substitutes all q^(D+1) polynomials of degree <= D (4 by
-    # default), so it takes the smallest field only
-    qs = [3, 6] if command == "conrad" else [3, 4, 6, 7, 9, 25]
+    # default), in one batched pass: about a second for the 1024 of F_4
+    qs = [3, 4, 6] if command == "conrad" else [3, 4, 6, 7, 9, 25]
     argv = [command, "--q", str(draw(st.sampled_from(qs)))]
     flags = st.sampled_from(["--k", "--seed", "--threads"] + _FLAGS[command])
     for flag, value in draw(st.lists(st.tuples(flags, st.integers(-2, 3)),
@@ -285,6 +292,22 @@ def test_python_m_fqpencil():
     assert out.returncode == 0, out.stderr
     assert strip_timing(json.loads(out.stdout)) == \
         strip_timing(run_json(argv)[1])
+
+
+def test_count_mode_names_the_count_of_the_verdict(monkeypatch):
+    # x^2+x-t over F_7 has 18 full-degree and 25 inclusive pairs; the
+    # enclosure [20, 22] lies between them
+    def between_bound(q, d):
+        return BoundReport(q=q, d=d, N=2, app_threshold_ok=True,
+                           app_bound=21.0, app_bound_lo=Fraction(20),
+                           app_bound_hi=Fraction(22), positive=True)
+
+    monkeypatch.setattr(counting, "application_bound", between_bound)
+    argv = ["count", "--q", "7", "--poly", "x^2+x-t", "--mode"]
+    code, rep = run_json(argv + ["inclusive"])
+    assert (code, rep["verdict"], rep["count_inclusive"]) == (0, "PASS", 25)
+    code, rep = run_json(argv + ["full-degree"])
+    assert (code, rep["verdict"], rep["count_full_degree"]) == (1, "FAIL", 18)
 
 
 def test_count_command_counts_once(monkeypatch):

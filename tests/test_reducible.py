@@ -4,10 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fqpencil.bivar import BivariatePoly
 from fqpencil.field import make_field
 from fqpencil.parsing import parse_poly
-from fqpencil.reducible import _reducible, conrad_polynomial, verify_conrad
-from fqpencil.errors import ConstraintViolation
+from fqpencil.reducible import conrad_polynomial, verify_conrad
+from fqpencil.errors import ConstraintViolation, DegreeOutOfRange
 from fqpencil.lifting import bivariate_irreducible
 from fqpencil.unipoly import UnivariatePoly, factor, is_irreducible
 
@@ -78,29 +79,87 @@ def test_negative_control_finds_counterexample():
     assert report["degenerate"] == 3  # the three constant substitutions
 
 
-@pytest.mark.parametrize("p,k", [(3, 1), (5, 1), (7, 1), (3, 2)])
-@settings(max_examples=40)
+def test_verify_benchmark_case_q3_d5():
+    # the 729 substitutions of degree <= 5, up to values of degree 60
+    report = verify_conrad(conrad_polynomial(3, 5), D=5)
+    assert report == {"substitutions": 729, "degree_cap": 5,
+                      "reducible": 729, "degenerate": 0,
+                      "all_reducible": True, "counterexample": None}
+
+
+def _oracle_report(f, D):
+    """verify_conrad's report, one substitution at a time through factor."""
+    E = f.field
+    total = E.q ** (D + 1)
+    degenerate, irreducible = 0, []
+    for idx in range(total):
+        g = UnivariatePoly(E, [idx // E.q ** i % E.q for i in range(D + 1)])
+        h = f.substitute_x(g)
+        if h.degree() < 1:
+            degenerate += 1
+            continue
+        _unit, facs = factor(h)
+        if len(facs) == 1 and facs[0][1] == 1:
+            irreducible.append(g)
+    return {"substitutions": total, "degree_cap": D,
+            "reducible": total - degenerate - len(irreducible),
+            "degenerate": degenerate, "all_reducible": not irreducible,
+            "counterexample": (irreducible[0].format("t")
+                               if irreducible else None)}
+
+
+# F_3, F_4, F_5, F_7 and F_9, each with at most 343 substitutions
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1), (7, 1), (3, 2)])
+@settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_reducible_matches_factor_oracle(p, k, data):
+    # Whole reports against the oracle, on random curves and on curves
+    # whose values are squares, p-th powers and products.
     E = make_field(p, k)
-    polys = st.lists(st.integers(0, E.q - 1).map(E.element_at), min_size=2,
-                     max_size=8).map(lambda c: UnivariatePoly(E, c))
-    g = data.draw(polys.filter(lambda g: g.degree() >= 1))
+    curves = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(1, E.q - 1), min_size=1, max_size=5).map(
+            lambda terms: BivariatePoly(E, terms))
+    u = data.draw(curves)
     shape = data.draw(st.sampled_from(["plain", "square", "pth", "product"]))
     if shape == "square":
-        h = g * g
+        f = u * u
     elif shape == "pth":
-        h = UnivariatePoly.one(E)
+        f = BivariatePoly(E, {(0, 0): 1})
         for _ in range(p):
-            h = h * g
+            f = f * u
     elif shape == "product":
-        h = g * data.draw(polys.filter(lambda g: g.degree() >= 1))
+        f = u * data.draw(curves)
     else:
-        h = g
-    if h.degree() < 2:
-        return
-    _unit, facs = factor(h)
-    assert _reducible(h) == (len(facs) != 1 or facs[0][1] != 1)
+        f = u
+    D = data.draw(st.integers(0, 2 if E.q <= 7 else 1))
+    assert verify_conrad(f, D) == _oracle_report(f, D)
+
+
+@pytest.mark.parametrize("poly", [
+    "x^3+t^2+x*t+1",          # rooted values of degree 6 split 1+2+3
+    "x^6+2*t^2*x^3+t^2+x^2",  # rootless values of degree 12 split 2+4+6
+])
+def test_reducible_matches_factor_oracle_past_rabin(poly):
+    # values that pass Rabin's equality tests and yet are reducible
+    F3 = make_field(3, 1)
+    f = parse_poly(poly, F3)
+    assert verify_conrad(f, 2) == _oracle_report(f, 2)
+
+
+def test_verify_refuses_fields_past_the_log_tables():
+    E = make_field(3, 12)
+    with pytest.raises(ConstraintViolation):
+        verify_conrad(parse_poly("x^2+x-t", E), D=0)
+
+
+def test_verify_refuses_values_past_the_frobenius_limit():
+    # x^4100 + t + 1: the substitution x -> t gives t^4100 + t + 1, a
+    # rootless value of degree 4100 over F_2, which reaches the Rabin test
+    F2 = make_field(2, 1)
+    f = BivariatePoly(F2, {(0, 4100): 1, (1, 0): 1, (0, 0): 1})
+    with pytest.raises(DegreeOutOfRange):
+        verify_conrad(f, D=1)
 
 
 def test_bivariate_certificate_is_inconclusive():
