@@ -16,15 +16,13 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
-import sympy
 
 from .bivar import BivariatePoly, is_smooth
-from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
+from .errors import (ConstraintViolation, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
 from .field import _LOG_TABLE_LIMIT, GridArith, make_field, prime_power
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
-from .unipoly import (_FROB_TABLE_LIMIT, UnivariatePoly, _count_dtype,
-                      _rabin_batch, factor, is_irreducible)
+from .unipoly import UnivariatePoly, _irreducible_mask, factor, is_irreducible
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +255,8 @@ def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, pcols, a,
     the restrictions of row a[i] that have a root in E.
 
     Each pair's restriction is expanded from coef and classified by
-    _irreducible_mask, the step that reducible.verify_conrad shares.
+    unipoly._irreducible_mask, the step that reducible.verify_conrad
+    shares.
     """
     q, d = E.q, f.total_degree()
     # c[m]: the coefficient of t^m of each pair's restriction
@@ -268,54 +267,6 @@ def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, pcols, a,
     return np.stack([np.count_nonzero(irr & (deg.reshape(a.size, q) == d),
                                       axis=1),
                      np.count_nonzero(irr, axis=1)], axis=1)
-
-
-# Entries n^2 k B of the Frobenius tables of one _rabin_batch call on B
-# moduli of degree n: 8 to 32 MiB, as the integer type goes.
-_RABIN_BATCH = 1 << 22
-
-
-def _irreducible_mask(c, has_root, E, ar: GridArith):
-    """(deg, irr) of a batch of polynomials over E: c[m] is the element
-    array of their t^m coefficients, has_root marks those with a root in E.
-
-    deg is 0 for constants and for zero, and irr marks the irreducible
-    ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
-    root is not, and a rootless one of degree 2 or 3 is.  The rootless
-    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
-    call per n and chunk of _RABIN_BATCH table entries.  That test is
-    exact when n is a prime power, and with no root for n <= 6
-    (count_monic_irreducibles); the polynomials that pass it at larger n
-    are confirmed one by one.  Past n k = _FROB_TABLE_LIMIT it raises
-    DegreeOutOfRange before any table is allocated.
-    """
-    deg = np.argmax(np.cumsum(c != 0, axis=0), axis=0)  # 0 if c == 0
-    irr = deg == 1
-    rootless = ~has_root
-    for n in range(2, c.shape[0]):
-        idx = np.flatnonzero((deg == n) & rootless)
-        if n > 3 and idx.size:
-            if n * E.k > _FROB_TABLE_LIMIT:
-                raise DegreeOutOfRange(
-                    f"degree n = {n} over F_{E.q} (k = {E.k}) is past the "
-                    f"table limit n k <= {_FROB_TABLE_LIMIT}")
-            confirm = n > 6 and len(sympy.primefactors(n)) > 1
-            step = max(1, _RABIN_BATCH // (n * n * E.k))
-            passed = []
-            for start in range(0, idx.size, step):
-                part = idx[start:start + step]
-                cn = c[:n + 1, part]
-                low = E.to_vector(ar.mul(cn[:n], ar.inv(cn[n])))
-                good = _rabin_batch(
-                    low.transpose(0, 2, 1).astype(_count_dtype(E, n)), E)
-                if confirm:
-                    for j in np.flatnonzero(good):
-                        good[j] = is_irreducible(
-                            UnivariatePoly(E, cn[:, j].tolist()))
-                passed.append(part[good])
-            idx = np.concatenate(passed)
-        irr[idx] = True
-    return deg, irr
 
 
 def _line_coefficients(f: BivariatePoly, E, ar: GridArith, pcols):

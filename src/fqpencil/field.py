@@ -6,7 +6,7 @@ the field's modulus.  So 0 and 1 are zero and one, 0..p-1 is the prime
 field, and integer order compares coefficients from the highest power of
 y down.  This module is the only one that knows the encoding: to_vector
 and from_vector convert to and from coefficient vectors at the edges
-(reports, text, the (n, k) digit arrays of polycore).
+(reports, text, the (n, k, B) digit arrays of polycore).
 
 Arithmetic runs on integers mod p for k = 1.  For k > 1 and q up to
 _LOG_TABLE_LIMIT it reads log/exp and Zech logarithm tables (Huber, "Some

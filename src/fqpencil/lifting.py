@@ -139,14 +139,14 @@ class _Series:
 
     def add(self, a, b):
         n = max(a.shape[0], b.shape[0])
-        out = np.zeros((n, self.F.k), dtype=np.int64)
+        out = np.zeros((n, self.F.k, 1), dtype=np.int64)
         out[: a.shape[0]] += a
         out[: b.shape[0]] += b
         return out % self.F.p
 
     def sub(self, a, b):
         n = max(a.shape[0], b.shape[0])
-        out = np.zeros((n, self.F.k), dtype=np.int64)
+        out = np.zeros((n, self.F.k, 1), dtype=np.int64)
         out[: a.shape[0]] += a
         out[: b.shape[0]] -= b
         return out % self.F.p

@@ -1,57 +1,105 @@
-"""Vectorized polynomial arithmetic over F_{p^k}.
+"""Polynomials over F_{p^k} held as digit arrays, in batches.
 
-A polynomial of degree < n is stored as an int64 array of shape (n, k):
-row i holds the coefficient vector of x^i over F_p (Field.to_vector, low
-power of the field generator y first).  All routines keep entries reduced
-mod p.
+This is the only module that knows the layout.  A batch of B polynomials
+of degree < n is an integer array of shape (n, k, B): entry [i, u, b] is
+component u (Field.to_vector, low power of the field generator y first)
+of the coefficient of x^i of polynomial b.  The batch axis is last, so
+numpy runs over whole rows, and a single polynomial is the batch B = 1.
+to_array and elements convert from and to field elements.  All results
+are reduced mod p.
 
-Every operation is a few whole-array numpy calls, whatever k is.  A product
-is one convolution of the Kronecker-packed operands (component u of
-coefficient i at digit (2k-1) i + u, so no two component products collide)
-followed by one matrix product that folds y^k .. y^{2k-2} back.  Reduction
-modulo a fixed monic M and the q-power Frobenius are F_p-linear maps; ModCtx
-and FrobCtx store them as integer matrices acting on the flattened (n*k)
-coefficient vector, which keeps long square-and-multiply chains (e.g.
-Frobenius powers of degree-144 polynomials) fast.
+Each operation is written once.  The product and the reduction have two
+inner forms, chosen by B alone: for B = 1 one convolution of the
+Kronecker-packed operands (component u of coefficient i at digit
+(2k-1) i + u, so no two component products collide) and one product with
+a reduction matrix; for B > 1 one row operation per term, across the
+batch.  The fold of y^k .. y^{2k-2} and the Frobenius step are one einsum
+each for every B.  ModCtx and FrobCtx hold a batch of monic moduli of one
+degree n, in the narrowest integer type that holds every sum the kernels
+form (_count_dtype), and refuse n k past _FROB_TABLE_LIMIT.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import DegreeOutOfRange
+
+# The Frobenius table holds (n k)^2 entries per modulus, and the reduction
+# matrix of a single modulus about twice that: 256 MiB of float64 at this
+# n k.
+_FROB_TABLE_LIMIT = 4096
+
+
+def _count_dtype(field, n):
+    """Narrowest integer type holding every sum formed modulo a degree-n
+    modulus, or None when int64 does not.
+
+    With residues in [0, p-1], a product digit sums at most n*k terms below
+    (p-1)^2 (the bound allows n+1), folding y^k.. multiplies that by at
+    most 1 + (k-1)(p-1), and the reduction adds up to n-1 strides of k more
+    such terms.  A Frobenius step sums n*k terms.
+    """
+    p, k = field.p, field.k
+    sq = (p - 1) ** 2
+    bound = (n + 1) * k * sq * (1 + (k - 1) * (p - 1)) + (n - 1) * k * sq
+    for dtype, bits in ((np.int16, 15), (np.int32, 31), (np.int64, 63)):
+        if bound < 1 << bits:
+            return dtype
+    return None
+
+
+def _mod(a: np.ndarray, p: int) -> np.ndarray:
+    """a mod p, as a - (a // p) p: numpy divides by a scalar with SIMD
+    but computes % element by element, many times slower on large arrays."""
+    return a - a // p * p
+
 
 def to_array(coeffs, field, length=None) -> np.ndarray:
-    """Pack a list of field elements (low degree first) into an (n, k) array."""
-    n = len(coeffs) if length is None else length
-    out = np.zeros((max(n, 1), field.k), dtype=np.int64)
-    if coeffs:
-        out[: len(coeffs)] = field.to_vector(np.array(coeffs))
+    """(n, k, B) digits of polynomials given by their coefficients, low
+    degree first: a list for one polynomial (B = 1), or an (m, B) element
+    array with one polynomial per column.  Zero rows pad it to length."""
+    c = np.asarray(coeffs)
+    c = c.reshape(len(c), -1) if c.size else c.reshape(0, 1)
+    out = np.zeros((max(len(c) if length is None else length, 1), field.k,
+                    c.shape[1]), dtype=np.int64)
+    out[: len(c)] = field.to_vector(c).transpose(0, 2, 1)
     return out
 
 
+def elements(arr, field) -> np.ndarray:
+    """The (n, B) element array of the coefficients in an (n, k, B) array."""
+    return field.from_vector(arr.transpose(0, 2, 1))
+
+
 def from_array(arr, field):
-    """Unpack an (n, k) array into a trimmed list of field elements."""
-    coeffs = field.from_vector(arr).tolist()
+    """Trimmed coefficient list of the polynomial in an (n, k, 1) array."""
+    coeffs = elements(arr, field)[:, 0].tolist()
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return coeffs
 
 
 def _times_y_powers(a: np.ndarray, field) -> np.ndarray:
-    """Stack y^u * a for u < k: shape (k,) + a.shape, entries mod p.
-
-    c @ M with M[u] = y^u * m is then the product c * m for an element c.
-    """
-    k = field.k
-    out = a.reshape(1, -1, k) @ field._yprod_np
-    return (out % field.p).reshape((k,) + a.shape)
+    """y^u a for u < k, for residues a of shape (..., m, k, B): an array of
+    shape (..., k, m, k, B), the new axis u before the rows of a.  Each
+    power is the one before times y, a shift of the components and a fold
+    of the one that passes y^{k-1}."""
+    out = np.empty(a.shape[:-3] + (field.k,) + a.shape[-3:], dtype=a.dtype)
+    out[..., 0, :, :, :] = a
+    for u in range(1, field.k):
+        prev = out[..., u - 1, :, :, :]
+        shifted = np.concatenate([np.zeros_like(prev[..., :1, :]), prev],
+                                 axis=-2)
+        out[..., u, :, :, :] = _mod(_fold(shifted, field), field.p)
+    return out
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for matrices of residues.
 
     The product runs in float64 (BLAS) whenever no sum can reach 2^53, so it
-    stays exact; numpy's int64 product has no BLAS behind it.
+    stays exact; numpy's integer product has no BLAS behind it.
     """
     if (p - 1) ** 2 * a.shape[-1] < 1 << 53:
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(
@@ -60,88 +108,186 @@ def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _fold(wide: np.ndarray, field) -> np.ndarray:
-    """Reduce generator powers y^k..y^{2k-2} using the field's modulus rows.
-
-    wide has shape (..., 2k-1); returns shape (..., k), entries mod p.
-    """
-    k, p = field.k, field.p
-    wide = wide % p
-    if k == 1:
+    """The (..., k, B) digits of elements from their (..., k + e, B)
+    components of y^0 .. y^{k+e-1}, e < k, folded with the field's modulus
+    rows (y^{k+i} is sum_v _red_np[i, v] y^v); not reduced mod p."""
+    k = field.k
+    if wide.shape[-2] == k:
         return wide
-    return (wide[..., :k] + wide[..., k:] @ field._red_np) % p
-
-
-def poly_mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
-    """Product of two packed polynomials."""
-    w = 2 * field.k - 1
-    n = a.shape[0] + b.shape[0] - 1
-    wide = np.convolve(_spread(a, w), _spread(b, w))[: n * w]
-    return _fold(wide.reshape(n, w), field)
+    red = field._red_np[: wide.shape[-2] - k].astype(wide.dtype)
+    return wide[..., :k, :] + np.einsum("iv,...ib->...vb", red,
+                                        wide[..., k:, :])
 
 
 def _spread(a: np.ndarray, w: int) -> np.ndarray:
-    """Flatten an (m, k) array with component u of row i at digit w*i + u."""
-    m, k = a.shape
+    """Flatten an (m, k, 1) array, component u of row i at digit w*i + u."""
+    m, k = a.shape[:2]
     if k == w:
         return a.reshape(-1)
-    out = np.zeros((m, w), dtype=np.int64)
-    out[:, :k] = a
+    out = np.zeros((m, w), dtype=a.dtype)
+    out[:, :k] = a[:, :, 0]
     return out.reshape(-1)
 
 
+def _product(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
+    """Product of the (m, k, B) and (l, k, B) residue arrays a and b, of
+    shape (m + l - 1, k, B), not reduced mod p.
+
+    For B = 1 it is one convolution of the packed operands, for B > 1 one
+    row operation per component of each term of a.
+    """
+    k, w = field.k, 2 * field.k - 1
+    m, l, B = a.shape[0], b.shape[0], b.shape[2]
+    if B == 1:
+        wide = np.convolve(_spread(a, w), _spread(b, w))[: (m + l - 1) * w]
+        wide = wide.reshape(m + l - 1, w, 1)
+    else:
+        wide = np.zeros((m + l - 1, w, B), dtype=np.result_type(a, b))
+        for i in range(m):
+            for u in range(k):
+                wide[i : i + l, u : u + k] += a[i, u] * b
+    return _fold(wide, field)
+
+
+def poly_mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
+    """Product of two batches of polynomials, reduced mod p."""
+    return _mod(_product(a, b, field), field.p)
+
+
+def substitute(cs, g, field) -> np.ndarray:
+    """Coefficients of sum_j c_j(t) g(t)^j, low degree first, for each
+    column of the (D + 1, B) element array g (the coefficients of t^i of
+    B polynomials), where cs[j] lists the coefficients of c_j(t): Horner
+    steps in x.  Returns an element array with one column per g."""
+    p = field.p
+    gd = to_array(g, field)
+    h = np.repeat(to_array(cs[-1], field), g.shape[1], axis=2)
+    for c in reversed(cs[:-1]):
+        h = _product(gd, h, field)
+        if len(c) > len(h):
+            h = np.pad(h, ((0, len(c) - len(h)), (0, 0), (0, 0)))
+        h[: len(c)] += to_array(c, field)
+        h = _mod(h, p)
+    return elements(h, field)
+
+
+def root_mask(c, field) -> np.ndarray:
+    """Mask of the columns of the (n + 1, B) element array c, coefficients
+    low degree first, with a root in F_q.
+
+    The digits of every value sum_i c_i z^i, for a group of elements z,
+    are one float64 product of the digits of y^u z^i with those of c,
+    exact while (n + 1) k (p - 1)^2 < 2^53.  Elements and columns go in
+    blocks of about 2^16 digits; the powers z^i are products of digit
+    rows across all the elements.
+    """
+    n, k, q, p = c.shape[0] - 1, field.k, field.q, field.p
+    z = to_array(np.arange(q)[None], field)
+    zp = [to_array(np.ones((1, q), dtype=np.int64), field)]
+    for _ in range(n):
+        zp.append(poly_mul(zp[-1], z, field))
+    zp = np.concatenate(zp)  # zp[i, :, e]: the digits of e^i
+    out = np.zeros(c.shape[1], dtype=bool)
+    step = max(1, (1 << 16) // ((n + 1) * k))
+    for g in range(0, q, step):
+        # yz[(e, w), (i, u)]: digit w of y^u e^i
+        yz = _times_y_powers(zp[:, :, g : g + step], field)
+        yz = yz.transpose(3, 2, 1, 0).reshape(-1, (n + 1) * k)
+        yz = yz.astype(np.float64)
+        cols = max(1, (1 << 16) // len(yz))
+        for s in range(0, c.shape[1], cols):
+            d = to_array(c[:, s : s + cols], field)
+            d = d.reshape((n + 1) * k, -1).astype(np.float64)
+            values = _mod((yz @ d).astype(np.int64), p)
+            zero = ~values.reshape(-1, k, d.shape[1]).any(axis=1)
+            out[s : s + cols] |= zero.any(axis=0)
+    return out
+
+
 class ModCtx:
-    """Fixed monic modulus with a precomputed power-reduction matrix."""
+    """A batch of B monic moduli f of one degree n.
 
-    def __init__(self, modulus: np.ndarray, field, headroom: int | None = None):
-        """modulus: packed array of length n+1 with monic top coefficient."""
-        self.field = field
+    For B = 1 it holds the reduction matrix, row (m, u) y^u x^m mod f for
+    m < 2n - 1, so a reduction, shifted or not, is one matrix product; for
+    B > 1 it reduces one row operation per term with neg[u] = y^u x^n mod
+    f.
+    """
+
+    def __init__(self, modulus: np.ndarray, field):
+        """modulus: (n + 1, k, B) digits, every top coefficient 1.
+
+        Raises DegreeOutOfRange, before any table is allocated, past
+        n k = _FROB_TABLE_LIMIT or when a sum could pass int64.
+        """
+        n, B = modulus.shape[0] - 1, modulus.shape[2]
         p, k = field.p, field.k
-        n = modulus.shape[0] - 1
-        assert modulus[n, 0] == 1 and not modulus[n, 1:].any()
-        self.n = n
-        self.modulus = modulus
-        # red[j, u] = y^u x^{n+j} mod M, for j = 0 .. headroom-1.  Rows
-        # m .. 2m-1 are rows 0 .. m-1 times x^m: a shift, with the part that
-        # passes x^n reduced by rows already known.
-        hr = (n - 1) if headroom is None else headroom
-        red = np.zeros((max(hr, 1), k, n, k), dtype=np.int64)
-        red[0] = _times_y_powers((p - modulus[:n]) % p, field)
-        m = 1
-        while m < hr:
-            step = min(m, hr - m)
-            lo = max(n - m, 0)
-            blk = red[:step]
-            new = red[m : m + step]
-            spill = blk[:, :, lo:].reshape(step * k, -1)
-            new[:] = _matmul_mod(spill, red[lo + m - n : m].reshape(-1, n * k),
-                                 p).reshape(step, k, n, k)
-            new[:, :, m:] += blk[:, :, :lo]
-            new %= p
-            m += step
-        self.red = red.reshape(-1, n * k)
-        self.headroom = hr
+        sq = (p - 1) ** 2
+        if n * k > _FROB_TABLE_LIMIT:
+            raise DegreeOutOfRange(
+                f"degree n = {n} over F_{field.q} (k = {k}) is past the "
+                f"table limit n k <= {_FROB_TABLE_LIMIT}")
+        dtype = _count_dtype(field, n)
+        if dtype is None:
+            raise DegreeOutOfRange(
+                f"sums of residues mod {p} at degree {n} pass int64")
+        self.field, self.n, self.B, self.dtype = field, n, B, dtype
+        # neg[u] = y^u x^n mod f = -y^u (f - x^n)
+        self.neg = _times_y_powers(_mod(p - modulus[:n].astype(dtype), p),
+                                   field)
+        if B == 1:
+            # red[j] = y^u x^{n+j} mod f.  Rows m .. 2m-1 are rows 0 .. m-1
+            # times x^m: a shift, with the part that passes x^n reduced by
+            # rows already known.
+            hr = max(n - 1, 1)
+            red = np.zeros((hr, k, n, k), dtype=dtype)
+            red[0] = self.neg[..., 0]
+            m = 1
+            while m < hr:
+                step = min(m, hr - m)
+                blk = red[:step]
+                new = red[m : m + step]
+                spill = blk[:, :, n - m :].reshape(step * k, -1)
+                new[:] = _matmul_mod(spill, red[:m].reshape(-1, n * k),
+                                     p).reshape(step, k, n, k)
+                new[:, :, m:] += blk[:, :, : n - m]
+                new %= p
+                m += step
+            # y^u x^m mod f for every m < 2n - 1: the identity, then red
+            red = np.concatenate([np.eye(n * k, dtype=dtype),
+                                  red.reshape(-1, n * k)])
+            exact = sq * (2 * n - 1) * k < 1 << 53  # in float64, so BLAS
+            self.red = red.astype(np.float64) if exact else red
 
-    def reduce(self, a: np.ndarray) -> np.ndarray:
-        """a mod M, for deg a <= n - 1 + headroom."""
-        n, field = self.n, self.field
-        if a.shape[0] <= n:
-            out = np.zeros((n, field.k), dtype=np.int64)
-            out[: a.shape[0]] = a
-            return out
-        extra = a.shape[0] - n
-        assert extra <= self.headroom
-        k = field.k
-        low = a[:n].reshape(-1) + a[n:].reshape(-1) @ self.red[: extra * k]
-        return (low % field.p).reshape(n, k)
+    def _zeros(self, rows, lead=()):
+        return np.zeros(lead + (rows, self.field.k, self.B), dtype=self.dtype)
+
+    def reduce(self, a: np.ndarray, shift: int = 0) -> np.ndarray:
+        """x^shift a mod f for an (..., m, k, B) array, shift + m <= 2n - 1,
+        whose entries need not be reduced mod p; leading axes hold more
+        polynomials per modulus.  a may be consumed."""
+        n, p, k = self.n, self.field.p, self.field.k
+        lead, m = a.shape[:-3], a.shape[-3] + shift
+        if self.B == 1:  # one product with the reduction matrix
+            red = self.red[shift * k : m * k]
+            low = (a % p).reshape(-1, len(red)).astype(red.dtype) @ red
+            return (low.astype(self.dtype) % p).reshape(lead + (n, k, 1))
+        if shift or m < n:
+            wide = self._zeros(max(m, n), lead)
+            wide[..., shift:m, :, :] = a
+            a = wide
+        for j in range(m - 1, n - 1, -1):  # one row operation per term
+            c = _mod(a[..., j, :, :], p)
+            a[..., j - n : j, :, :] += np.einsum("...ub,uivb->...ivb", c,
+                                                 self.neg)
+        return _mod(a[..., :n, :, :], p)
 
     def mulmod(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return self.reduce(poly_mul(a, b, self.field))
+        return self.reduce(_product(a, b, self.field))
 
     def powmod(self, a: np.ndarray, e: int) -> np.ndarray:
-        field = self.field
-        result = np.zeros((self.n, field.k), dtype=np.int64)
+        result = self._zeros(self.n)
         result[0, 0] = 1
-        base = self.reduce(a)
+        base = self.reduce(a.astype(self.dtype))
         while e:
             if e & 1:
                 result = self.mulmod(result, base)
@@ -151,79 +297,79 @@ class ModCtx:
         return result
 
     def xpow(self, e: int) -> np.ndarray:
-        """x^e mod M (e >= 1).
+        """x^e mod f (e >= 1).
 
-        The leading bits of e, as long as they stay within reach of the
-        reduction matrix, give a monomial that is reduced directly; the
-        remaining bits cost a squaring each, and a multiplication by x is a
-        shift.
+        The leading bits of e, up to degree 2n - 2, give a monomial that is
+        reduced directly; the remaining bits cost a squaring each, and a
+        multiplication by x is a shift.
         """
-        k = self.field.k
-        top = self.n - 1 + self.headroom
+        top = 2 * self.n - 2
         s = max(e.bit_length() - top.bit_length(), 0)
         if e >> s > top:
             s += 1
-        mono = np.zeros(((e >> s) + 1, k), dtype=np.int64)
+        mono = self._zeros((e >> s) + 1)
         mono[-1, 0] = 1
         result = self.reduce(mono)
         for i in range(s - 1, -1, -1):
             result = self.mulmod(result, result)
             if e >> i & 1:
-                result = self.reduce(np.concatenate(
-                    [np.zeros((1, k), dtype=np.int64), result]))
+                result = self.reduce(result, 1)
         return result
-
-    def mul_matrix(self, c: np.ndarray) -> np.ndarray:
-        """F_p matrix of h -> c h mod M on flattened coefficients.
-
-        Row (i, u) is y^u x^i c mod M: the shifted copies of y^u c, reduced
-        with one matrix product.
-        """
-        n, k, p = self.n, self.field.k, self.field.p
-        yc = _times_y_powers(c, self.field)
-        wide = np.zeros((n, k, 2 * n - 1, k), dtype=np.int64)
-        for i in range(n):
-            wide[i, :, i : i + n] = yc
-        wide = wide.reshape(n * k, -1)
-        return (wide[:, : n * k] + _matmul_mod(
-            wide[:, n * k :], self.red[: (n - 1) * k], p)) % p
 
 
 class FrobCtx(ModCtx):
-    """ModCtx with the matrix of the q-power Frobenius.
+    """ModCtx with the table of the q-power Frobenius.
 
     For h with coefficients in the ground field F_q, h(x)^q = h(x^q), so
-    h^q mod M = sum_j h_j (x^q)^j mod M is F_p-linear in h's flattened
-    coefficients; row (j, u) of the matrix is y^u (x^q)^j mod M.  The powers
-    x^{qj} of degree up to n - 1 + headroom are rows of the reduction
-    matrix; the rest follow by multiplying with x^q, whose matrix is itself
-    a window of the reduction matrix when q < n.
+    h^q mod f = sum_j h_j (x^q)^j mod f is F_p-linear in h's digits; row
+    (j, u) of a modulus's (n k, n k) table is y^u x^{qj} mod f, and a step
+    is one stacked product with it.  The powers x^{qj} follow each other
+    by a shift and q reduction steps when q < n, d = (n-1) // q rows at a
+    time.  Otherwise each is the one before times x^q: a step with the
+    table of h -> x^q h mod f, rows y^u x^i x^q mod f, whose second half
+    is always the first half shifted.
     """
 
     def __init__(self, modulus: np.ndarray, field):
         super().__init__(modulus, field)
-        n, k, p, q = self.n, field.k, field.p, field.q
-        # y^u x^m mod M for m <= n - 1 + headroom, straight from red
-        xm = np.concatenate([np.eye(n * k, dtype=np.int64), self.red]) \
-            .reshape(-1, k, n * k)
-        table = np.zeros((n, n * k), dtype=np.int64)
-        direct = min(n, (len(xm) - 1) // q + 1)
-        table[:direct] = xm[: q * direct : q, 0]
-        if direct < n:
-            if q + n <= len(xm):
-                times_xq = xm[q : q + n].reshape(n * k, n * k)
-            else:
-                times_xq = self.mul_matrix(self.xpow(q))
-            for j in range(direct, n):
-                table[j] = table[j - 1] @ times_xq % p
-        self.frob = _times_y_powers(table.reshape(n, n, k), field) \
-            .transpose(1, 0, 2, 3).reshape(n * k, n * k)
+        n, k, q, B = self.n, field.k, field.q, self.B
+        self.xq = self.xpow(q)
+        # rows[j, u] = y^u x^{qj} mod f
+        if q < n:
+            d = (n - 1) // q
+            j, u = np.arange(d)[:, None], np.arange(k)
+            rows = [self._zeros(n, (d, k))]
+            rows[0][j, u, q * j, u] = 1
+            while len(rows) * d < n:
+                rows.append(self.reduce(rows[-1], q * d))
+            rows = np.concatenate(rows)[:n]
+        else:
+            times_xq = _times_y_powers(self.xq, field)[None]
+            while len(times_xq) < n:
+                m = len(times_xq)
+                times_xq = np.concatenate(
+                    [times_xq, self.reduce(times_xq[: n - m], m)])
+            rows = [self._zeros(n, (k,)), times_xq[0]]
+            rows[0][np.arange(k), 0, np.arange(k)] = 1
+            times_xq = times_xq.reshape(n * k, n * k, B)
+            for _ in range(2, n):
+                rows.append(self._step(rows[-1], times_xq))
+            rows = np.stack(rows[:n])
+        self.frob = rows.reshape(n * k, n * k, B)
+
+    def _step(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
+        """The image of residues a of shape (..., m, k, B), m <= n, under
+        the F_p-linear map of an (n k, n k, B) table: one stacked product."""
+        n, k, B = self.n, self.field.k, self.B
+        lead = a.shape[:-3]
+        if a.shape[-3] < n or a.dtype != self.dtype:
+            h = self._zeros(n, lead)  # in the table's integer type
+            h[..., : a.shape[-3], :, :] = a
+            a = h
+        out = np.einsum("...jb,jib->...ib", a.reshape(lead + (n * k, B)),
+                        table)
+        return _mod(out, self.field.p).reshape(lead + (n, k, B))
 
     def frobenius(self, a: np.ndarray) -> np.ndarray:
-        """a(x)^q mod M; a packed with length <= n."""
-        n, field = self.n, self.field
-        if a.shape[0] < n:
-            padded = np.zeros((n, field.k), dtype=np.int64)
-            padded[: a.shape[0]] = a
-            a = padded
-        return (a.reshape(-1) @ self.frob % field.p).reshape(n, field.k)
+        """a(x)^q mod f for residues a of at most n rows."""
+        return self._step(a, self.frob)

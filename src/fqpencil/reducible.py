@@ -7,10 +7,10 @@ of degree <= D and checks reducibility exhaustively; it also runs as a
 negative control on arbitrary curves, reporting the first irreducible value.
 
 It is one batched pass over blocks of substitutions.  A block's values
-f(t, g(t)) are built together by a Horner step in x on digit arrays
-(unipoly._zmul), their roots in F_q are marked by GridArith.dot zero masks
-against the powers of every element, and counting._irreducible_mask, the
-step of the count kernel, classifies them.
+f(t, g(t)) are built together by Horner steps in x (polycore.substitute),
+their roots in F_q are marked by GridArith.dot zero masks against the
+powers of every element, and unipoly._irreducible_mask, the step of the
+count kernel, classifies them.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from math import gcd
 import numpy as np
 
 from .bivar import BivariatePoly
-from .counting import _block_rows, _irreducible_mask
+from .counting import _block_rows
 from .errors import ConstraintViolation, DegreeOutOfRange
 from .field import _LOG_TABLE_LIMIT, GridArith, field_of_order
-from .unipoly import UnivariatePoly, _zmul
+from .polycore import substitute
+from .unipoly import UnivariatePoly, _irreducible_mask
 
 # float64 digits (N + 1) k q of the root test's power table: 128 MiB.
 _POWER_TABLE_LIMIT = 1 << 24
+# Substitutions q^(D + 1) of one verification.
+_SUBSTITUTION_LIMIT = 1 << 24
 
 
 @dataclass
@@ -65,8 +68,9 @@ def verify_conrad(instance, D: int) -> dict:
     irreducible.  Raises ConstraintViolation past q = _LOG_TABLE_LIMIT,
     where GridArith has no tables, and DegreeOutOfRange when the values'
     degree bound N makes the power table of the root test pass
-    _POWER_TABLE_LIMIT digits, or when a value that reaches the Rabin test
-    is past n k = _FROB_TABLE_LIMIT.
+    _POWER_TABLE_LIMIT digits, when the q^(D + 1) substitutions pass
+    _SUBSTITUTION_LIMIT, or when a value that reaches the Rabin test is
+    past n k = polycore._FROB_TABLE_LIMIT.
     """
     if D < 0:
         raise ConstraintViolation(f"degree cap D = {D} must be at least 0")
@@ -82,16 +86,18 @@ def verify_conrad(instance, D: int) -> dict:
         raise DegreeOutOfRange(
             f"values of degree up to {N} over F_{q} need a power table "
             f"past {_POWER_TABLE_LIMIT} digits")
-    # cs[j]: the (deg + 1, k) digits of the coefficient c_j(t) of x^j
-    lens = [1] * (1 + max((j for _, j in f.terms), default=0))
-    for i, j in f.terms:
-        lens[j] = max(lens[j], i + 1)
-    cs = [np.zeros((n, k), dtype=np.int64) for n in lens]
+    total = q ** (D + 1)
+    if total > _SUBSTITUTION_LIMIT:
+        raise DegreeOutOfRange(
+            f"D = {D} over F_{q} means {q}^{D + 1} substitutions, past "
+            f"{_SUBSTITUTION_LIMIT}")
+    # cs[j]: the coefficients of t^i in the coefficient c_j(t) of x^j
+    cs = [[0] for _ in range(1 + max((j for _, j in f.terms), default=0))]
     for (i, j), c in f.terms.items():
-        cs[j][i] = E.to_vector(c)
+        cs[j] += [0] * (i + 1 - len(cs[j]))
+        cs[j][i] = c
     ar = GridArith(E)
     pcols = ar.power_columns(N)
-    total = q ** (D + 1)
     rows, root_rows = _block_rows(E, max(N, D) + 1), _block_rows(E)
     degenerate = irreducible = 0
     counterexample = None
@@ -101,7 +107,7 @@ def verify_conrad(instance, D: int) -> dict:
         g = np.empty((D + 1, m.size), dtype=np.int64)
         for i in range(D + 1):
             m, g[i] = np.divmod(m, q)
-        c = _values(cs, g, E)
+        c = substitute(cs, g, E)
         has_root = np.zeros(g.shape[1], dtype=bool)
         need = np.flatnonzero(c[2:].any(axis=0))  # degree >= 2
         for s in range(0, need.size, root_rows):
@@ -121,19 +127,3 @@ def verify_conrad(instance, D: int) -> dict:
         "all_reducible": counterexample is None,
         "counterexample": counterexample,
     }
-
-
-def _values(cs, g, E):
-    """c[m], the t^m coefficients of f(t, g(t)) for each column g[:, b] of
-    coefficients of t^i, where cs[j] holds the (deg + 1, k) digits of the
-    coefficient of x^j of f: Horner steps h = h g + c_j in x on (n, k, B)
-    digit arrays."""
-    gd = E.to_vector(g).transpose(0, 2, 1)
-    h = np.repeat(cs[-1][:, :, None], g.shape[1], axis=2)
-    for c in reversed(cs[:-1]):
-        h = _zmul(gd, h, E)[:, :E.k]
-        if len(c) > len(h):
-            h = np.pad(h, ((0, len(c) - len(h)), (0, 0), (0, 0)))
-        h[:len(c)] += c[:, :, None]
-        h %= E.p
-    return E.from_vector(h.transpose(0, 2, 1))

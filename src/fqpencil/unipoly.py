@@ -14,7 +14,8 @@ import numpy as np
 import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .polycore import FrobCtx, from_array, to_array
+from .field import _LOG_TABLE_LIMIT, GridArith
+from .polycore import FrobCtx, _count_dtype, from_array, root_mask, to_array
 
 
 class UnivariatePoly:
@@ -354,25 +355,19 @@ def _pth_root_poly(f: UnivariatePoly) -> UnivariatePoly:
 
 
 _DDF_NUMPY_MIN = 8
-# The tables of a FrobCtx hold (n k)^2 int64 entries: 128 MiB at this n k.
-_FROB_TABLE_LIMIT = 4096
 
 
 def _frob_ctx(f: UnivariatePoly, min_degree=_DDF_NUMPY_MIN):
     """Frobenius table modulo monic f, or None when f is too small for it.
 
-    Also None when a sum of n*k products of residues could pass int64 (p
-    from about 2^31 on), since the numpy kernels would wrap silently.
-    Raises DegreeOutOfRange, before any table is allocated, past
-    n k = _FROB_TABLE_LIMIT.
+    Also None when a sum of residue products could pass int64 (p from
+    about 2^31 on, polycore._count_dtype), since the numpy kernels would
+    wrap silently.  FrobCtx raises DegreeOutOfRange, before any table is
+    allocated, past n k = polycore._FROB_TABLE_LIMIT.
     """
     F, n = f.field, f.degree()
-    if n < min_degree or (F.p - 1) ** 2 * n * F.k >= 1 << 63:
+    if n < min_degree or _count_dtype(F, n) is None:
         return None
-    if n * F.k > _FROB_TABLE_LIMIT:
-        raise DegreeOutOfRange(
-            f"degree n = {n} over F_{F.q} (k = {F.k}) is past the table "
-            f"limit n k <= {_FROB_TABLE_LIMIT}")
     return FrobCtx(to_array(f.coeffs, F), F)
 
 
@@ -437,7 +432,7 @@ def _distinct_degree(f: UnivariatePoly, ctx=None):
 
 
 def _gcd_array(arr, g: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd of g and the polynomial held in a packed (n, k) array."""
+    """Monic gcd of g and the polynomial held in an (n, k, 1) array."""
     return UnivariatePoly(g.field, from_array(arr, g.field)).gcd(g)
 
 
@@ -584,28 +579,27 @@ def discriminant(f: UnivariatePoly):
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive irreducible counting
+# Batched irreducibility: exhaustive counts, the count kernel, Conrad values
 
-_COUNT_CHUNK = 1 << 16
+_COUNT_CHUNK = 1 << 14
+# Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
+# moduli of degree n: 2 to 8 MiB, as the integer type goes.
+_RABIN_BATCH = 1 << 20
 
 
 def count_monic_irreducibles(field, n: int) -> int:
     """Number of monic irreducible polynomials of degree n, by enumeration.
 
-    Every monic degree-n polynomial is tested with a vectorized form of the
-    Rabin criterion.  After discarding polynomials with a root in the field,
-    a survivor f satisfies x^{q^n} = x mod f exactly when all its factor
-    degrees divide n; for n <= 6 the only such factorizations besides the
-    irreducible one use a single repeated degree n/l (any mixed combination
-    of part sizes needs a linear part), so the remaining gcd conditions
-    reduce to the equality tests x^{q^{n/l}} != x mod f.
-
-    The batched kernel sums products of residues before reducing them mod
-    p.  It runs in int16, int32 or int64, the narrowest type that holds the
-    largest such sum (_count_dtype), so the count is exact for every field
-    it accepts: at n = 6 and k = 1, int16 serves p <= 53, int32 p <= 13378
-    and int64 p <= 876706529; F_9 and F_49 stay in int16 at every degree.
-    Fields whose sums would pass int64 raise DegreeOutOfRange.
+    Every monic degree-n polynomial is classified by _irreducible_mask
+    once its roots in the field are marked (polycore.root_mask).  For
+    n <= 6 that is exact: a rootless survivor f satisfies x^{q^n} = x mod
+    f exactly when all its factor degrees divide n, and the only such
+    factorizations besides the irreducible one use a single repeated
+    degree n/l (any mixed combination of part sizes needs a linear part),
+    so the remaining gcd conditions reduce to _rabin_batch's equality
+    tests x^{q^{n/l}} != x mod f.  Chunks of _COUNT_CHUNK polynomials keep
+    the working arrays to a few MiB.  Fields past q = 2^18 raise
+    DegreeOutOfRange.
     """
     q = field.q
     if n < 1:
@@ -614,180 +608,81 @@ def count_monic_irreducibles(field, n: int) -> int:
         return q
     if n > 6:
         raise DegreeOutOfRange("exhaustive counting is limited to degree 6")
-    dtype = _count_dtype(field, n)
-
+    if q > _LOG_TABLE_LIMIT:
+        raise DegreeOutOfRange("field too large for exhaustive counting")
+    ar = GridArith(field)
     total = 0
     for start in range(0, q ** n, _COUNT_CHUNK):
-        stop = min(start + _COUNT_CHUNK, q ** n)
-        total += _count_chunk(field, n, np.arange(start, stop), dtype)
+        m = np.arange(start, min(start + _COUNT_CHUNK, q ** n))
+        c = np.ones((n + 1, m.size), dtype=np.int64)  # the element 1 is 1
+        for i in range(n):
+            m, c[i] = np.divmod(m, q)
+        irr = _irreducible_mask(c, root_mask(c, field), field, ar)[1]
+        total += int(np.count_nonzero(irr))
     return total
 
 
-def _count_dtype(field, n):
-    """Narrowest integer type holding every sum formed by the batched kernel.
+def _irreducible_mask(c, has_root, E, ar: GridArith):
+    """(deg, irr) of a batch of polynomials over E: c[m] is the element
+    array of their x^m coefficients, has_root marks those with a root in E.
 
-    With residues in [0, p-1], a product digit sums at most n*k terms below
-    (p-1)^2 (the root test n+1 powers), folding y^k.. multiplies that by at
-    most 1 + (k-1)(p-1), and the reduction adds up to n-1 strides of k more
-    such terms.
+    deg is 0 for constants and for zero, and irr marks the irreducible
+    ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
+    root is not, and a rootless one of degree 2 or 3 is.  The rootless
+    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
+    call per n and chunk of _RABIN_BATCH table entries.  That test is
+    exact when n is a prime power, and with no root for n <= 6
+    (count_monic_irreducibles); the polynomials that pass it at larger n
+    are confirmed one by one.  Past n k = polycore._FROB_TABLE_LIMIT the
+    first chunk's FrobCtx raises DegreeOutOfRange before any table is
+    allocated.
     """
-    p, k = field.p, field.k
-    sq = (p - 1) ** 2
-    bound = (n + 1) * k * sq * (1 + (k - 1) * (p - 1)) + (n - 1) * k * sq
-    for dtype in (np.int16, np.int32, np.int64):
-        if bound <= np.iinfo(dtype).max:
-            return dtype
-    raise DegreeOutOfRange("field too large for exhaustive counting")
-
-
-def _count_chunk(field, n, idx, dtype):
-    """Count irreducibles among the monic polynomials with these indices."""
-    q, p, k = field.q, field.p, field.k
-    elems = field.to_vector(np.arange(q))
-    coeffs = np.empty((n, k, idx.size), dtype=dtype)
-    for i in range(n):
-        coeffs[i] = elems[idx // q ** i % q].T
-
-    # Discard polynomials with a root in the base field.
-    has_root = np.zeros(idx.size, dtype=bool)
-    for a in range(q):
-        powers = [1]
-        for _ in range(n):
-            powers.append(field.mul(powers[-1], a))
-        powers = field.to_vector(np.array(powers)).tolist()
-        value = np.zeros((1, 2 * k - 1, idx.size), dtype=dtype)
-        value[0, :k] = np.array(powers[n], dtype=dtype)[:, None]
-        for i in range(n):
-            for v in range(k):
-                pv = powers[i][v]
-                if pv:
-                    value[0, v : v + k] += pv * coeffs[i]
-        _zfold(value, field)
-        has_root |= ~(value[0, :k] % p).any(axis=0)
-    coeffs = coeffs[:, :, ~has_root]  # and drop the full batch
-    return int(_rabin_batch(coeffs, field).sum())
+    nonzero = c != 0
+    deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)
+    irr = deg == 1
+    rootless = ~has_root
+    for n in range(2, c.shape[0]):
+        idx = np.flatnonzero((deg == n) & rootless)
+        if n > 3 and idx.size:
+            confirm = n > 6 and len(sympy.primefactors(n)) > 1
+            step = max(1, _RABIN_BATCH // (n * E.k) ** 2)
+            passed = []
+            for start in range(0, idx.size, step):
+                part = idx[start:start + step]
+                cn = c[:n + 1, part]
+                good = _rabin_batch(
+                    to_array(ar.mul(cn[:n], ar.inv(cn[n])), E), E)
+                if confirm:
+                    for j in np.flatnonzero(good):
+                        good[j] = is_irreducible(
+                            UnivariatePoly(E, cn[:, j].tolist()))
+                passed.append(part[good])
+            idx = np.concatenate(passed)
+        irr[idx] = True
+    return deg, irr
 
 
 def _rabin_batch(low, field):
     """Rabin's equality tests on a batch of monic moduli of degree n >= 2.
 
-    low is an (n, k, B) array in the integer type of _count_dtype(field, n):
-    component u of the coefficient of x^i of each of the B moduli f (the
-    leading 1 left out), the batch axis last so numpy runs over whole rows.
+    low is an (n, k, B) polycore array: the coefficients of x^0 .. x^{n-1}
+    of each of the B moduli f, the leading 1 left out.  The iterated
+    Frobenius images x^{q^m} mod f are steps of one FrobCtx on the batch.
     Returns, per modulus, x^{q^n} == x mod f and x^{q^{n/l}} != x mod f
     for every prime l | n: irreducibility when n is a prime power, while
     factor degrees such as {3, 2, 1} at n = 6 pass too.
     """
     n, k, size = low.shape
-    p, q = field.p, field.q
-    # nf[u] = -y^u (f - x^n), so a stride's spill sum_u c_u y^u x^n is
-    # cancelled by adding sum_u c_u nf[u]
-    nf = np.zeros((k, n, 2 * k - 1, size), dtype=low.dtype)
-    nf[0, :, :k] = (p - low) % p
-    for u in range(1, k):
-        nf[u, :, 1:] = nf[u - 1, :, :-1]
-        _zfold(nf[u], field)
-        nf[u, :, :k] %= p
-        nf[u, :, k:] = 0
-    nf = np.ascontiguousarray(nf[:, :, :k])
-
-    # Iterated Frobenius images H_m = x^{q^m} mod f.  The q-power map is
-    # F_q-linear, so H_{m+1} is H_m times the matrix with rows x^{qj} mod f.
-    x_arr = np.zeros((n, k, 1), dtype=low.dtype)
-    x_arr[1, 0] = 1
-    r = _zxpow(q, nf, field, n)
-    frob = [np.zeros_like(r), r]
-    frob[0][0, 0] = 1
-    for _ in range(2, n):
-        if q < n:  # times x^q: a shift and q reduction steps
-            wide = np.zeros((n + q, 2 * k - 1, size), dtype=r.dtype)
-            wide[q:, :k] = frob[-1]
-            frob.append(_zreduce(wide, nf, field, n))
-        else:
-            frob.append(_zmulmod(frob[-1], r, nf, field, n))
-    fixed = {}
+    one = np.broadcast_to(to_array([1], field), (1, k, size))
+    ctx = FrobCtx(np.concatenate([low, one]), field)
+    x = to_array([0, 1], field, n)
+    r, fixed = ctx.xq, {}
     for m in range(1, n + 1):
         if m > 1:
-            r = _zfrobenius(r, frob, field, n)
+            r = ctx.frobenius(r)
         if n % m == 0:
-            fixed[m] = (r == x_arr).all(axis=(0, 1))
+            fixed[m] = (r == x).all(axis=(0, 1))
     good = fixed[n]
     for ell in sympy.primefactors(n):
         good &= ~fixed[n // ell]
     return good
-
-
-def _zfold(wide, field):
-    """In place: fold generator powers y^k..y^{2k-2} into y^0..y^{k-1}.
-
-    wide has shape (m, 2k-1, B); entries are not reduced, and the excess
-    components are left in place (callers read only the first k).
-    """
-    k = field.k
-    red = field._red_np
-    for e in range(k - 1):
-        for v in range(k):
-            r = int(red[e, v])
-            if r:
-                wide[:, v] += r * wide[:, k + e]
-
-
-def _zreduce(low, nf, field, n):
-    """Batched reduction of y-folded low (m, 2k-1, B), m <= 2n-1, mod f."""
-    p, k = field.p, field.k
-    for jj in range(low.shape[0] - 1, n - 1, -1):
-        c = low[jj, :k] % p
-        for u in range(k):
-            low[jj - n : jj, :k] += c[u] * nf[u]
-    return low[:n, :k] % p
-
-
-def _zmul(a, b, field):
-    """Batched product of (m, k, B) and (n, k, B) polynomials, one term of
-    a per row operation: a y-folded, unreduced (m+n-1, 2k-1, B) array
-    whose first k components hold the product (see _zfold)."""
-    m, k = a.shape[0], field.k
-    n = b.shape[0]
-    wide = np.zeros((m + n - 1, 2 * k - 1, b.shape[2]), dtype=b.dtype)
-    for i in range(m):
-        for u in range(k):
-            wide[i : i + n, u : u + k] += a[i, u] * b
-    _zfold(wide, field)
-    return wide
-
-
-def _zmulmod(a, b, nf, field, n):
-    """Batched product of (n, k, B) residues modulo the monic moduli in nf."""
-    return _zreduce(_zmul(a, b, field), nf, field, n)
-
-
-def _zxpow(e, nf, field, n):
-    """Batched x^e mod f: the leading bits of e up to degree 2n-2 as one
-    reduced monomial, then a squaring per remaining bit (times x is a
-    shift and one reduction step)."""
-    k, size = field.k, nf.shape[3]
-    s = max(e.bit_length() - (2 * n - 2).bit_length(), 0)
-    if e >> s > 2 * n - 2:
-        s += 1
-    m = e >> s
-    low = np.zeros((max(m + 1, n), 2 * k - 1, size), dtype=nf.dtype)
-    low[m, 0] = 1
-    r = _zreduce(low, nf, field, n)
-    for i in range(s - 1, -1, -1):
-        r = _zmulmod(r, r, nf, field, n)
-        if e >> i & 1:
-            low = np.zeros((n + 1, 2 * k - 1, size), dtype=nf.dtype)
-            low[1:, :k] = r
-            r = _zreduce(low, nf, field, n)
-    return r
-
-
-def _zfrobenius(a, frob, field, n):
-    """Batched a^q mod f = sum_j a_j x^{qj} mod f, frob[j] = x^{qj} mod f."""
-    k = field.k
-    wide = np.zeros((n, 2 * k - 1, a.shape[2]), dtype=a.dtype)
-    for j in range(n):
-        for u in range(k):
-            wide[:, u : u + k] += a[j, u] * frob[j]
-    _zfold(wide, field)
-    return wide[:, :k] % field.p

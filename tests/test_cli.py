@@ -215,6 +215,8 @@ def test_bound_negative_q_exit_two():
      "ConstraintViolation"),
     # values of degree 2q - 1 = 131041: a power table of 8.6e9 digits
     (["conrad", "--q", "65521", "--D", "0"], "DegreeOutOfRange"),
+    # a small power table, but 3^41 substitutions
+    (["conrad", "--q", "3", "--D", "40"], "DegreeOutOfRange"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)

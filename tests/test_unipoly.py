@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fqpencil import errors
 from fqpencil.field import make_field
-from fqpencil.unipoly import (UnivariatePoly, _count_dtype, _rabin_batch,
+from fqpencil.polycore import FrobCtx, _count_dtype, from_array, to_array
+from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
                               count_monic_irreducibles, discriminant, factor,
                               is_irreducible, resultant, roots_in_field,
                               squarefree_decomposition, squarefree_part)
@@ -324,3 +325,51 @@ def test_rabin_batch_matches_factor(p, k):
                 assert passed == is_irreducible(f), f.format()
         if n == 6:
             assert got[-1]
+
+
+# ---------------------------------------------------------------------------
+# The batched polynomial kernel: one batch of moduli against one at a time
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 3), (3, 2),
+                                 (3, 5)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_batched_kernel_matches_single_and_unipoly(p, k, data):
+    """mulmod, powmod, xpow(q) and frobenius on B random monic moduli agree
+    column by column with the same calls at B = 1, where the product and
+    the reduction take their other form, and with UnivariatePoly.  Degrees
+    up to q + 3 build the Frobenius table by shifts (q < n) as well as by
+    products with x^q."""
+    F = make_field(p, k)
+    B = data.draw(st.sampled_from([1, 2, 37]), label="B")
+    n = data.draw(st.integers(2, min(F.q, 12) + 3), label="n")
+    e = data.draw(st.integers(0, 60), label="e")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    moduli = [rand_poly(F, rng, n, monic=True) for _ in range(B)]
+    a = [rand_poly(F, rng, rng.randrange(n)) for _ in range(B)]
+    b = [rand_poly(F, rng, rng.randrange(n)) for _ in range(B)]
+
+    def batch(polys, length):
+        return to_array(np.array([f.coeffs + [0] * (length - len(f.coeffs))
+                                  for f in polys]).T, F)
+
+    def calls(ctx, a_arr, b_arr):
+        return {"mulmod": ctx.mulmod(a_arr, b_arr),
+                "powmod": ctx.powmod(a_arr, e),
+                "xpow": ctx.xpow(F.q),
+                "frobenius": ctx.frobenius(a_arr)}
+
+    A, Bv = batch(a, n), batch(b, n)
+    together = calls(FrobCtx(batch(moduli, n + 1), F), A, Bv)
+    x = UnivariatePoly.x(F)
+    for col, f in enumerate(moduli):
+        alone = calls(FrobCtx(batch([f], n + 1), F),
+                      A[:, :, col:col + 1], Bv[:, :, col:col + 1])
+        expected = {"mulmod": (a[col] * b[col]) % f,
+                    "powmod": a[col].pow_mod(e, f),
+                    "xpow": x.pow_mod(F.q, f),
+                    "frobenius": a[col].pow_mod(F.q, f)}
+        for name, want in expected.items():
+            got = from_array(together[name][:, :, col:col + 1], F)
+            assert got == from_array(alone[name], F) == want.coeffs, name
