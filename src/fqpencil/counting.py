@@ -20,7 +20,8 @@ import numpy as np
 from .bivar import BivariatePoly, is_smooth
 from .errors import (ConstraintViolation, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
-from .field import _LOG_TABLE_LIMIT, GridArith, make_field, prime_power
+from .field import (_LOG_TABLE_LIMIT, GridArith, _block_rows, make_field,
+                    prime_power)
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
 from .unipoly import UnivariatePoly, _irreducible_mask, factor, is_irreducible
 
@@ -200,15 +201,6 @@ def count_irreducible_pairs(f: BivariatePoly, E,
     return CountReport(q=E.q, total_pairs=E.q ** 2,
                        count_full_degree=full, count_inclusive=incl,
                        mode=mode)
-
-
-def _block_rows(E, width=None) -> int:
-    """Rows of width cells (q by default) per block: about 2^16 digits.
-
-    Each block's GridArith.dot product, (k rows, q) digits per row, then
-    stays inside memory that the allocator reuses and the cache holds.
-    """
-    return max(1, (1 << 16) // ((width or E.q) * E.k))
 
 
 def _count_rows(f: BivariatePoly, E):

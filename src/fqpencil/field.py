@@ -437,6 +437,15 @@ class Field:
         return "y" if self.k == 1 else _y_poly_str(self.modulus)
 
 
+def _block_rows(E, width=None) -> int:
+    """Rows of width cells (q by default) per block: about 2^16 digits.
+
+    Each block's GridArith.dot product, (k rows, q) digits per row, then
+    stays inside memory that the allocator reuses and the cache holds.
+    """
+    return max(1, (1 << 16) // ((width or E.q) * E.k))
+
+
 class GridArith:
     """numpy arithmetic on arrays of elements: products by the field's
     log/exp tables (integers mod p for k = 1), and sums of products by dot.

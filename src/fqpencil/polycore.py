@@ -21,14 +21,19 @@ form (_count_dtype), and refuse n k past _FROB_TABLE_LIMIT.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .errors import DegreeOutOfRange
 
-# The Frobenius table holds (n k)^2 entries per modulus, and the reduction
-# matrix of a single modulus about twice that: 256 MiB of float64 at this
-# n k.
+# At this n k the Frobenius table holds (n k)^2 entries per modulus, 32 to
+# 128 MiB as the integer type goes, and a single modulus (B = 1) also holds
+# its reduction matrix, (n - 1) k x n k float64 entries or 128 MiB, with
+# about as much again in temporaries while it is built.
 _FROB_TABLE_LIMIT = 4096
+# Most powers x^{qj} per reduction call while FrobCtx builds its table.
+_TABLE_BLOCK = 8
 
 
 def _count_dtype(field, n):
@@ -83,16 +88,22 @@ def from_array(arr, field):
 def _times_y_powers(a: np.ndarray, field) -> np.ndarray:
     """y^u a for u < k, for residues a of shape (..., m, k, B): an array of
     shape (..., k, m, k, B), the new axis u before the rows of a.  Each
-    power is the one before times y, a shift of the components and a fold
-    of the one that passes y^{k-1}."""
-    out = np.empty(a.shape[:-3] + (field.k,) + a.shape[-3:], dtype=a.dtype)
-    out[..., 0, :, :, :] = a
-    for u in range(1, field.k):
-        prev = out[..., u - 1, :, :, :]
-        shifted = np.concatenate([np.zeros_like(prev[..., :1, :]), prev],
-                                 axis=-2)
-        out[..., u, :, :, :] = _mod(_fold(shifted, field), field.p)
-    return out
+    power is the one before times y, a shift of the components, with the
+    one that passes y^{k-1} folded back by the field's row of y^k."""
+    p, k = field.p, field.k
+    flat = a.reshape(-1, k, a.shape[-1])
+    out = np.empty((k,) + flat.shape, dtype=a.dtype)
+    out[0] = flat
+    fold = field._red_np[:1].T.astype(a.dtype)  # (k, 1): the digits of y^k
+    for u in range(1, k):
+        prev, cur = out[u - 1], out[u]
+        cur[:, 0] = 0
+        cur[:, 1:] = prev[:, :-1]
+        cur += prev[:, -1:] * fold
+        cur -= cur // p * p
+    nd = a.ndim  # u goes from the front to just before the rows
+    return out.reshape((k,) + a.shape).transpose(*range(1, nd - 2), 0,
+                                                  nd - 2, nd - 1, nd)
 
 
 def _matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -171,46 +182,12 @@ def substitute(cs, g, field) -> np.ndarray:
     return elements(h, field)
 
 
-def root_mask(c, field) -> np.ndarray:
-    """Mask of the columns of the (n + 1, B) element array c, coefficients
-    low degree first, with a root in F_q.
-
-    The digits of every value sum_i c_i z^i, for a group of elements z,
-    are one float64 product of the digits of y^u z^i with those of c,
-    exact while (n + 1) k (p - 1)^2 < 2^53.  Elements and columns go in
-    blocks of about 2^16 digits; the powers z^i are products of digit
-    rows across all the elements.
-    """
-    n, k, q, p = c.shape[0] - 1, field.k, field.q, field.p
-    z = to_array(np.arange(q)[None], field)
-    zp = [to_array(np.ones((1, q), dtype=np.int64), field)]
-    for _ in range(n):
-        zp.append(poly_mul(zp[-1], z, field))
-    zp = np.concatenate(zp)  # zp[i, :, e]: the digits of e^i
-    out = np.zeros(c.shape[1], dtype=bool)
-    step = max(1, (1 << 16) // ((n + 1) * k))
-    for g in range(0, q, step):
-        # yz[(e, w), (i, u)]: digit w of y^u e^i
-        yz = _times_y_powers(zp[:, :, g : g + step], field)
-        yz = yz.transpose(3, 2, 1, 0).reshape(-1, (n + 1) * k)
-        yz = yz.astype(np.float64)
-        cols = max(1, (1 << 16) // len(yz))
-        for s in range(0, c.shape[1], cols):
-            d = to_array(c[:, s : s + cols], field)
-            d = d.reshape((n + 1) * k, -1).astype(np.float64)
-            values = _mod((yz @ d).astype(np.int64), p)
-            zero = ~values.reshape(-1, k, d.shape[1]).any(axis=1)
-            out[s : s + cols] |= zero.any(axis=0)
-    return out
-
-
 class ModCtx:
     """A batch of B monic moduli f of one degree n.
 
-    For B = 1 it holds the reduction matrix, row (m, u) y^u x^m mod f for
-    m < 2n - 1, so a reduction, shifted or not, is one matrix product; for
-    B > 1 it reduces one row operation per term with neg[u] = y^u x^n mod
-    f.
+    For B = 1 it holds the reduction matrix, row (j, u) y^u x^{n+j} mod f
+    for j < n - 1, so a reduction is one matrix product; for B > 1 it
+    reduces one row operation per term with neg[u] = y^u x^n mod f.
     """
 
     def __init__(self, modulus: np.ndarray, field):
@@ -221,7 +198,6 @@ class ModCtx:
         """
         n, B = modulus.shape[0] - 1, modulus.shape[2]
         p, k = field.p, field.k
-        sq = (p - 1) ** 2
         if n * k > _FROB_TABLE_LIMIT:
             raise DegreeOutOfRange(
                 f"degree n = {n} over F_{field.q} (k = {k}) is past the "
@@ -230,7 +206,8 @@ class ModCtx:
         if dtype is None:
             raise DegreeOutOfRange(
                 f"sums of residues mod {p} at degree {n} pass int64")
-        self.field, self.n, self.B, self.dtype = field, n, B, dtype
+        self.field, self.n, self.B = field, n, B
+        self.dtype = np.dtype(dtype)
         # neg[u] = y^u x^n mod f = -y^u (f - x^n)
         self.neg = _times_y_powers(_mod(p - modulus[:n].astype(dtype), p),
                                    field)
@@ -252,10 +229,8 @@ class ModCtx:
                 new[:, :, m:] += blk[:, :, : n - m]
                 new %= p
                 m += step
-            # y^u x^m mod f for every m < 2n - 1: the identity, then red
-            red = np.concatenate([np.eye(n * k, dtype=dtype),
-                                  red.reshape(-1, n * k)])
-            exact = sq * (2 * n - 1) * k < 1 << 53  # in float64, so BLAS
+            red = red.reshape(-1, n * k)
+            exact = (p - 1) ** 2 * n * k < 1 << 53  # in float64, so BLAS
             self.red = red.astype(np.float64) if exact else red
 
     def _zeros(self, rows, lead=()):
@@ -268,9 +243,16 @@ class ModCtx:
         n, p, k = self.n, self.field.p, self.field.k
         lead, m = a.shape[:-3], a.shape[-3] + shift
         if self.B == 1:  # one product with the reduction matrix
-            red = self.red[shift * k : m * k]
-            low = (a % p).reshape(-1, len(red)).astype(red.dtype) @ red
-            return (low.astype(self.dtype) % p).reshape(lead + (n, k, 1))
+            # rows of a below cut stay under x^n, the others meet red rows
+            # from cut + shift - n on
+            cut, r = min(max(n - shift, 0), a.shape[-3]), prod(lead)
+            low = a[..., :cut, :, :].reshape(r, -1)
+            top = a[..., cut:, :, :].reshape(r, -1) % p
+            first = max(cut + shift - n, 0) * k
+            out = (top.astype(self.red.dtype)
+                   @ self.red[first : first + top.shape[1]]).astype(self.dtype)
+            out[:, shift * k : (shift + cut) * k] += low
+            return (out % p).reshape(lead + (n, k, 1))
         if shift or m < n:
             wide = self._zeros(max(m, n), lead)
             wide[..., shift:m, :, :] = a
@@ -323,52 +305,54 @@ class FrobCtx(ModCtx):
     For h with coefficients in the ground field F_q, h(x)^q = h(x^q), so
     h^q mod f = sum_j h_j (x^q)^j mod f is F_p-linear in h's digits; row
     (j, u) of a modulus's (n k, n k) table is y^u x^{qj} mod f, and a step
-    is one stacked product with it.  The powers x^{qj} follow each other
-    by a shift and q reduction steps when q < n, d = (n-1) // q rows at a
-    time.  Otherwise each is the one before times x^q: a step with the
-    table of h -> x^q h mod f, rows y^u x^i x^q mod f, whose second half
-    is always the first half shifted.
+    is one stacked product with it.  The powers x^{qj} are built first,
+    then their y^u multiples at once.  When q < n, those with qj < n are
+    monomials and each later one is an earlier one times x^{qd}: a shift
+    and a reduction, d powers per call.  The work of a call grows with d,
+    q d row operations on d powers or a product of d rows with q d k rows
+    of the reduction matrix, while the number of calls falls, so d stays
+    at most _TABLE_BLOCK.  Otherwise each power is the one before times
+    x^q = xpow(q): a step with the table of h -> x^q h mod f, rows
+    y^u x^i x^q mod f, whose second half is always the first half shifted.
     """
 
     def __init__(self, modulus: np.ndarray, field):
         super().__init__(modulus, field)
         n, k, q, B = self.n, field.k, field.q, self.B
-        self.xq = self.xpow(q)
-        # rows[j, u] = y^u x^{qj} mod f
-        if q < n:
-            d = (n - 1) // q
-            j, u = np.arange(d)[:, None], np.arange(k)
-            rows = [self._zeros(n, (d, k))]
-            rows[0][j, u, q * j, u] = 1
-            while len(rows) * d < n:
-                rows.append(self.reduce(rows[-1], q * d))
-            rows = np.concatenate(rows)[:n]
+        if q < n:  # rows[j] = x^{qj} mod f
+            d = min((n - 1) // q, _TABLE_BLOCK)
+            rows = self._zeros(n, (n,))
+            rows[np.arange(d + 1), q * np.arange(d + 1), 0] = 1
+            for s in range(d + 1, n, d):
+                rows[s : s + d] = self.reduce(rows[s - d : min(s, n - d)],
+                                              q * d)
+            self.xq = rows[1].copy()  # not a view that keeps rows alive
         else:
+            self.xq = self.xpow(q)
             times_xq = _times_y_powers(self.xq, field)[None]
             while len(times_xq) < n:
                 m = len(times_xq)
                 times_xq = np.concatenate(
                     [times_xq, self.reduce(times_xq[: n - m], m)])
-            rows = [self._zeros(n, (k,)), times_xq[0]]
-            rows[0][np.arange(k), 0, np.arange(k)] = 1
             times_xq = times_xq.reshape(n * k, n * k, B)
+            rows = [self._zeros(n), self.xq]
+            rows[0][0, 0] = 1
             for _ in range(2, n):
                 rows.append(self._step(rows[-1], times_xq))
             rows = np.stack(rows[:n])
-        self.frob = rows.reshape(n * k, n * k, B)
+        self.frob = _times_y_powers(rows, field).reshape(n * k, n * k, B)
 
     def _step(self, a: np.ndarray, table: np.ndarray) -> np.ndarray:
         """The image of residues a of shape (..., m, k, B), m <= n, under
         the F_p-linear map of an (n k, n k, B) table: one stacked product."""
-        n, k, B = self.n, self.field.k, self.B
-        lead = a.shape[:-3]
-        if a.shape[-3] < n or a.dtype != self.dtype:
-            h = self._zeros(n, lead)  # in the table's integer type
+        if a.shape[-3] < self.n or a.dtype != self.dtype:
+            h = self._zeros(self.n, a.shape[:-3])  # in the table's type
             h[..., : a.shape[-3], :, :] = a
             a = h
-        out = np.einsum("...jb,jib->...ib", a.reshape(lead + (n * k, B)),
-                        table)
-        return _mod(out, self.field.p).reshape(lead + (n, k, B))
+        out = np.einsum("...jb,jib->...ib",
+                        a.reshape(a.shape[:-3] + table.shape[1:]), table)
+        out -= out // self.field.p * self.field.p  # _mod, in place
+        return out.reshape(a.shape)
 
     def frobenius(self, a: np.ndarray) -> np.ndarray:
         """a(x)^q mod f for residues a of at most n rows."""

@@ -21,9 +21,8 @@ from math import gcd
 import numpy as np
 
 from .bivar import BivariatePoly
-from .counting import _block_rows
 from .errors import ConstraintViolation, DegreeOutOfRange
-from .field import _LOG_TABLE_LIMIT, GridArith, field_of_order
+from .field import _LOG_TABLE_LIMIT, GridArith, _block_rows, field_of_order
 from .polycore import substitute
 from .unipoly import UnivariatePoly, _irreducible_mask
 

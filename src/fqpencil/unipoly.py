@@ -14,8 +14,8 @@ import numpy as np
 import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .field import _LOG_TABLE_LIMIT, GridArith
-from .polycore import FrobCtx, _count_dtype, from_array, root_mask, to_array
+from .field import _LOG_TABLE_LIMIT, GridArith, _block_rows
+from .polycore import FrobCtx, _count_dtype, from_array, to_array
 
 
 class UnivariatePoly:
@@ -591,7 +591,8 @@ def count_monic_irreducibles(field, n: int) -> int:
     """Number of monic irreducible polynomials of degree n, by enumeration.
 
     Every monic degree-n polynomial is classified by _irreducible_mask
-    once its roots in the field are marked (polycore.root_mask).  For
+    once its roots in the field are marked by GridArith.dot zero masks
+    against the powers of every element, as in the count kernel.  For
     n <= 6 that is exact: a rootless survivor f satisfies x^{q^n} = x mod
     f exactly when all its factor degrees divide n, and the only such
     factorizations besides the irreducible one use a single repeated
@@ -611,13 +612,18 @@ def count_monic_irreducibles(field, n: int) -> int:
     if q > _LOG_TABLE_LIMIT:
         raise DegreeOutOfRange("field too large for exhaustive counting")
     ar = GridArith(field)
+    pcols, rows = ar.power_columns(n), _block_rows(field)
     total = 0
     for start in range(0, q ** n, _COUNT_CHUNK):
         m = np.arange(start, min(start + _COUNT_CHUNK, q ** n))
         c = np.ones((n + 1, m.size), dtype=np.int64)  # the element 1 is 1
         for i in range(n):
             m, c[i] = np.divmod(m, q)
-        irr = _irreducible_mask(c, root_mask(c, field), field, ar)[1]
+        has_root = np.zeros(c.shape[1], dtype=bool)
+        for s in range(0, c.shape[1], rows):
+            has_root[s:s + rows] = ar.dot(c[:, s:s + rows], pcols,
+                                          zero=True).any(axis=1)
+        irr = _irreducible_mask(c, has_root, field, ar)[1]
         total += int(np.count_nonzero(irr))
     return total
 

@@ -339,11 +339,12 @@ def test_batched_kernel_matches_single_and_unipoly(p, k, data):
     """mulmod, powmod, xpow(q) and frobenius on B random monic moduli agree
     column by column with the same calls at B = 1, where the product and
     the reduction take their other form, and with UnivariatePoly.  Degrees
-    up to q + 3 build the Frobenius table by shifts (q < n) as well as by
-    products with x^q."""
+    up to q + 3, and up to 20 over small fields, build the Frobenius table
+    by shifts (q < n), in more than one block of powers over F_2, as well
+    as by products with x^q."""
     F = make_field(p, k)
     B = data.draw(st.sampled_from([1, 2, 37]), label="B")
-    n = data.draw(st.integers(2, min(F.q, 12) + 3), label="n")
+    n = data.draw(st.integers(2, max(min(F.q, 12) + 3, 20)), label="n")
     e = data.draw(st.integers(0, 60), label="e")
     rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
     moduli = [rand_poly(F, rng, n, monic=True) for _ in range(B)]
