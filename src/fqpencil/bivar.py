@@ -29,10 +29,6 @@ class BivariatePoly:
     def zero(cls, field):
         return cls(field, {})
 
-    @classmethod
-    def from_int_terms(cls, field, terms):
-        return cls(field, {ij: field.from_int(c) for ij, c in terms.items()})
-
     # -- structure -------------------------------------------------------------
 
     def is_zero(self):
@@ -147,9 +143,6 @@ class BivariatePoly:
             rows[j][i] = c
         return [UnivariatePoly(F, row) for row in rows]
 
-    def t_coefficients(self):
-        return self.transpose().x_coefficients()
-
     @classmethod
     def from_x_coefficients(cls, field, coeffs):
         terms = {}
@@ -168,9 +161,6 @@ class BivariatePoly:
             out[j] = F.add(out[j], F.mul(c, tp[i]))
         return UnivariatePoly(F, out)
 
-    def specialize_x(self, b):
-        return self.transpose().specialize_t(b)
-
     def restrict_to_line(self, a, b):
         """f(t, a*t + b) as a univariate polynomial in t."""
         F = self.field
@@ -187,19 +177,6 @@ class BivariatePoly:
         for cj in reversed(self.x_coefficients()):
             acc = acc * g + cj
         return acc
-
-    def derivative_t(self):
-        F = self.field
-        out = {}
-        for (i, j), c in self.terms.items():
-            if i:
-                v = F.scalar(i, c)
-                if v != F.zero:
-                    out[(i - 1, j)] = v
-        return BivariatePoly(F, out)
-
-    def derivative_x(self):
-        return self.transpose().derivative_t().transpose()
 
 
 def _power_table(F, v, n):

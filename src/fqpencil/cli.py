@@ -4,7 +4,9 @@ Subcommands: field, factor, curve, pencil, count, bound, search, conrad.
 Reports are JSON (sorted keys) with the inputs echoed, the seed, and a
 timing field that is explicitly excluded from determinism guarantees.
 Exit codes: 0 success/PASS, 1 property violated or search exhausted,
-2 input or hypothesis error.
+2 input or hypothesis error.  count exits 0 on the bound verdicts
+THRESHOLD_NOT_MET and VACUOUS (bound <= 0: no count is tested), 1 on FAIL.
+count, factor, curve and conrad take one --poly; a second one exits 2.
 """
 
 from __future__ import annotations
@@ -91,12 +93,12 @@ def build_parser():
     sp = sub.add_parser("factor", help="factor a univariate polynomial")
     _add_field_args(sp)
     _add_common(sp)
-    sp.add_argument("--poly", required=True)
+    sp.add_argument("--poly", action="append", required=True)
 
     sp = sub.add_parser("curve", help="curve hypothesis report")
     _add_field_args(sp)
     _add_common(sp)
-    sp.add_argument("--poly", required=True)
+    sp.add_argument("--poly", action="append", required=True)
 
     sp = sub.add_parser("pencil", help="pencil discriminant and histogram")
     _add_field_args(sp)
@@ -110,7 +112,7 @@ def build_parser():
     sp = sub.add_parser("count", help="exhaustive (a,b) irreducibility count")
     _add_field_args(sp)
     _add_common(sp)
-    sp.add_argument("--poly", required=True)
+    sp.add_argument("--poly", action="append", required=True)
     sp.add_argument("--mode", choices=["full-degree", "inclusive"],
                     default="inclusive")
 
@@ -135,7 +137,8 @@ def build_parser():
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--b", type=int, default=None)
     sp.add_argument("--D", type=int, default=4)
-    sp.add_argument("--poly", help="negative-control polynomial override")
+    sp.add_argument("--poly", action="append",
+                    help="negative-control polynomial override")
     return ap
 
 
@@ -175,6 +178,11 @@ def run_command(argv):
 
 def _dispatch(args, report) -> int:
     cmd = args.command
+    if cmd in ("count", "factor", "curve", "conrad") and args.poly:
+        if len(args.poly) > 1:
+            raise ConstraintViolation(
+                f"{cmd} takes one --poly, got {len(args.poly)}")
+        args.poly = args.poly[0]
     if cmd == "bound":
         if args.s is not None and args.s < 1:
             raise ConstraintViolation(f"--s must be at least 1, got {args.s}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
 import numpy as np
 
@@ -23,7 +23,12 @@ from .errors import (ConstraintViolation, DegreeTooSmall,
 from .field import (_LOG_TABLE_LIMIT, GridArith, _block_rows, make_field,
                     prime_power)
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
+from .polycore import substitute
 from .unipoly import UnivariatePoly, _irreducible_mask, factor, is_irreducible
+
+# Digits of a block's value grid in substitution_rows: root grids of
+# about 2^16 cells for d <= 3 counts, as in _curve_points.
+_BLOCK_DIGITS = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -205,90 +210,110 @@ def count_irreducible_pairs(f: BivariatePoly, E,
 
 def _count_rows(f: BivariatePoly, E):
     """Per-a (full, inclusive) counts over every b, a (q, 2) array with a
-    in canonical order, on canonical element indices.
-
-    A restriction with a root in E, a curve point (t, x) with b = x - a t,
-    is irreducible only when it is linear.  The t^d coefficient of
-    f(t, a t + b) is f_d(1, a), whatever b is: on a row where it is
-    nonzero every restriction has degree d, and for d <= 3 it is then
-    irreducible exactly when it has no root.  The other rows, at most d
-    of them when d <= 3 and every row when d >= 4, go to _grid_rows.
-    Every grid is a GridArith.dot against the columns of z^e, e <= d.
-    """
-    ar = GridArith(E)
-    q, d = E.q, f.total_degree()
-    elems = np.arange(q)
-    pcols = ar.power_columns(d)
-    coef = _line_coefficients(f, E, ar, pcols)
-    t_pts, x_pts = _curve_points(f, E, ar, pcols)
-    # b = a (-t) + 1 x; E.p - 1 is the index of -1
-    bcols = ar.columns(np.stack([ar.mul(E.p - 1, t_pts), x_pts]))
-    out = np.zeros((q, 2), dtype=np.int64)
-    rows = _block_rows(E)
-    for start in range(0, q, rows):
-        a = elems[start:start + rows]
-        b = ar.dot(np.stack([a, np.ones_like(a)]), bcols)
-        b += np.arange(0, a.size * q, q)[:, None]  # flat (a, b) cells
-        has_root = np.zeros(a.size * q, dtype=bool)
-        has_root[b] = True
-        has_root = has_root.reshape(a.size, q)
-        by_roots = (coef[d, 0, a] != 0) & (d <= 3)
-        out[a[by_roots]] = q - np.count_nonzero(has_root[by_roots],
-                                                axis=1)[:, None]
-        if not by_roots.all():
-            out[a[~by_roots]] = _grid_rows(f, E, ar, coef, pcols,
-                                           a[~by_roots], has_root[~by_roots])
+    in canonical order: substitution_rows at D = 1, a row per a."""
+    d = f.total_degree()
+    out = np.zeros((E.q, 2), dtype=np.int64)
+    for rows, deg, irr in substitution_rows(f.terms, E, 1):
+        out[rows, 1] = np.count_nonzero(irr, axis=1)
+        out[rows, 0] = (out[rows, 1] * (deg[:, 0] == d) if deg.shape[1] == 1
+                        else np.count_nonzero(irr & (deg == d), axis=1))
     return out
 
 
-def _grid_rows(f: BivariatePoly, E, ar: GridArith, coef, pcols, a,
-               has_root):
-    """(full, inclusive) counts of the rows a, with has_root[i, b] marking
-    the restrictions of row a[i] that have a root in E.
+def substitution_rows(terms, E, D):
+    """Classify f(t, g(t)) for every g in F_q[t] of degree <= D, where
+    terms maps (i, j) to the coefficient of t^i x^j of f.
 
-    Each pair's restriction is expanded from coef and classified by
-    unipoly._irreducible_mask, the step that reducible.verify_conrad
-    shares.
+    A row is g_1 t + .. + g_D t^D, at the index sum_i g_i q^(i-1), and its
+    q cells are the values of g_0.  Yields (rows, deg, irr) per block of R
+    rows, in index order: the row indices, the values' degrees, per cell
+    or, when every row's values have one degree 2 or 3, per row (shape
+    (R, 1)), and the (R, q) mask of the irreducible values.
+
+    One Horner pass (polycore.substitute) gives each row's coefficients
+    of t^m g_0^e.  A curve point (t0, x0) is a root of the value in cell
+    g_0 = x0 - sum_i g_i t0^i: one GridArith.dot of the rows against the
+    columns of [-t0, .., -t0^D, x0] marks every rooted cell.  Where the
+    top coefficient, of t^2 or t^3, does not depend on g_0 the rootless
+    values are the irreducible ones; the other rows are expanded over g_0
+    by a GridArith.dot and go to unipoly._irreducible_mask.
     """
-    q, d = E.q, f.total_degree()
-    # c[m]: the coefficient of t^m of each pair's restriction
-    c = np.stack([ar.dot(coef[m, :d + 1 - m][:, a], pcols[:d + 1 - m])
-                  for m in range(d + 1)]).reshape(d + 1, -1)
-    deg, irr = _irreducible_mask(c, has_root.reshape(-1), E, ar)
-    irr = irr.reshape(a.size, q)
-    return np.stack([np.count_nonzero(irr & (deg.reshape(a.size, q) == d),
-                                      axis=1),
-                     np.count_nonzero(irr, axis=1)], axis=1)
+    q, k = E.q, E.k
+    ar = GridArith(E)
+    N = max((i + j * D for i, j in terms), default=0)  # >= every degree
+    deg_t = [0] * (1 + max((j for _, j in terms), default=0))
+    for i, j in terms:
+        deg_t[j] = max(deg_t[j], i)
+    cs = [np.zeros((n + 1, k, 1), dtype=np.int64) for n in deg_t]
+    for (i, j), c in terms.items():  # cs[j][i]: the digits of f_{i, j}
+        cs[j][i, :, 0] = E.to_vector(c)
+    t_pts, x_pts, pcols = _curve_points(terms, E, ar)
+    marks = [x_pts]
+    power = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
+    for _ in range(D):
+        marks.insert(-1, power)
+        power = ar.mul(power, t_pts)
+    marks = ar.columns(np.stack(marks))
+    step = max(1, _BLOCK_DIGITS // ((N + 1) * q * k))
+    for start in range(0, q ** D, step):
+        rows = np.arange(start, min(start + step, q ** D))
+        g = rows // q ** np.arange(D + 1)[:, None] % q  # g_1 .. g_D, 0
+        coef = substitute(cs, g[:D], E)  # coef[m, e]: of t^m g_0^e
+        g[D] = 1  # the element 1 is 1
+        cells = ar.dot(g, marks)
+        cells += np.arange(0, rows.size * q, q)[:, None]
+        has_root = np.zeros(rows.size * q, dtype=bool)
+        has_root[cells] = True  # one flat scatter: faster than 2-d
+        has_root = has_root.reshape(rows.size, q)
+        nonzero = coef.any(axis=1)
+        n = (len(coef) - 1 - np.argmax(nonzero[::-1], axis=0)) \
+            * nonzero.any(axis=0)
+        top = coef[n, :, np.arange(rows.size)]
+        rest = ((n != 2) & (n != 3)) | top[:, 1:].any(axis=1)
+        deg, irr = n[:, None], ~has_root
+        if rest.any():
+            coef = coef[: n[rest].max() + 1, :, rest]
+            z = 1 + np.flatnonzero(coef.any(axis=(0, 2))).max(initial=0)
+            if z > len(pcols):
+                pcols = ar.power_columns(z - 1)
+            c = ar.dot(coef[:, :z].transpose(1, 0, 2).reshape(z, -1),
+                       pcols[:z]).reshape(len(coef), -1)
+            deg_rest, irr_rest = _irreducible_mask(
+                c, has_root[rest].reshape(-1), E, ar)
+            deg = np.repeat(deg, q, axis=1)
+            deg[rest], irr[rest] = deg_rest.reshape(-1, q), \
+                irr_rest.reshape(-1, q)
+        yield rows, deg, irr
 
 
-def _line_coefficients(f: BivariatePoly, E, ar: GridArith, pcols):
-    """coef[m, e, a]: the coefficient of t^m b^e in f(t, a t + b), the
-    sum over l of binomial(e + l, l) f_{m-l, e+l} a^l."""
-    q, d = E.q, f.total_degree()
-    w = np.zeros((d + 1, d + 1, d + 1), dtype=np.int64)  # w[l, m, e]
-    for (i, j), c in f.terms.items():
-        for l in range(j + 1):
-            w[l, i + l, j - l] = E.scalar(comb(j, l), c)
-    return ar.dot(w.reshape(d + 1, -1), pcols).reshape(d + 1, d + 1, q)
-
-
-def _curve_points(f: BivariatePoly, E, ar: GridArith, pcols):
-    """All affine points of f = 0 over E as index arrays (t, x): the zeros
-    of sum_j c_j(t) x^j, on blocks of t values (_block_rows)."""
-    q, d = E.q, f.total_degree()
-    nx = 1 + max(j for _, j in f.terms)
-    fc = np.zeros((d + 1, nx), dtype=np.int64)  # fc[i, j] = f_{i, j}
-    for (i, j), c in f.terms.items():
-        fc[i, j] = c
-    ct = ar.dot(fc, pcols)  # ct[j, t] = c_j(t)
+def _curve_points(terms, E, ar: GridArith):
+    """All affine points of f = 0 over E as index arrays (t, x), and the
+    power table used: the zeros of sum_j c_j(t) x^j on blocks of t values
+    (_block_rows), after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
+    exponents below q.  The zero polynomial, whose values have no degree
+    for a root to settle, gets no points."""
+    q = E.q
+    if not terms:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
+            ar.power_columns(0)
+    fc = {}
+    for (i, j), c in terms.items():
+        key = tuple(e and 1 + (e - 1) % (q - 1) for e in (i, j))
+        fc[key] = E.add(fc.get(key, 0), c)
+    ct = np.zeros((1 + max(i for i, _ in fc), 1 + max(j for _, j in fc)),
+                  dtype=np.int64)
+    for ij, c in fc.items():
+        ct[ij] = c
+    pcols = ar.power_columns(max(ct.shape) - 1)
+    ct = ar.dot(ct, pcols[: len(ct)])  # ct[j, t] = c_j(t)
     rows = _block_rows(E)
     t_out, x_out = [], []
     for start in range(0, q, rows):
-        zero = ar.dot(ct[:, start:start + rows], pcols[:nx], zero=True)
+        zero = ar.dot(ct[:, start:start + rows], pcols[: len(ct)], zero=True)
         ti, xi = np.divmod(np.flatnonzero(zero), q)  # faster than nonzero
         t_out.append(ti + start)
         x_out.append(xi)
-    return np.concatenate(t_out), np.concatenate(x_out)
+    return np.concatenate(t_out), np.concatenate(x_out), pcols
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +424,10 @@ def verify_application(f: BivariatePoly, E,
 
     counts is a CountReport of f over E that the caller already holds; the
     pairs are counted here, in inclusive mode, when it is None.  The
-    verdict compares the count that counts.mode names with the bound.
+    verdict compares the count that counts.mode names with the bound:
+    PASS, FAIL or INCONCLUSIVE, THRESHOLD_NOT_MET below the threshold, and
+    VACUOUS when the bound's upper end is <= 0, so that no count could
+    fail it and a PASS would verify nothing.
     Only a singular curve needs an irreducibility certificate: a smooth
     one is irreducible (see check_hypotheses).
     """
@@ -432,8 +460,8 @@ def verify_application(f: BivariatePoly, E,
     if not bound.app_threshold_ok:
         report["verdict"] = "THRESHOLD_NOT_MET"
     elif bound.app_bound_hi <= 0:
-        report["verdict"] = "PASS"
-        report["note"] = "bound nonpositive: vacuously satisfied"
+        report["verdict"] = "VACUOUS"
+        report["note"] = "bound nonpositive: any count meets it"
     elif count >= bound.app_bound_hi:
         report["verdict"] = "PASS"
     elif count < bound.app_bound_lo:

@@ -39,6 +39,9 @@ _LOG_TABLE_LIMIT = 1 << 18
 _LIST_TABLE_LIMIT = 1 << 12
 # rows per numpy step while the exp table is filled
 _TABLE_CHUNK = 1 << 15
+# float64 digits (128 MiB) of GridArith.power_columns, and of one row,
+# (N + 1) k q, of the count kernel's grid of values of degree <= N.
+_POWER_TABLE_LIMIT = 1 << 24
 
 
 def _canonical_modulus(p: int, k: int) -> tuple:
@@ -437,13 +440,19 @@ class Field:
         return "y" if self.k == 1 else _y_poly_str(self.modulus)
 
 
-def _block_rows(E, width=None) -> int:
-    """Rows of width cells (q by default) per block: about 2^16 digits.
+def _mod(a, p: int):
+    """a mod p, as a - (a // p) p: numpy divides by a scalar with SIMD
+    but computes % element by element, many times slower on large arrays."""
+    return a - a // p * p
+
+
+def _block_rows(E) -> int:
+    """Rows of q cells per block: about 2^16 digits.
 
     Each block's GridArith.dot product, (k rows, q) digits per row, then
     stays inside memory that the allocator reuses and the cache holds.
     """
-    return max(1, (1 << 16) // ((width or E.q) * E.k))
+    return max(1, (1 << 16) // (E.q * E.k))
 
 
 class GridArith:
@@ -472,7 +481,7 @@ class GridArith:
 
     def mul(self, x, y):
         if self.k == 1:
-            return x * y % self.p
+            return _mod(x * y, self.p)
         return self.exp[self.log[x] + self.log[y]]
 
     def inv(self, x):
@@ -482,12 +491,17 @@ class GridArith:
         out, e = np.ones_like(x), self.p - 2
         while e:
             if e & 1:
-                out = out * x % self.p
-            x, e = x * x % self.p, e >> 1
+                out = _mod(out * x, self.p)
+            x, e = _mod(x * x, self.p), e >> 1
         return out
 
     def power_columns(self, n):
-        """columns() of the powers z^e, e <= n, of every element z."""
+        """columns() of the powers z^e, e <= n, of every element z; raises
+        DegreeOutOfRange past _POWER_TABLE_LIMIT digits."""
+        if (n + 1) * self.k * self.q > _POWER_TABLE_LIMIT:
+            raise DegreeOutOfRange(
+                f"powers up to {n} of every element of F_{self.q} pass "
+                f"{_POWER_TABLE_LIMIT} digits")
         elems = np.arange(self.q)
         powers = [np.ones(self.q, dtype=np.int64)]  # index 1 is the element 1
         for _ in range(n):

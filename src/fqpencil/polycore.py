@@ -26,6 +26,7 @@ from math import prod
 import numpy as np
 
 from .errors import DegreeOutOfRange
+from .field import _mod
 
 # At this n k the Frobenius table holds (n k)^2 entries per modulus, 32 to
 # 128 MiB as the integer type goes, and a single modulus (B = 1) also holds
@@ -52,12 +53,6 @@ def _count_dtype(field, n):
         if bound < 1 << bits:
             return dtype
     return None
-
-
-def _mod(a: np.ndarray, p: int) -> np.ndarray:
-    """a mod p, as a - (a // p) p: numpy divides by a scalar with SIMD
-    but computes % element by element, many times slower on large arrays."""
-    return a - a // p * p
 
 
 def to_array(coeffs, field, length=None) -> np.ndarray:
@@ -166,20 +161,29 @@ def poly_mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
 
 
 def substitute(cs, g, field) -> np.ndarray:
-    """Coefficients of sum_j c_j(t) g(t)^j, low degree first, for each
-    column of the (D + 1, B) element array g (the coefficients of t^i of
-    B polynomials), where cs[j] lists the coefficients of c_j(t): Horner
-    steps in x.  Returns an element array with one column per g."""
-    p = field.p
-    gd = to_array(g, field)
-    h = np.repeat(to_array(cs[-1], field), g.shape[1], axis=2)
+    """Coefficients of sum_j c_j(t) (g(t) + z)^j for each column of the
+    (D, B) element array g, the coefficients of t^1 .. t^D of B
+    polynomials g with no constant term, where cs[j] is the (n_j, k, 1)
+    array of c_j(t): Horner steps in x.  z stands for the field's
+    elements, so z^q = z.  Returns an (n, Z, B) element array,
+    Z = min(len(cs), q), entry [m, e, b] the coefficient of t^m z^e for
+    column b."""
+    p, k, B = field.p, field.k, g.shape[1]
+    Z = min(len(cs), field.q)
+    g = np.tile(to_array(g, field), (1, 1, Z))  # g / t, once per z^e
+    h = np.zeros((len(cs[-1]), k, Z, B), dtype=np.int64)
+    h[:, :, 0] = cs[-1]
     for c in reversed(cs[:-1]):
-        h = _product(gd, h, field)
-        if len(c) > len(h):
-            h = np.pad(h, ((0, len(c) - len(h)), (0, 0), (0, 0)))
-        h[: len(c)] += to_array(c, field)
-        h = _mod(h, p)
-    return elements(h, field)
+        n = len(h)
+        new = np.zeros((max(n + len(g), len(c)), k, Z, B), dtype=np.int64)
+        new[1 : n + len(g)] = _product(  # h g, one row up
+            g, h.reshape(n, k, Z * B), field).reshape(-1, k, Z, B)
+        new[:n, :, 1:] += h[:, :, :-1]  # h z
+        if Z == field.q:
+            new[:n, :, 1] += h[:, :, -1]  # z^q = z
+        new[: len(c), :, 0] += c
+        h = _mod(new, p)
+    return elements(h.reshape(len(h), k, Z * B), field).reshape(len(h), Z, B)
 
 
 class ModCtx:

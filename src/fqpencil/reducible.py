@@ -6,11 +6,11 @@ x^{4q} + t^b into a reducible polynomial.  The verifier substitutes every g
 of degree <= D and checks reducibility exhaustively; it also runs as a
 negative control on arbitrary curves, reporting the first irreducible value.
 
-It is one batched pass over blocks of substitutions.  A block's values
-f(t, g(t)) are built together by Horner steps in x (polycore.substitute),
-their roots in F_q are marked by GridArith.dot zero masks against the
-powers of every element, and unipoly._irreducible_mask, the step of the
-count kernel, classifies them.
+It runs on the count kernel, counting.substitution_rows: a row is the
+part g_1 t + .. + g_D t^D of g and its cells are the values of g_0.  The
+values' roots are marked through the curve points (t0, x0), in the cell
+where g(t0) = x0, and the rows whose values are not all of one degree 2
+or 3 are expanded over g_0 and classified by unipoly._irreducible_mask.
 """
 
 from __future__ import annotations
@@ -21,13 +21,11 @@ from math import gcd
 import numpy as np
 
 from .bivar import BivariatePoly
+from .counting import substitution_rows
 from .errors import ConstraintViolation, DegreeOutOfRange
-from .field import _LOG_TABLE_LIMIT, GridArith, _block_rows, field_of_order
-from .polycore import substitute
-from .unipoly import UnivariatePoly, _irreducible_mask
+from .field import _LOG_TABLE_LIMIT, _POWER_TABLE_LIMIT, field_of_order
+from .unipoly import UnivariatePoly
 
-# float64 digits (N + 1) k q of the root test's power table: 128 MiB.
-_POWER_TABLE_LIMIT = 1 << 24
 # Substitutions q^(D + 1) of one verification.
 _SUBSTITUTION_LIMIT = 1 << 24
 
@@ -66,10 +64,10 @@ def verify_conrad(instance, D: int) -> dict:
     (zero or constant) are classified separately, not counted as
     irreducible.  Raises ConstraintViolation past q = _LOG_TABLE_LIMIT,
     where GridArith has no tables, and DegreeOutOfRange when the values'
-    degree bound N makes the power table of the root test pass
-    _POWER_TABLE_LIMIT digits, when the q^(D + 1) substitutions pass
-    _SUBSTITUTION_LIMIT, or when a value that reaches the Rabin test is
-    past n k = polycore._FROB_TABLE_LIMIT.
+    degree bound N makes one row of the kernel's value grid, (N + 1) k q
+    digits, pass _POWER_TABLE_LIMIT, when the q^(D + 1) substitutions
+    pass _SUBSTITUTION_LIMIT, or when a value that reaches the Rabin test
+    is past n k = polycore._FROB_TABLE_LIMIT.
     """
     if D < 0:
         raise ConstraintViolation(f"degree cap D = {D} must be at least 0")
@@ -83,41 +81,23 @@ def verify_conrad(instance, D: int) -> dict:
     N = max((i + j * D for i, j in f.terms), default=0)  # >= deg f(t, g)
     if (N + 1) * k * q > _POWER_TABLE_LIMIT:
         raise DegreeOutOfRange(
-            f"values of degree up to {N} over F_{q} need a power table "
+            f"values of degree up to {N} over F_{q} need value-grid rows "
             f"past {_POWER_TABLE_LIMIT} digits")
     total = q ** (D + 1)
     if total > _SUBSTITUTION_LIMIT:
         raise DegreeOutOfRange(
             f"D = {D} over F_{q} means {q}^{D + 1} substitutions, past "
             f"{_SUBSTITUTION_LIMIT}")
-    # cs[j]: the coefficients of t^i in the coefficient c_j(t) of x^j
-    cs = [[0] for _ in range(1 + max((j for _, j in f.terms), default=0))]
-    for (i, j), c in f.terms.items():
-        cs[j] += [0] * (i + 1 - len(cs[j]))
-        cs[j][i] = c
-    ar = GridArith(E)
-    pcols = ar.power_columns(N)
-    rows, root_rows = _block_rows(E, max(N, D) + 1), _block_rows(E)
     degenerate = irreducible = 0
-    counterexample = None
-    for start in range(0, total, rows):
-        # g[i]: the coefficient of t^i of each substitution of the block
-        m = np.arange(start, min(start + rows, total))
-        g = np.empty((D + 1, m.size), dtype=np.int64)
-        for i in range(D + 1):
-            m, g[i] = np.divmod(m, q)
-        c = substitute(cs, g, E)
-        has_root = np.zeros(g.shape[1], dtype=bool)
-        need = np.flatnonzero(c[2:].any(axis=0))  # degree >= 2
-        for s in range(0, need.size, root_rows):
-            part = need[s:s + root_rows]
-            has_root[part] = ar.dot(c[:, part], pcols, zero=True).any(axis=1)
-        deg, irr = _irreducible_mask(c, has_root, E, ar)
-        degenerate += int(np.count_nonzero(deg < 1))
+    first = total  # index of the first irreducible value
+    for rows, deg, irr in substitution_rows(f.terms, E, D):
+        degenerate += int(np.count_nonzero(deg < 1))  # a per-row deg is >= 2
         irreducible += int(np.count_nonzero(irr))
-        if counterexample is None and irr.any():
-            first = UnivariatePoly(E, g[:, np.argmax(irr)].tolist())
-            counterexample = first.format("t")
+        if first == total and irr.any():
+            r, g0 = divmod(int(np.argmax(irr)), q)
+            first = int(rows[r]) * q + g0
+    g = UnivariatePoly(E, [first // q ** i % q for i in range(D + 1)])
+    counterexample = g.format("t") if first < total else None
     return {
         "substitutions": total,
         "degree_cap": D,

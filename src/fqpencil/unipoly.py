@@ -14,7 +14,7 @@ import numpy as np
 import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .field import _LOG_TABLE_LIMIT, GridArith, _block_rows
+from .field import _LOG_TABLE_LIMIT, GridArith
 from .polycore import FrobCtx, _count_dtype, from_array, to_array
 
 
@@ -581,7 +581,6 @@ def discriminant(f: UnivariatePoly):
 # ---------------------------------------------------------------------------
 # Batched irreducibility: exhaustive counts, the count kernel, Conrad values
 
-_COUNT_CHUNK = 1 << 14
 # Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
 # moduli of degree n: 2 to 8 MiB, as the integer type goes.
 _RABIN_BATCH = 1 << 20
@@ -590,18 +589,18 @@ _RABIN_BATCH = 1 << 20
 def count_monic_irreducibles(field, n: int) -> int:
     """Number of monic irreducible polynomials of degree n, by enumeration.
 
-    Every monic degree-n polynomial is classified by _irreducible_mask
-    once its roots in the field are marked by GridArith.dot zero masks
-    against the powers of every element, as in the count kernel.  For
-    n <= 6 that is exact: a rootless survivor f satisfies x^{q^n} = x mod
-    f exactly when all its factor degrees divide n, and the only such
+    The monic polynomials of degree n are the values t^n + g(t) of the
+    curve x + t^n at every g of degree < n, so this is the count kernel,
+    counting.substitution_rows, at D = n - 1.  For n <= 6 its
+    classification is exact: a rootless survivor f satisfies x^{q^n} = x
+    mod f exactly when all its factor degrees divide n, and the only such
     factorizations besides the irreducible one use a single repeated
     degree n/l (any mixed combination of part sizes needs a linear part),
     so the remaining gcd conditions reduce to _rabin_batch's equality
-    tests x^{q^{n/l}} != x mod f.  Chunks of _COUNT_CHUNK polynomials keep
-    the working arrays to a few MiB.  Fields past q = 2^18 raise
+    tests x^{q^{n/l}} != x mod f.  Fields past q = 2^18 raise
     DegreeOutOfRange.
     """
+    from .counting import substitution_rows
     q = field.q
     if n < 1:
         raise DegreeOutOfRange("degree must be positive")
@@ -611,21 +610,9 @@ def count_monic_irreducibles(field, n: int) -> int:
         raise DegreeOutOfRange("exhaustive counting is limited to degree 6")
     if q > _LOG_TABLE_LIMIT:
         raise DegreeOutOfRange("field too large for exhaustive counting")
-    ar = GridArith(field)
-    pcols, rows = ar.power_columns(n), _block_rows(field)
-    total = 0
-    for start in range(0, q ** n, _COUNT_CHUNK):
-        m = np.arange(start, min(start + _COUNT_CHUNK, q ** n))
-        c = np.ones((n + 1, m.size), dtype=np.int64)  # the element 1 is 1
-        for i in range(n):
-            m, c[i] = np.divmod(m, q)
-        has_root = np.zeros(c.shape[1], dtype=bool)
-        for s in range(0, c.shape[1], rows):
-            has_root[s:s + rows] = ar.dot(c[:, s:s + rows], pcols,
-                                          zero=True).any(axis=1)
-        irr = _irreducible_mask(c, has_root, field, ar)[1]
-        total += int(np.count_nonzero(irr))
-    return total
+    terms = {(n, 0): 1, (0, 1): 1}  # the element 1 is 1
+    return sum(int(np.count_nonzero(irr))
+               for _, _, irr in substitution_rows(terms, field, n - 1))
 
 
 def _irreducible_mask(c, has_root, E, ar: GridArith):

@@ -217,6 +217,15 @@ def test_bound_negative_q_exit_two():
     (["conrad", "--q", "65521", "--D", "0"], "DegreeOutOfRange"),
     # a small power table, but 3^41 substitutions
     (["conrad", "--q", "3", "--D", "40"], "DegreeOutOfRange"),
+    # one curve each: a second --poly is refused, not dropped
+    (["count", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1"],
+     "ConstraintViolation"),
+    (["factor", "--q", "7", "--poly", "x^2+1", "--poly", "x^3+x+1"],
+     "ConstraintViolation"),
+    (["curve", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1"],
+     "ConstraintViolation"),
+    (["conrad", "--q", "3", "--D", "1", "--poly", "x^2+1", "--poly",
+      "x^2+x-t"], "ConstraintViolation"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)
@@ -310,6 +319,19 @@ def test_count_mode_names_the_count_of_the_verdict(monkeypatch):
     assert (code, rep["verdict"], rep["count_inclusive"]) == (0, "PASS", 25)
     code, rep = run_json(argv + ["full-degree"])
     assert (code, rep["verdict"], rep["count_full_degree"]) == (1, "FAIL", 18)
+
+
+def test_count_vacuous_bound_is_not_a_pass(monkeypatch):
+    # threshold met, bound <= 0: no count can fail it, so nothing is verified
+    def vacuous_bound(q, d):
+        return BoundReport(q=q, d=d, N=2, app_threshold_ok=True,
+                           app_bound=-1.0, app_bound_lo=Fraction(-2),
+                           app_bound_hi=Fraction(0), positive=False)
+
+    monkeypatch.setattr(counting, "application_bound", vacuous_bound)
+    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t"])
+    assert (code, rep["verdict"]) == (0, "VACUOUS")
+    assert rep["count_inclusive"] == 25
 
 
 def test_count_command_counts_once(monkeypatch):

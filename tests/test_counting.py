@@ -12,8 +12,10 @@ from fqpencil import counting
 from fqpencil.bivar import BivariatePoly
 from fqpencil.field import make_field
 from fqpencil.parsing import parse_poly
+from fqpencil.reducible import verify_conrad
 from fqpencil.counting import (
     BoundReport,
+    CountReport,
     application_bound,
     check_hypotheses,
     count_irreducible_pairs,
@@ -304,6 +306,29 @@ def test_rabin_count_matches_factor_oracle(p, k, modulus, degrees, data):
         _factor_count(f, E)
 
 
+# The D = 1 substitutions g = b + a t are the lines x = a t + b, so
+# verify_conrad's irreducible values are count_inclusive's pairs.
+@pytest.mark.parametrize("p, k", [
+    (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (3, 3), (5, 2), (7, 2)])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_conrad_at_degree_one_matches_count(p, k, data):
+    E = make_field(p, k)
+    f = data.draw(_curves(E, (2, 3, 4)))
+    report = verify_conrad(f, 1)
+    irreducible = (report["substitutions"] - report["reducible"]
+                   - report["degenerate"])
+    assert irreducible == count_irreducible_pairs(f, E).count_inclusive
+
+
+def test_conrad_at_degree_one_matches_count_f1009():
+    E = make_field(1009, 1)
+    f = parse_poly("t^3+x^3+1", E)
+    report = verify_conrad(f, 1)
+    assert report["substitutions"] - report["reducible"] \
+        - report["degenerate"] == count_irreducible_pairs(f, E).count_inclusive
+
+
 # blocks of several rows, with three and four digits per element; the t^3
 # coefficient a^3 - 1 of the restriction vanishes at a = 1
 @pytest.mark.parametrize("p, k", [(5, 4), (7, 3)])
@@ -311,7 +336,7 @@ def test_count_rows_match_per_pair_above_f49(p, k):
     E = make_field(p, k)
     f = parse_poly("x^3-t^3+t*x+1", E)
     rows = counting._count_rows(f, E)
-    assert counting._block_rows(E) > 1
+    assert counting._BLOCK_DIGITS // (4 * E.q * E.k) > 1  # N + 1 = 4
     for a in [1] + random.Random(p ** k).sample(range(2, E.q), 3):
         assert tuple(rows[a]) == _per_pair_row(f, E, a), a
 
@@ -404,6 +429,18 @@ def test_verify_application_pass():
     assert report["verdict"] == "PASS"
     assert report["count_inclusive"] == 54781
     assert report["count_full_degree"] == 54450
+
+
+def test_verify_application_vacuous_above_threshold():
+    # q = 13001 meets the d = 3 threshold q > 9 K^2 = 12996, but the
+    # bound's upper end is still negative (it turns positive at 13009)
+    E = make_field(13001, 1)
+    bound = application_bound(E.q, 3)
+    assert bound.app_threshold_ok and bound.app_bound_hi <= 0
+    counts = CountReport(q=E.q, total_pairs=E.q ** 2, count_full_degree=0,
+                         count_inclusive=0, mode="inclusive")
+    report = verify_application(parse_poly("t^3+x^3+1", E), E, counts)
+    assert report["verdict"] == "VACUOUS"
 
 
 def test_verify_application_threshold_not_met():
