@@ -262,9 +262,8 @@ def substitution_rows(terms, E, D):
         g[D] = 1  # the element 1 is 1
         cells = ar.dot(g, marks)
         cells += np.arange(0, rows.size * q, q)[:, None]
-        has_root = np.zeros(rows.size * q, dtype=bool)
-        has_root[cells] = True  # one flat scatter: faster than 2-d
-        has_root = has_root.reshape(rows.size, q)
+        has_root = np.zeros((rows.size, q), dtype=bool)
+        has_root.reshape(-1)[cells] = True  # a flat scatter: faster than 2-d
         nonzero = coef.any(axis=1)
         n = (len(coef) - 1 - np.argmax(nonzero[::-1], axis=0)) \
             * nonzero.any(axis=0)
@@ -272,7 +271,8 @@ def substitution_rows(terms, E, D):
         rest = ((n != 2) & (n != 3)) | top[:, 1:].any(axis=1)
         deg, irr = n[:, None], ~has_root
         if rest.any():
-            coef = coef[: n[rest].max() + 1, :, rest]
+            # compress keeps C order, unlike coef[..., rest]: faster sums
+            coef = coef[: n[rest].max() + 1].compress(rest, axis=2)
             z = 1 + np.flatnonzero(coef.any(axis=(0, 2))).max(initial=0)
             if z > len(pcols):
                 pcols = ar.power_columns(z - 1)
