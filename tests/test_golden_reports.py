@@ -27,6 +27,11 @@ COMMANDS = [
     ["curve", "--q", "7", "--poly", "x^2-t^3-t^2"],
     ["curve", "--q", "5", "--poly", "x^3+2*t^3+1"],
     ["curve", "--q", "25", "--poly", "t^3+x^3+1"],
+    ["curve", "--q", "7", "--poly", "x^4-t^4"],
+    ["curve", "--q", "9", "--poly", "x^2+t^2"],
+    ["curve", "--q", "25", "--poly", "x^2-2*t^2"],
+    ["curve", "--q", "5", "--poly", "x^3+t*x^2+t^2*x+x+t^3+t"],
+    ["curve", "--q", "9", "--poly", "x^4+t^4+2*t^2*x^2"],
     ["pencil", "--q", "25", "--poly", "x^2+x-t", "--M", "3,7"],
     ["pencil", "--q", "25", "--poly", "t^3+x^3+1"],
     ["search", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1",
