@@ -163,12 +163,7 @@ class BivariatePoly:
 
     def restrict_to_line(self, a, b):
         """f(t, a*t + b) as a univariate polynomial in t."""
-        F = self.field
-        line = UnivariatePoly(F, [b, a])
-        acc = UnivariatePoly.zero(F)
-        for cj in reversed(self.x_coefficients()):
-            acc = acc * line + cj
-        return acc
+        return self.substitute_x(UnivariatePoly(self.field, [b, a]))
 
     def substitute_x(self, g: UnivariatePoly):
         """f(t, g(t)) by Horner in the x-coefficients."""

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -29,8 +28,6 @@ from .pencil import find_generic_point, pattern_histogram, pencil_discriminant
 from .reducible import conrad_polynomial, verify_conrad
 from .unipoly import factor
 
-ENV_THREADS = "FQPENCIL_THREADS"
-
 
 def _add_field_args(sp):
     sp.add_argument("--q", type=int, help="field size (prime power)")
@@ -42,25 +39,9 @@ def _add_field_args(sp):
 
 def _add_common(sp):
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--threads", type=int, default=None)
-
-
-def default_threads() -> int:
-    """The thread count in FQPENCIL_THREADS, 1 when it is unset or empty.
-
-    --threads and FQPENCIL_THREADS are validated but change nothing: every
-    command runs on one thread."""
-    v = os.environ.get(ENV_THREADS)
-    if not v:
-        return 1
-    try:
-        threads = int(v)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConstraintViolation(
-            f"{ENV_THREADS} must be an integer of at least 1, got {v!r}")
-    return threads
+    # accepted and checked for scripts that pass it; every command runs on
+    # one thread
+    sp.add_argument("--threads", type=int, default=1)
 
 
 def _resolve_field(args):
@@ -153,10 +134,9 @@ def run_command(argv):
     report = {"command": args.command, "seed": args.seed}
     code = 0
     try:
-        threads = default_threads() if args.threads is None else args.threads
-        if threads < 1:
+        if args.threads < 1:
             raise ConstraintViolation(
-                f"--threads must be at least 1, got {threads}")
+                f"--threads must be at least 1, got {args.threads}")
         code = _dispatch(args, report)
     except ParseError as exc:
         report["error"] = {"type": type(exc).__name__, "message": str(exc),

@@ -136,7 +136,10 @@ class Field:
             e = e.astype(self._places.dtype)
             out = np.empty(e.shape + (self.k,), dtype=e.dtype)
             for j in range(self.k):
-                e, out[..., j] = np.divmod(e, p)
+                if e.dtype == object:  # numpy has no divmod loop for these
+                    e, out[..., j] = e // p, e % p
+                else:
+                    e, out[..., j] = np.divmod(e, p)
             return out
         out = []
         for _ in range(self.k):

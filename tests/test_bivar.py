@@ -4,13 +4,15 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fqpencil import errors
 from fqpencil.bivar import (BivariatePoly, HomogeneousForm,
                             brute_force_singular_search, curve_invariants,
                             homogenize_and_degree, is_smooth)
 from fqpencil.field import make_field
-from fqpencil.lifting import bivariate_irreducible
+from fqpencil.lifting import bivar_exact_div, bivariate_irreducible
 from fqpencil.parsing import parse_poly
 
 
@@ -212,8 +214,6 @@ def test_certificates_battery():
     f = parse_poly("x^2-t^2", F7)
     cert = bivariate_irreducible(f)
     assert cert.status == "reducible"
-    from fqpencil.lifting import bivar_exact_div
-
     cofactor = bivar_exact_div(f, cert.factor)
     assert cofactor is not None and cofactor * cert.factor == f
 
@@ -231,3 +231,36 @@ def test_reducible_product_never_certified_irreducible():
         cert = bivariate_irreducible(g * h)
         assert cert.status != "irreducible", (g.format(), h.format())
         done += 1
+
+
+def test_reducible_over_large_prime_field():
+    # Hensel lifting runs before the extension scans, which would walk
+    # F_{1999^2} and F_{1999^3} first
+    F = make_field(1999, 1)
+    cert = bivariate_irreducible(parse_poly("x^2-t^2", F))
+    assert cert.as_dict() == {"status": "reducible", "factor": "t+x"}
+
+
+@st.composite
+def _divisor_pair(draw):
+    p, k = draw(st.sampled_from([(3, 1), (5, 1), (3, 2)]))
+    F = make_field(p, k)
+    terms = st.dictionaries(
+        st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        st.integers(1, F.q - 1), max_size=5)
+    g = BivariatePoly(F, draw(terms))
+    h = BivariatePoly(F, draw(terms))
+    return g, h
+
+
+@settings(max_examples=150, deadline=None)
+@given(_divisor_pair())
+def test_exact_division_matches_product(pair):
+    g, h = pair
+    if g.is_zero():
+        assert bivar_exact_div(g * h, g) is None
+        return
+    assert bivar_exact_div(g * h, g) == h
+    if g.total_degree() > 0:
+        one = BivariatePoly(g.field, {(0, 0): g.field.one})
+        assert bivar_exact_div(g * h + one, g) is None

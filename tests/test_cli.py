@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import fqpencil
 from fqpencil import cli, counting
+from fqpencil.bivar import brute_force_singular_search
 from fqpencil.cli import run_command
 from fqpencil.counting import BoundReport
 
@@ -154,20 +155,17 @@ def test_threads_below_one_exit_two(threads):
     assert "count_inclusive" not in rep
 
 
-@pytest.mark.parametrize("value", ["0", "-1", "abc"])
-def test_threads_env_below_one_exit_two(monkeypatch, value):
-    monkeypatch.setenv("FQPENCIL_THREADS", value)
-    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t"])
-    assert code == 2
-    assert rep["error"]["type"] == "ConstraintViolation"
-    assert "count_inclusive" not in rep
-
-
-def test_threads_env_sets_default(monkeypatch):
-    monkeypatch.setenv("FQPENCIL_THREADS", "2")
-    code, rep = run_json(["count", "--q", "7", "--poly", "x^2+x-t"])
+@pytest.mark.parametrize("q,poly", [(31, "x^5+t^5+t*x+1"),
+                                    (13, "x^6+t^6+t*x+1")])
+def test_count_smooth_curve_with_large_discriminant_factor(q, poly):
+    # the smoothness check finds roots over F_{q^k} with q^k past 2^62
+    code, rep = run_json(["count", "--q", str(q), "--poly", poly])
     assert code == 0
-    assert rep["count_inclusive"] == 25
+    assert "error" not in rep
+    assert rep["smooth"] is True
+    assert rep["verdict"] == "THRESHOLD_NOT_MET"
+    F = fqpencil.field_of_order(q)
+    assert brute_force_singular_search(fqpencil.parse_poly(poly, F), 2) is None
 
 
 @pytest.mark.parametrize("M", ["abc", "1", "99,99"])

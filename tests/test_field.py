@@ -71,6 +71,19 @@ def test_element_index_round_trip():
         assert len(list(F.elements())) == F.q
 
 
+def test_vector_round_trip_past_int64():
+    # q = 31^13 passes 2^62, so elements are Python ints in object arrays
+    F = make_field(31, 13)
+    assert F.q > 1 << 62
+    rng = random.Random(13)
+    e = np.array([rng.randrange(F.q) for _ in range(12)] + [0, F.q - 1],
+                 dtype=object).reshape(2, 7)
+    v = F.to_vector(e)
+    assert v.shape == (2, 7, 13)
+    assert v[0, 0].tolist() == F.to_vector(int(e[0, 0]))
+    assert (F.from_vector(v) == e).all()
+
+
 def test_is_square():
     F = make_field(3, 2)
     squares = {F.mul(e, e) for e in F.elements()}
