@@ -229,12 +229,14 @@ def _bezout(a: UnivariatePoly, b: UnivariatePoly):
 
 
 def _content(polys):
-    """gcd of polys from the left, up to the first constant (or zero) one."""
-    cont = polys[0]
-    for c in polys[1:]:
-        cont = cont.gcd(c)
-        if cont.is_constant():
-            break
+    """Monic gcd of the nonzero polys, from the left, up to the first
+    constant one (zero when every poly is zero)."""
+    cont = UnivariatePoly.zero(polys[0].field)
+    for c in polys:
+        if not c.is_zero():
+            cont = cont.gcd(c)
+            if cont.is_constant():
+                break
     return cont
 
 

@@ -18,7 +18,7 @@ from math import comb
 from .bivar import BivariatePoly, discriminant_poly_coeffs
 from .errors import (BasePointOnCurve, CharacteristicObstruction,
                      ConstraintViolation, GenericPointNotFound)
-from .unipoly import UnivariatePoly, factor, squarefree_part
+from .unipoly import UnivariatePoly, _root_part, factor, squarefree_part
 
 INFINITY = None  # pencil parameter of the vertical line
 
@@ -127,21 +127,20 @@ def is_generic_point(f: BivariatePoly, M, E) -> bool:
 
 def branch_loci_disjoint(pd1: PencilDescriptor, pd2: PencilDescriptor) -> bool:
     """No common branch parameter over the closure (u = infinity included)."""
-    s1 = squarefree_part(pd1.delta) if not pd1.delta.is_zero() else pd1.delta
-    s2 = squarefree_part(pd2.delta) if not pd2.delta.is_zero() else pd2.delta
     if pd1.delta.is_zero() or pd2.delta.is_zero():
         return False
     if pd1.deficit >= 1 and pd2.deficit >= 1:
         return False
-    return s1.gcd(s2).is_constant()
+    return squarefree_part(pd1.delta).gcd(
+        squarefree_part(pd2.delta)).is_constant()
 
 
 _EXHAUSTIVE_THRESHOLD = 4096
 
 
-def find_generic_point(fs, E, trial_budget=None, seed=0, count=1,
-                       require_disjoint=True):
-    """First `count` base points that are generic for every listed curve.
+def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
+    """First `count` base points that are generic for every listed curve,
+    with pairwise disjoint branch loci.
 
     Points are tried in the deterministic element order up to an exhaustive
     threshold, then by seeded random sampling, up to trial_budget candidates.
@@ -181,11 +180,10 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1,
             pds.append(pd)
         if not ok:
             continue
-        if require_disjoint and len(pds) > 1:
-            if any(not branch_loci_disjoint(pds[i], pds[j])
-                   for i in range(len(pds)) for j in range(i + 1, len(pds))):
-                continue
-        found.append(M if count > 1 else M)
+        if any(not branch_loci_disjoint(pds[i], pds[j])
+               for i in range(len(pds)) for j in range(i + 1, len(pds))):
+            continue
+        found.append(M)
         if len(found) >= count:
             return found[0] if count == 1 else found
     raise GenericPointNotFound(
@@ -232,21 +230,13 @@ def _finite_parts(A: UnivariatePoly, dA: int):
     if dA == 3:
         g = A.gcd(A.derivative())
         if g.is_constant():
-            r = _root_count(A)
+            r = _root_part(A).degree()
             if r == 3:
                 return [(1, 1), (1, 1), (1, 1)]
             if r == 1:
                 return [(1, 1), (2, 1)]
             return [(3, 1)]
     return [(g.degree(), m) for g, m in factor(A)[1]]
-
-
-def _root_count(A: UnivariatePoly) -> int:
-    """deg gcd(s^q - s, A) for squarefree A."""
-    E = A.field
-    x = UnivariatePoly.x(E)
-    h = x.pow_mod(E.q, A)
-    return (h - x).gcd(A).degree()
 
 
 @dataclass

@@ -16,7 +16,9 @@ a reduction matrix; for B > 1 one row operation per term, across the
 batch.  The fold of y^k .. y^{2k-2} and the Frobenius step are one einsum
 each for every B.  ModCtx and FrobCtx hold a batch of monic moduli of one
 degree n, in the narrowest integer type that holds every sum the kernels
-form (_count_dtype), and refuse n k past _FROB_TABLE_LIMIT.
+form (_count_dtype): int16, int32, int64, or Python ints (object arrays)
+once a sum could pass int64, so every p is exact.  They refuse n k past
+_FROB_TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ _TABLE_BLOCK = 8
 
 def _count_dtype(field, n):
     """Narrowest integer type holding every sum formed modulo a degree-n
-    modulus, or None when int64 does not.
+    modulus: object (Python ints, exact but slower) when int64 does not.
 
     With residues in [0, p-1], a product digit sums at most n*k terms below
     (p-1)^2 (the bound allows n+1), folding y^k.. multiplies that by at
@@ -52,17 +54,20 @@ def _count_dtype(field, n):
     for dtype, bits in ((np.int16, 15), (np.int32, 31), (np.int64, 63)):
         if bound < 1 << bits:
             return dtype
-    return None
+    return object
 
 
 def to_array(coeffs, field, length=None) -> np.ndarray:
     """(n, k, B) digits of polynomials given by their coefficients, low
     degree first: a list for one polynomial (B = 1), or an (m, B) element
-    array with one polynomial per column.  Zero rows pad it to length."""
-    c = np.asarray(coeffs)
+    array with one polynomial per column.  Zero rows pad it to length.
+    The digits are int64, or Python ints from q = 2^62 on, as in
+    Field.to_vector."""
+    dtype = field._places.dtype
+    c = np.asarray(coeffs, dtype=dtype)
     c = c.reshape(len(c), -1) if c.size else c.reshape(0, 1)
     out = np.zeros((max(len(c) if length is None else length, 1), field.k,
-                    c.shape[1]), dtype=np.int64)
+                    c.shape[1]), dtype=dtype)
     out[: len(c)] = field.to_vector(c).transpose(0, 2, 1)
     return out
 
@@ -191,14 +196,16 @@ class ModCtx:
 
     For B = 1 it holds the reduction matrix, row (j, u) y^u x^{n+j} mod f
     for j < n - 1, so a reduction is one matrix product; for B > 1 it
-    reduces one row operation per term with neg[u] = y^u x^n mod f.
+    reduces one row operation per term with neg[u] = y^u x^n mod f.  Every
+    array is of type _count_dtype(field, n), Python ints past int64; the
+    moduli themselves are kept as modulus.
     """
 
     def __init__(self, modulus: np.ndarray, field):
         """modulus: (n + 1, k, B) digits, every top coefficient 1.
 
         Raises DegreeOutOfRange, before any table is allocated, past
-        n k = _FROB_TABLE_LIMIT or when a sum could pass int64.
+        n k = _FROB_TABLE_LIMIT.
         """
         n, B = modulus.shape[0] - 1, modulus.shape[2]
         p, k = field.p, field.k
@@ -207,10 +214,8 @@ class ModCtx:
                 f"degree n = {n} over F_{field.q} (k = {k}) is past the "
                 f"table limit n k <= {_FROB_TABLE_LIMIT}")
         dtype = _count_dtype(field, n)
-        if dtype is None:
-            raise DegreeOutOfRange(
-                f"sums of residues mod {p} at degree {n} pass int64")
         self.field, self.n, self.B = field, n, B
+        self.modulus = modulus
         self.dtype = np.dtype(dtype)
         # neg[u] = y^u x^n mod f = -y^u (f - x^n)
         self.neg = _times_y_powers(_mod(p - modulus[:n].astype(dtype), p),

@@ -15,7 +15,7 @@ import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
 from .field import _LOG_TABLE_LIMIT, GridArith
-from .polycore import FrobCtx, _count_dtype, from_array, to_array
+from .polycore import FrobCtx, ModCtx, from_array, to_array
 
 
 class UnivariatePoly:
@@ -48,11 +48,6 @@ class UnivariatePoly:
     @classmethod
     def from_ints(cls, field, ints):
         return cls(field, [field.from_int(c) for c in ints])
-
-    @classmethod
-    def monomial(cls, field, deg, coeff=None):
-        c = field.one if coeff is None else coeff
-        return cls(field, [field.zero] * deg + [c])
 
     # -- basic queries --------------------------------------------------------
 
@@ -137,12 +132,6 @@ class UnivariatePoly:
         if self.is_zero() or self.is_monic():
             return self
         return self.scale(self.field.inv(self.leading()))
-
-    def shift(self, n):
-        """Multiply by x^n."""
-        if self.is_zero():
-            return self
-        return UnivariatePoly(self.field, [self.field.zero] * n + self.coeffs)
 
     def divmod(self, other):
         F = self.field
@@ -259,7 +248,8 @@ def _reduce(a, b, F, quot=None):
 
 
 def is_irreducible(f: UnivariatePoly) -> bool:
-    """Rabin's test: x^{q^n} == x mod f and gcd(x^{q^{n/l}} - x, f) = 1."""
+    """A root check, which decides degrees 2 and 3, then from degree 4 on
+    Rabin's test (_rabin_batch, exact without a root) on one FrobCtx."""
     F = f.field
     n = f.degree()
     if n <= 0:
@@ -267,22 +257,21 @@ def is_irreducible(f: UnivariatePoly) -> bool:
     if n == 1:
         return True
     f = f.monic()
-    x = UnivariatePoly.x(F)
     if n <= 3:
         # every proper factorization has a linear factor
-        return (x.pow_mod(F.q, f) - x).gcd(f).is_constant()
-    ctx = _frob_ctx(f, min_degree=4)
-    if ctx is None:  # the table's sums could pass int64
-        return (f.gcd(f.derivative()).is_constant()
-                and _distinct_degree(f) == [(f, n)])
-    # one table product per Frobenius step x^{q^i} mod f
-    stops = {n // ell for ell in sympy.primefactors(n)}
-    h = x_arr = to_array(x.coeffs, F, n)
-    for i in range(1, n + 1):
-        h = ctx.frobenius(h)
-        if i in stops and not _gcd_array((h - x_arr) % F.p, f).is_constant():
-            return False
-    return bool((h == x_arr).all())
+        return _root_part(f).is_constant()
+    ctx = FrobCtx(to_array(f.coeffs, F), F)
+    x = to_array([0, 1], F, n)
+    if not _gcd_array((ctx.xq - x) % F.p, f).is_constant():
+        return False
+    return bool(_rabin_batch(ctx)[0])
+
+
+def _root_part(f: UnivariatePoly) -> UnivariatePoly:
+    """gcd(x^q - x, f): the monic product of the distinct linear factors
+    of f."""
+    x = UnivariatePoly.x(f.field)
+    return (x.pow_mod(f.field.q, f) - x).gcd(f)
 
 
 def squarefree_part(f: UnivariatePoly) -> UnivariatePoly:
@@ -354,21 +343,9 @@ def _pth_root_poly(f: UnivariatePoly) -> UnivariatePoly:
     return UnivariatePoly(F, out)
 
 
+# Below this degree factor and roots_in_field run on UnivariatePoly, where
+# a FrobCtx or ModCtx costs more than it saves.
 _DDF_NUMPY_MIN = 8
-
-
-def _frob_ctx(f: UnivariatePoly, min_degree=_DDF_NUMPY_MIN):
-    """Frobenius table modulo monic f, or None when f is too small for it.
-
-    Also None when a sum of residue products could pass int64 (p from
-    about 2^31 on, polycore._count_dtype), since the numpy kernels would
-    wrap silently.  FrobCtx raises DegreeOutOfRange, before any table is
-    allocated, past n k = polycore._FROB_TABLE_LIMIT.
-    """
-    F, n = f.field, f.degree()
-    if n < min_degree or _count_dtype(F, n) is None:
-        return None
-    return FrobCtx(to_array(f.coeffs, F), F)
 
 
 def _distinct_degree(f: UnivariatePoly, ctx=None):
@@ -439,7 +416,8 @@ def _gcd_array(arr, g: UnivariatePoly) -> UnivariatePoly:
 def _equal_degree(f: UnivariatePoly, d: int, rng, ctx=None):
     """Split a square-free product of degree-d irreducibles (Cantor/Zassenhaus).
 
-    ctx, when given, is a FrobCtx modulo a multiple of f (the DDF input).
+    ctx, when given, is a FrobCtx modulo a multiple of f (the DDF input);
+    at d = 1 a ModCtx does, as no Frobenius step is taken.
     For odd q the splitting power a^{(q^d-1)/2} is then formed as b^{1 + q +
     ... + q^{d-1}} with b = a^{(q-1)/2}, the q-powers read off the Frobenius
     table; for q = 2^k the trace a + a^2 + ... + a^{2^{kd-1}} is the sum of
@@ -508,7 +486,9 @@ def factor(f: UnivariatePoly, seed: int = 0):
     rng = random.Random(seed ^ 0x5EED)
     factors = []
     for g, mult in squarefree_decomposition(f):
-        ctx = _frob_ctx(g)
+        # FrobCtx raises DegreeOutOfRange past polycore._FROB_TABLE_LIMIT
+        ctx = (FrobCtx(to_array(g.coeffs, F), F)
+               if g.degree() >= _DDF_NUMPY_MIN else None)
         for prod, d in _distinct_degree(g, ctx):
             for irr in _equal_degree(prod, d, rng, ctx):
                 factors.append((irr, mult))
@@ -521,18 +501,15 @@ def roots_in_field(f: UnivariatePoly):
     F = f.field
     if f.degree() < 1:
         return []
-    x = UnivariatePoly.x(F)
-    g = x.pow_mod(F.q, f) - x
-    g = g.gcd(f)
+    g = _root_part(f)
     if g.degree() < 1:
         return []
-    roots = []
-    _, facs = factor(g)
-    for irr, _ in facs:
-        if irr.degree() == 1:
-            roots.append(F.neg(irr.coeffs[0]))
-    roots.sort()
-    return roots
+    # g is squarefree with only linear factors; at d = 1 the splitting
+    # needs powers modulo g but no Frobenius table
+    ctx = (ModCtx(to_array(g.coeffs, F), F)
+           if g.degree() >= _DDF_NUMPY_MIN else None)
+    lin = _equal_degree(g, 1, random.Random(0x5EED), ctx)
+    return sorted(F.neg(irr.coeffs[0]) for irr in lin)
 
 
 # ---------------------------------------------------------------------------
@@ -623,12 +600,9 @@ def _irreducible_mask(c, has_root, E, ar: GridArith):
     ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
     root is not, and a rootless one of degree 2 or 3 is.  The rootless
     ones of degree n >= 4 are made monic and tested with _rabin_batch, one
-    call per n and chunk of _RABIN_BATCH table entries.  That test is
-    exact when n is a prime power, and with no root for n <= 6
-    (count_monic_irreducibles); the polynomials that pass it at larger n
-    are confirmed one by one.  Past n k = polycore._FROB_TABLE_LIMIT the
-    first chunk's FrobCtx raises DegreeOutOfRange before any table is
-    allocated.
+    FrobCtx per n and chunk of _RABIN_BATCH table entries.  Past
+    n k = polycore._FROB_TABLE_LIMIT the first chunk's FrobCtx raises
+    DegreeOutOfRange before any table is allocated.
     """
     nonzero = c != 0
     deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)
@@ -637,45 +611,50 @@ def _irreducible_mask(c, has_root, E, ar: GridArith):
     for n in range(2, c.shape[0]):
         idx = np.flatnonzero((deg == n) & rootless)
         if n > 3 and idx.size:
-            confirm = n > 6 and len(sympy.primefactors(n)) > 1
             step = max(1, _RABIN_BATCH // (n * E.k) ** 2)
             passed = []
             for start in range(0, idx.size, step):
                 part = idx[start:start + step]
                 cn = c[:n + 1, part]
-                good = _rabin_batch(
-                    to_array(ar.mul(cn[:n], ar.inv(cn[n])), E), E)
-                if confirm:
-                    for j in np.flatnonzero(good):
-                        good[j] = is_irreducible(
-                            UnivariatePoly(E, cn[:, j].tolist()))
-                passed.append(part[good])
+                ctx = FrobCtx(to_array(ar.mul(cn, ar.inv(cn[n])), E), E)
+                passed.append(part[_rabin_batch(ctx)])
             idx = np.concatenate(passed)
         irr[idx] = True
     return deg, irr
 
 
-def _rabin_batch(low, field):
-    """Rabin's equality tests on a batch of monic moduli of degree n >= 2.
+def _rabin_batch(ctx: FrobCtx):
+    """Rabin's test on the batch of monic moduli f of degree n >= 2 held by
+    ctx, exact for moduli without a root in the field.
 
-    low is an (n, k, B) polycore array: the coefficients of x^0 .. x^{n-1}
-    of each of the B moduli f, the leading 1 left out.  The iterated
-    Frobenius images x^{q^m} mod f are steps of one FrobCtx on the batch.
-    Returns, per modulus, x^{q^n} == x mod f and x^{q^{n/l}} != x mod f
-    for every prime l | n: irreducibility when n is a prime power, while
-    factor degrees such as {3, 2, 1} at n = 6 pass too.
+    The Frobenius images x^{q^m} mod f are steps of ctx.  A modulus passes
+    the equality tests when x^{q^n} == x mod f and x^{q^{n/l}} != x mod f
+    for every prime l | n.  They decide irreducibility when n is a prime
+    power, and for rootless f when n <= 6 (count_monic_irreducibles).  At
+    a larger n with two prime factors, rootless factor degrees such as
+    {6, 4, 2} at n = 12 pass them too, so the survivors are also checked
+    for gcd(x^{q^{n/l}} - x, f) = 1 on the same images.  The steps stop
+    once no modulus is left.  Returns one bool per modulus.
     """
-    n, k, size = low.shape
-    one = np.broadcast_to(to_array([1], field), (1, k, size))
-    ctx = FrobCtx(np.concatenate([low, one]), field)
-    x = to_array([0, 1], field, n)
-    r, fixed = ctx.xq, {}
+    F, n = ctx.field, ctx.n
+    ells = sympy.primefactors(n)
+    stops = {n // ell for ell in ells}
+    x = to_array([0, 1], F, n)
+    good = np.ones(ctx.B, dtype=bool)
+    r, images = ctx.xq, []
     for m in range(1, n + 1):
         if m > 1:
             r = ctx.frobenius(r)
-        if n % m == 0:
-            fixed[m] = (r == x).all(axis=(0, 1))
-    good = fixed[n]
-    for ell in sympy.primefactors(n):
-        good &= ~fixed[n // ell]
+        if m in stops:
+            images.append(r)
+            good &= ~(r == x).all(axis=(0, 1))
+            if not good.any():
+                return good
+    good &= (r == x).all(axis=(0, 1))
+    if n > 6 and len(ells) > 1:
+        for j in np.flatnonzero(good):
+            f = UnivariatePoly(F, from_array(ctx.modulus[:, :, j:j + 1], F))
+            good[j] = all(
+                _gcd_array((h[:, :, j:j + 1] - x) % F.p, f).is_constant()
+                for h in images)
     return good

@@ -49,10 +49,18 @@ def test_factor_command():
 
 
 def test_curve_command():
-    code, rep = run_json(["curve", "--q", "7", "--poly", "x^2+x-t"])
-    assert code == 0
-    assert rep["curve"]["d"] == 2
-    assert rep["curve"]["smooth"] is True
+    for q, poly, d, smooth, status, factor in [
+        ("7", "x^2+x-t", 2, True, "irreducible", None),
+        # the content of the x-coefficients is a factor, zero ones left out
+        ("5", "t^2*x^2", 4, False, "reducible", "t^2"),
+        ("5", "2*t*x^2", 3, False, "reducible", "t"),
+    ]:
+        code, rep = run_json(["curve", "--q", q, "--poly", poly])
+        assert code == 0
+        assert rep["curve"]["d"] == d
+        assert rep["curve"]["smooth"] is smooth
+        assert rep["curve"]["irreducible"]["status"] == status
+        assert rep["curve"]["irreducible"].get("factor") == factor
 
 
 def test_pencil_command_json():
@@ -224,6 +232,9 @@ def test_bound_negative_q_exit_two():
      "ConstraintViolation"),
     (["conrad", "--q", "3", "--D", "1", "--poly", "x^2+1", "--poly",
       "x^2+x-t"], "ConstraintViolation"),
+    # the same table limit where residue sums pass int64
+    (["factor", "--q", "2147483647", "--poly", "x^5000+x+1"],
+     "DegreeOutOfRange"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)

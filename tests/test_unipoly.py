@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fqpencil import errors
 from fqpencil.field import make_field
-from fqpencil.polycore import FrobCtx, _count_dtype, from_array, to_array
+from fqpencil.polycore import FrobCtx, from_array, to_array
 from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
                               count_monic_irreducibles, discriminant, factor,
                               is_irreducible, resultant, roots_in_field,
@@ -176,18 +176,21 @@ def test_factor_multiply_back_property(p, k, data):
 
 
 def test_factor_near_int64_limit():
-    # sums of two products of residues mod 2^31 - 1 already pass int64
-    F = make_field(2 ** 31 - 1, 1)
-    rng = random.Random(5)
-    for _ in range(3):
-        f = rand_poly(F, rng, rng.randrange(8, 13), monic=True)
-        unit, facs = factor(f)
-        acc = UnivariatePoly(F, [unit])
-        for g, m in facs:
-            assert is_irreducible(g)
-            for _ in range(m):
-                acc = acc * g
-        assert acc == f
+    # sums of two products of residues mod 2^31 - 1 already pass int64, and
+    # residues mod 2^64 + 13 do themselves: the kernels run on Python ints
+    for p in (2 ** 31 - 1, 2 ** 61 - 1, 2 ** 64 + 13):
+        F = make_field(p, 1)
+        rng = random.Random(5)
+        for _ in range(3):
+            f = rand_poly(F, rng, rng.randrange(8, 13), monic=True)
+            unit, facs = factor(f)
+            assert is_irreducible(f) == (facs == [(f, 1)])
+            acc = UnivariatePoly(F, [unit])
+            for g, m in facs:
+                assert is_irreducible(g)
+                for _ in range(m):
+                    acc = acc * g
+            assert acc == f
 
 
 def test_factor_seed_independent():
@@ -285,7 +288,7 @@ def test_count_degree_guard():
         count_monic_irreducibles(F, 0)
 
 
-def _rabin_expected(f):
+def _rabin_equalities(f):
     """Rabin's equality tests read off factor(f): x^{q^m} == x mod f
     exactly when f is square-free with every factor degree dividing m."""
     facs = factor(f)[1]
@@ -307,22 +310,36 @@ def _random_irreducible(F, rng, d):
 
 @pytest.mark.parametrize("p,k", [(7, 1), (3, 2), (5, 2)])
 def test_rabin_batch_matches_factor(p, k):
+    """_rabin_batch and is_irreducible against irreducibility read off
+    factor.  The batch test is exact without a root, and at every n but 6;
+    there a root lets factor degrees {3, 2, 1} through.  The rootless
+    products at n = 10 and 12 have every factor degree dividing n, and
+    those at n = 12 pass the equality tests, so only the gcds reject
+    them."""
     F = make_field(p, k)
     rng = random.Random(p * 10 + k)
     x = from_ints(F, [0, 1])
-    for n in range(2, 10):
-        polys = [rand_poly(F, rng, n, monic=True) for _ in range(40)]
-        if n == 6:
-            # factor degrees {3, 2, 1} pass the equality tests
-            polys.append(_random_irreducible(F, rng, 3)
-                         * _random_irreducible(F, rng, 2) * x)
-        low = F.to_vector(np.array([f.coeffs[:n] for f in polys]))
-        low = low.transpose(1, 2, 0)
-        got = _rabin_batch(low.astype(_count_dtype(F, n)), F)
+
+    def irr(*degrees):
+        out = UnivariatePoly.one(F)
+        for d in degrees:
+            out = out * _random_irreducible(F, rng, d)
+        return out
+
+    traps = {6: [irr(3, 2) * x], 10: [irr(5, 5), irr(2, 2, 2, 2, 2)],
+             12: [irr(6, 4, 2), irr(4, 3, 3, 2)]}
+    for n in range(2, 13):
+        polys = [rand_poly(F, rng, n, monic=True)
+                 for _ in range(40 if n < 10 else 15)] + traps.get(n, [])
+        moduli = to_array(np.array([f.coeffs for f in polys]).T, F)
+        got = _rabin_batch(FrobCtx(moduli, F))
         for f, passed in zip(polys, got.tolist()):
-            assert passed == _rabin_expected(f), f.format()
-            if len(sympy.primefactors(n)) == 1:
-                assert passed == is_irreducible(f), f.format()
+            irreducible = factor(f)[1] == [(f, 1)]
+            assert is_irreducible(f) == irreducible, f.format()
+            if n == 6 and roots_in_field(f):
+                assert passed == _rabin_equalities(f), f.format()
+            else:
+                assert passed == irreducible, f.format()
         if n == 6:
             assert got[-1]
 
