@@ -3,7 +3,8 @@
 Sparse representation: terms maps (i, j) -> nonzero coefficient of t^i x^j.
 The projective closure lives in (T : X : Z) with Z the homogenizing
 variable.  Smoothness is certified by discriminant-factor elimination:
-after a shear making the X^d coefficient constant, the repeated-root loci
+after a linear change of coordinates making the X^d coefficient a nonzero
+constant (moving a point off the curve to (0:1:0)), the repeated-root loci
 in every residue field of disc_X are inspected directly.
 """
 
@@ -232,10 +233,10 @@ class HomogeneousForm:
                 out[key] = F.add(out.get(key, F.zero), v)
         return HomogeneousForm(F, self.d - 1, out)
 
-    def shear(self, var, c):
-        """Substitute var -> var + c*X for var in {T, Z}; invertible."""
+    def shear(self, var, ce):
+        """Substitute var -> var + ce*X for var in {T, Z} and a field
+        element ce; invertible."""
         F = self.field
-        ce = F.from_int(c)
         out = {}
         from math import comb
         for (a, b), coef in self.terms.items():
@@ -250,6 +251,16 @@ class HomogeneousForm:
                 if v != F.zero:
                     out[key] = F.add(out.get(key, F.zero), v)
         return HomogeneousForm(F, self.d, out)
+
+    def swap(self, u, v):
+        """The form with the variables u and v of T, X, Z exchanged."""
+        i, j = "TXZ".index(u), "TXZ".index(v)
+        out = {}
+        for (a, b), coef in self.terms.items():
+            e = [a, b, self.d - a - b]
+            e[i], e[j] = e[j], e[i]
+            out[(e[0], e[1])] = coef
+        return HomogeneousForm(self.field, self.d, out)
 
     def x_slices(self):
         """Coefficients of X^j in the Z = 1 chart, as UnivariatePoly in T."""
@@ -353,8 +364,39 @@ class SingularWitness:
         }
 
 
-# Deterministic shear schedule: (variable, integer parameter).
-_SHEARS = [None, ("T", 1), ("T", 2), ("Z", 1), ("Z", 2)]
+def _points_to_try(F):
+    """Every point of P^2(F_q), normalized, in the order is_smooth tries
+    them as the point to move to (0:1:0).
+
+    First (0:1:0), (1:1:0), (2:1:0), (0:1:1) and (0:1:2); then the points
+    (t:1:z) by growing max(t, z), so that a curve of degree d < q misses
+    one of the first (d+1)^2; then (1:0:z) and (0:0:1).  The first five
+    come again later, which costs five evaluations.
+    """
+    two = F.from_int(2)
+    yield from [(0, 1, 0), (1, 1, 0), (two, 1, 0), (0, 1, 1), (0, 1, two)]
+    for m in range(F.q):
+        for t in range(m + 1):
+            yield (t, 1, m)
+        for z in range(m):
+            yield (m, 1, z)
+    for z in range(F.q):
+        yield (1, 0, z)
+    yield (0, 0, 1)
+
+
+def _moved_form(form: HomogeneousForm, P):
+    """form(M (T, X, Z)) for an invertible M with M (0, 1, 0) = P, so that
+    its X^d coefficient is form(P); _unshear applies M."""
+    t, x, z = P
+    if x:  # M (T, X, Z) = (T + tX, X, Z + zX)
+        if t:
+            form = form.shear("T", t)
+    elif t:  # M (T, X, Z) = (X, T, Z + zX)
+        form = form.swap("T", "X")
+    else:  # M (T, X, Z) = (T, Z, X)
+        return form.swap("X", "Z")
+    return form.shear("Z", z) if z else form
 
 
 def is_smooth(f: BivariatePoly):
@@ -373,34 +415,30 @@ def is_smooth(f: BivariatePoly):
         raise CharacteristicDividesDegree(
             f"characteristic {F.p} divides degree {d}")
     _, form0 = homogenize_and_degree(f)
-    form = None
-    shear_used = None
-    for shear_used in _SHEARS:
-        cand = form0 if shear_used is None else form0.shear(*shear_used)
-        if cand.coeff(0, d) != F.zero:
-            form = cand
+    for P in _points_to_try(F):
+        if form0.evaluate(*P) != F.zero:
             break
-    if form is None:
+    else:
         raise CoordinateChangeExhausted(
-            "no shear in the schedule made the X^d coefficient nonzero")
+            f"every point of P^2(F_{F.q}) lies on the curve")
 
-    witness = _singular_point(form)
+    witness = _singular_point(_moved_form(form0, P))
     if witness is not None:
-        witness = _unshear(witness, shear_used)
-        return False, witness
+        return False, _unshear(witness, F, P)
     return True, None
 
 
-def _unshear(w: SingularWitness, shear):
-    if shear is None:
-        return w
-    var, c = shear
+def _unshear(w: SingularWitness, F, P):
+    """The witness w of _moved_form(form, P) as a point of form: M w."""
     E = w.field
     T, X, Z = w.point
-    cX = E.scalar(c, X)
-    if var == "T":
-        return SingularWitness(E, (E.add(T, cX), X, Z))
-    return SingularWitness(E, (T, X, E.add(Z, cX)))
+    t, x, z = (embed(F, E, c) for c in P)
+    if x:
+        return SingularWitness(E, (E.add(T, E.mul(t, X)), X,
+                                   E.add(Z, E.mul(z, X))))
+    if t:
+        return SingularWitness(E, (X, T, E.add(Z, E.mul(z, X))))
+    return SingularWitness(E, (T, Z, X))
 
 
 def _singular_point(form: HomogeneousForm):

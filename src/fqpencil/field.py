@@ -19,6 +19,10 @@ The modulus is, unless overridden, the lexicographically smallest monic
 irreducible of degree k over F_p, coefficients compared from the highest
 index down; candidates are tested with unipoly's Rabin test over F_p.
 Fields are cached per (p, k) and immutable.
+
+The integer side of a field is here too: is_prime (Miller-Rabin, exact
+below 3.3e24), prime_factors (trial division, for q - 1 and polynomial
+degrees) and prime_power (q = p^k by exact integer roots, no factoring).
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from array import array
 from functools import lru_cache
 
 import numpy as np
-import sympy
 
 from .errors import (ConstraintViolation, DegreeOutOfRange, IncompatibleTower,
                      NotPrime)
@@ -94,7 +97,7 @@ class Field:
     )
 
     def __init__(self, p: int, k: int, modulus: tuple | None = None):
-        if p < 2 or not sympy.isprime(p):
+        if not is_prime(p):
             raise NotPrime(f"p = {p} is not prime")
         if k < 1:
             raise DegreeOutOfRange(f"extension degree k = {k} must be >= 1")
@@ -290,7 +293,7 @@ class Field:
         They are filled through numpy views of arrays of C ints.
         """
         q, n, p = self.q, self.q - 1, self.p
-        factors = sympy.primefactors(n)
+        factors = prime_factors(n)
         g = next(c for c in range(1, q)
                  if all(self._pow_raw(c, n // ell) != 1 for ell in factors))
         self._exp = array("i", [0]) * (4 * n + 1)
@@ -559,13 +562,76 @@ def make_field(p: int, k: int, modulus: tuple | None = None) -> Field:
     return _field_cached(p, k)
 
 
+# The first 13 primes, and psi_13, the least strong pseudoprime to all of
+# them (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017): below it the Miller-Rabin test on these bases
+# decides primality.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def is_prime(n: int) -> bool:
+    """Whether the integer n is prime.
+
+    Strong Miller-Rabin on _MR_BASES, deterministic for n < _MR_LIMIT;
+    from there sympy.isprime, imported only then.
+    """
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        import sympy
+        return bool(sympy.isprime(n))
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = 2^s m, m odd
+    m = (n - 1) >> s
+    for b in _MR_BASES:
+        x = pow(b, m, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out = []
+    ell = 2
+    while ell * ell <= n:
+        if n % ell == 0:
+            out.append(ell)
+            while n % ell == 0:
+                n //= ell
+        ell += 1 if ell == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> tuple:
     """(p, k) with q = p^k; raises NotPrime unless q is a prime power."""
-    fac = sympy.factorint(q)
-    if q < 2 or len(fac) != 1:
-        raise NotPrime(f"q = {q} is not a prime power")
-    (p, k), = fac.items()
-    return p, k
+    if q >= 2:
+        for k in range(q.bit_length(), 0, -1):
+            r = _iroot(q, k)
+            if r ** k == q and is_prime(r):
+                return r, k
+    raise NotPrime(f"q = {q} is not a prime power")
 
 
 def field_of_order(q: int) -> Field:

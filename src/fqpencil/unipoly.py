@@ -11,10 +11,9 @@ from __future__ import annotations
 import random
 
 import numpy as np
-import sympy
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .field import _LOG_TABLE_LIMIT, GridArith
+from .field import _LOG_TABLE_LIMIT, GridArith, prime_factors
 from .polycore import FrobCtx, ModCtx, from_array, to_array
 
 
@@ -637,7 +636,7 @@ def _rabin_batch(ctx: FrobCtx):
     once no modulus is left.  Returns one bool per modulus.
     """
     F, n = ctx.field, ctx.n
-    ells = sympy.primefactors(n)
+    ells = prime_factors(n)
     stops = {n // ell for ell in ells}
     x = to_array([0, 1], F, n)
     good = np.ones(ctx.B, dtype=bool)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil import errors
-from fqpencil.bivar import (BivariatePoly, HomogeneousForm,
+from fqpencil.bivar import (BivariatePoly, HomogeneousForm, SingularWitness,
+                            _moved_form, _points_to_try, _unshear,
                             brute_force_singular_search, curve_invariants,
                             homogenize_and_degree, is_smooth)
-from fqpencil.field import make_field
+from fqpencil.field import embed, make_field
 from fqpencil.lifting import bivar_exact_div, bivariate_irreducible
 from fqpencil.parsing import parse_poly
 
@@ -89,6 +90,43 @@ def test_singular_witness_vanishes_on_curve_and_partials():
     assert form.evaluate(T, X, Z) == E.zero
     assert form.partial("T").evaluate(T, X, Z) == E.zero
     assert form.partial("X").evaluate(T, X, Z) == E.zero
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_points_to_try_cover_the_plane(p, k):
+    F = make_field(p, k)
+    points = list(_points_to_try(F))
+    plane = set(points[5:])
+    assert len(plane) == len(points) - 5 == F.q ** 2 + F.q + 1
+    assert set(points[:5]) <= plane
+
+
+@pytest.mark.parametrize("p,k", [(3, 1), (2, 2), (5, 1)])
+def test_moved_form_is_form_after_the_coordinate_change(p, k):
+    # G = _moved_form(form, P) satisfies G(w) = form(M w), with M w the
+    # point _unshear returns, and M (0:1:0) = P; checked over F_{q^2}
+    F = make_field(p, k)
+    E = make_field(p, 2 * k)
+    rng = random.Random(100 * p + k)
+    for P in _points_to_try(F):
+        _, form = homogenize_and_degree(rand_bivar(F, rng, 4) +
+                                        BivariatePoly(F, {(5, 0): 1}))
+        G = _moved_form(form, P)
+        assert G.coeff(0, 5) == form.evaluate(*P)
+        lifted = HomogeneousForm(E, form.d, {ab: embed(F, E, c)
+                                             for ab, c in form.terms.items()})
+        G_E = HomogeneousForm(E, G.d, {ab: embed(F, E, c)
+                                       for ab, c in G.terms.items()})
+        for _ in range(3):
+            w = SingularWitness(E, tuple(rng.randrange(E.q) for _ in "TXZ"))
+            assert G_E.evaluate(*w.point) == \
+                lifted.evaluate(*_unshear(w, F, P).point)
+
+
+def test_every_point_on_the_curve_exhausts_the_coordinate_changes():
+    # T X (T + X) vanishes on all seven points of P^2(F_2)
+    with pytest.raises(errors.CoordinateChangeExhausted):
+        is_smooth(parse_poly("t^2*x+t*x^2", make_field(2, 1)))
 
 
 def test_smoothness_guards():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import fqpencil
 from fqpencil import cli, counting
-from fqpencil.bivar import brute_force_singular_search
+from fqpencil.bivar import (HomogeneousForm, brute_force_singular_search,
+                            homogenize_and_degree)
 from fqpencil.cli import run_command
 from fqpencil.counting import BoundReport
 
@@ -192,6 +193,9 @@ def test_bound_negative_q_exit_two():
     assert rep["error"]["type"] == "ConstraintViolation"
 
 
+SEMIPRIME = "30000000000000000000000000096400000000000000000000000002233"
+
+
 @pytest.mark.parametrize("argv,error", [
     (["field", "--q", "6", "--modulus", "1,1"], "NotPrime"),
     (["bound", "--q", "6", "--d", "2"], "NotPrime"),
@@ -235,11 +239,47 @@ def test_bound_negative_q_exit_two():
     # the same table limit where residue sums pass int64
     (["factor", "--q", "2147483647", "--poly", "x^5000+x+1"],
      "DegreeOutOfRange"),
+    # a product of two 30-digit primes, refused without factoring it
+    (["field", "--q", SEMIPRIME], "NotPrime"),
+    (["bound", "--q", SEMIPRIME, "--d", "3"], "NotPrime"),
+    (["count", "--q", SEMIPRIME, "--poly", "x^2+x-t"], "NotPrime"),
+    # the least strong pseudoprime to the bases 2..41
+    (["field", "--q", "3317044064679887385961981"], "NotPrime"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)
     assert code == 2
     assert rep["error"]["type"] == error
+
+
+def test_field_of_a_large_mersenne_prime():
+    p = 2 ** 89 - 1
+    code, rep = run_json(["field", "--q", str(p)])
+    assert code == 0
+    assert rep["field"] == {"p": p, "k": 1, "q": p, "modulus": [0, 1]}
+
+
+def test_curve_with_whole_line_at_infinity_on_it():
+    # the top form t(t-x)(t+x)(t^2+x^2) vanishes on the line at infinity
+    # over F_3, so (0:1:0) and the points of (t:1:0) and (0:1:z) are all
+    # on the curve
+    poly = "t^5+2*t*x^4+t*x^3+2*t^2*x+2*t"
+    code, rep = run_json(["curve", "--q", "3", "--poly", poly])
+    assert code == 0
+    curve = rep["curve"]
+    assert curve["smooth"] is False
+    assert curve["irreducible"] == {"status": "reducible", "factor": "t"}
+    witness = curve["singular_witness"]
+    E = fqpencil.make_field(3, witness["extension_degree"])
+    point = [E.from_vector(v) for v in witness["point"]]
+    f = fqpencil.parse_poly(poly, fqpencil.make_field(3, 1))
+    d, form = homogenize_and_degree(f)
+    form = HomogeneousForm(E, d, form.terms)  # F_3 is E's prime field
+    assert any(point)
+    for g in (form, form.partial("T"), form.partial("X"), form.partial("Z")):
+        assert g.evaluate(*point) == E.zero
+    assert brute_force_singular_search(f, witness["extension_degree"]) \
+        is not None
 
 
 def test_smooth_curve_passes_hypotheses_in_count_and_search():
@@ -312,6 +352,27 @@ def test_python_m_fqpencil():
     assert out.returncode == 0, out.stderr
     assert strip_timing(json.loads(out.stdout)) == \
         strip_timing(run_json(argv)[1])
+
+
+def test_cold_start_does_not_import_sympy():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(fqpencil.__file__))
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = """
+import sys
+from fqpencil.cli import run_command
+for argv in (["field", "--q", "9"],
+             ["count", "--q", "7", "--poly", "x^2+x-t"],
+             ["factor", "--q", "25", "--poly", "x^6+x+1"],
+             ["curve", "--q", "7", "--poly", "t^3+x^3+1"]):
+    assert run_command(argv)[0] == 0, argv
+print("sympy" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_count_mode_names_the_count_of_the_verdict(monkeypatch):

@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil import errors
-from fqpencil.field import GridArith, embed, field_of_order, make_field
+from fqpencil.field import (GridArith, embed, field_of_order, is_prime,
+                            make_field, prime_factors, prime_power)
 
 AXIOM_FIELDS = [(2, 1), (7, 1), (3, 2), (7, 2), (2, 3), (3, 13)]
 
@@ -265,3 +266,58 @@ def test_grid_dot_refuses_sums_past_float64(p, k):
         C = np.full((n - 1, 1), p - 1, dtype=np.int64)
         assert ar.dot(C, ar.columns(C)).tolist() == \
             [[(n - 1) * (p - 1) ** 2 % p]]
+
+
+# ---------------------------------------------------------------------------
+# Integer helpers against sympy as the oracle
+
+# psi_12 (rejected by base 41 alone) and psi_13 (the first strong
+# pseudoprime to all 13 bases, decided by the fallback) of Sorenson and
+# Webster, two smaller strong pseudoprimes, and three Mersenne primes
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+@pytest.mark.parametrize("n,prime", [
+    (3215031751, False), (3825123056546413051, False), (PSI_12, False),
+    (PSI_13, False), (2 ** 61 - 1, True), (2 ** 89 - 1, True),
+    (2 ** 127 - 1, True),
+])
+def test_is_prime_pinned(n, prime):
+    assert is_prime(n) is prime
+    assert sympy.isprime(n) is prime
+
+
+@settings(max_examples=2000, deadline=None)
+@given(n=st.integers(-10, 10 ** 7))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+def test_prime_factors_match_sympy():
+    for n in range(1, 2 * 10 ** 4 + 1):
+        assert prime_factors(n) == sympy.primefactors(n), n
+
+
+def _factorint_prime_power(q):
+    fac = sympy.factorint(q)
+    return next(iter(fac.items())) if q >= 2 and len(fac) == 1 else None
+
+
+@settings(max_examples=2000, deadline=None)
+@given(q=st.one_of(st.integers(-3, 10 ** 9),
+                   st.builds(pow, st.sampled_from([2, 3, 5, 7, 31, 961]),
+                             st.integers(1, 18))))
+def test_prime_power_matches_factorint(q):
+    expected = _factorint_prime_power(q)
+    if expected is None:
+        with pytest.raises(errors.NotPrime):
+            prime_power(q)
+    else:
+        assert prime_power(q) == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 1999, 65521, 2 ** 31 - 1])
+def test_prime_power_of_prime_powers(p):
+    for k in range(1, 12):
+        assert prime_power(p ** k) == (p, k)
