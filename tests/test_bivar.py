@@ -113,14 +113,13 @@ def test_moved_form_is_form_after_the_coordinate_change(p, k):
                                         BivariatePoly(F, {(5, 0): 1}))
         G = _moved_form(form, P)
         assert G.coeff(0, 5) == form.evaluate(*P)
-        lifted = HomogeneousForm(E, form.d, {ab: embed(F, E, c)
-                                             for ab, c in form.terms.items()})
-        G_E = HomogeneousForm(E, G.d, {ab: embed(F, E, c)
-                                       for ab, c in G.terms.items()})
+        form_E, G_E = (HomogeneousForm(E, h.d, {ab: embed(F, E, c) for ab, c
+                                                in h.terms.items()})
+                       for h in (form, G))
         for _ in range(3):
             w = SingularWitness(E, tuple(rng.randrange(E.q) for _ in "TXZ"))
             assert G_E.evaluate(*w.point) == \
-                lifted.evaluate(*_unshear(w, F, P).point)
+                form_E.evaluate(*_unshear(w, F, P).point)
 
 
 def test_every_point_on_the_curve_exhausts_the_coordinate_changes():

@@ -341,24 +341,26 @@ def test_run_command_never_raises(argv):
     assert code != 0 or "error" not in report
 
 
-def test_python_m_fqpencil():
+def _env_with_src():
+    """The environment with this fqpencil first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(fqpencil.__file__))
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return env
+
+
+def test_python_m_fqpencil():
     argv = ["bound", "--q", "331", "--d", "2"]
     out = subprocess.run([sys.executable, "-m", "fqpencil", *argv],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=_env_with_src(),
+                         timeout=120)
     assert out.returncode == 0, out.stderr
     assert strip_timing(json.loads(out.stdout)) == \
         strip_timing(run_json(argv)[1])
 
 
 def test_cold_start_does_not_import_sympy():
-    env = dict(os.environ)
-    src = os.path.dirname(os.path.dirname(fqpencil.__file__))
-    env["PYTHONPATH"] = os.pathsep.join(
-        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     code = """
 import sys
 from fqpencil.cli import run_command
@@ -370,7 +372,7 @@ for argv in (["field", "--q", "9"],
 print("sympy" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, timeout=120)
+                         text=True, env=_env_with_src(), timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
 
