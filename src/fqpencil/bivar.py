@@ -4,16 +4,17 @@ Sparse representation: terms maps (i, j) -> nonzero coefficient of t^i x^j.
 The projective closure lives in (T : X : Z) with Z the homogenizing
 variable.  Smoothness is certified by discriminant-factor elimination:
 after a linear change of coordinates making the X^d coefficient a nonzero
-constant (moving a point off the curve to (0:1:0)), the repeated-root loci
-in every residue field of disc_X are inspected directly.
+constant (moving a point off the curve to (0:1:0), over the least
+extension of F_q that has one), the repeated-root loci in every residue
+field of disc_X are inspected directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (CharacteristicDividesDegree, CoordinateChangeExhausted,
-                     DegreeTooSmall, ZeroOrConstant)
+from .errors import (CharacteristicDividesDegree, DegreeTooSmall,
+                     ZeroOrConstant)
 from .field import embed, make_field
 from .unipoly import (UnivariatePoly, factor, roots_in_field,
                       squarefree_decomposition)
@@ -25,10 +26,6 @@ class BivariatePoly:
     def __init__(self, field, terms):
         self.field = field
         self.terms = {ij: c for ij, c in terms.items() if c != field.zero}
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, {})
 
     # -- structure -------------------------------------------------------------
 
@@ -87,17 +84,6 @@ class BivariatePoly:
             out[ij] = F.add(out.get(ij, F.zero), c)
         return BivariatePoly(F, out)
 
-    def __sub__(self, other):
-        F = self.field
-        out = dict(self.terms)
-        for ij, c in other.terms.items():
-            out[ij] = F.sub(out.get(ij, F.zero), c)
-        return BivariatePoly(F, out)
-
-    def __neg__(self):
-        F = self.field
-        return BivariatePoly(F, {ij: F.neg(c) for ij, c in self.terms.items()})
-
     def __mul__(self, other):
         F = self.field
         out = {}
@@ -106,11 +92,6 @@ class BivariatePoly:
                 key = (i1 + i2, j1 + j2)
                 out[key] = F.add(out.get(key, F.zero), F.mul(c1, c2))
         return BivariatePoly(F, out)
-
-    def scale(self, c):
-        F = self.field
-        return BivariatePoly(F, {ij: F.mul(c, v)
-                                 for ij, v in self.terms.items()})
 
     def transpose(self):
         """Swap the roles of t and x."""
@@ -414,18 +395,25 @@ def is_smooth(f: BivariatePoly):
     if d % F.p == 0:
         raise CharacteristicDividesDegree(
             f"characteristic {F.p} divides degree {d}")
-    _, form0 = homogenize_and_degree(f)
-    for P in _points_to_try(F):
-        if form0.evaluate(*P) != F.zero:
-            break
-    else:
-        raise CoordinateChangeExhausted(
-            f"every point of P^2(F_{F.q}) lies on the curve")
-
-    witness = _singular_point(_moved_form(form0, P))
+    form, P = _point_off_curve(f)
+    witness = _singular_point(_moved_form(form, P))
     if witness is not None:
-        return False, _unshear(witness, F, P)
+        return False, _unshear(witness, form.field, P)
     return True, None
+
+
+def _point_off_curve(f: BivariatePoly):
+    """(form, P): f's closure over the least F_{q^m} with a point off it,
+    and the first such point of _points_to_try.  Some q^m >= d has one: a
+    line not in the curve meets it in at most d < q^m + 1 points."""
+    F = E = f.field
+    _, form = homogenize_and_degree(f)
+    while True:
+        for P in _points_to_try(E):
+            if form.evaluate(*P) != E.zero:
+                return form, P
+        E = make_field(F.p, E.k + F.k)
+        _, form = homogenize_and_degree(f.map_to(E))
 
 
 def _unshear(w: SingularWitness, F, P):

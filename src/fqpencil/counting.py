@@ -18,17 +18,20 @@ from math import factorial
 import numpy as np
 
 from .bivar import BivariatePoly, is_smooth
-from .errors import (ConstraintViolation, DegreeTooSmall,
+from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
                      HypothesisViolation, NotFoundWithinBudget)
-from .field import (_LOG_TABLE_LIMIT, GridArith, _block_rows, make_field,
-                    prime_power)
+from .field import (_LOG_TABLE_LIMIT, _POWER_TABLE_LIMIT, GridArith,
+                    make_field, prime_power)
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
-from .polycore import substitute
-from .unipoly import UnivariatePoly, _irreducible_mask, factor, is_irreducible
+from .polycore import FrobCtx, substitute, to_array
+from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
 
-# Digits of a block's value grid in substitution_rows: root grids of
-# about 2^16 cells for d <= 3 counts, as in _curve_points.
+# Digits of a block of substitution_rows, (N + 1) q k a row, and of
+# _curve_points, 4 q k a row: root grids of about 2^16 cells.
 _BLOCK_DIGITS = 1 << 18
+# Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
+# moduli of degree n: 2 to 8 MiB, as the integer type goes.
+_RABIN_BATCH = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +184,7 @@ class CountReport:
 def _check_char(f: BivariatePoly):
     d = f.total_degree()
     if d < 2:
-        raise HypothesisViolation("counting needs total degree >= 2")
+        raise HypothesisViolation("a curve needs total degree >= 2")
     if (d * (d - 1)) % f.field.p == 0:
         raise HypothesisViolation(
             f"characteristic {f.field.p} divides d(d-1) = {d * (d - 1)}")
@@ -192,13 +195,10 @@ def count_irreducible_pairs(f: BivariatePoly, E,
     """Exact counts of (a, b) in E^2 with f(t, a t + b) irreducible.
 
     count_full_degree additionally requires deg_t = d; count_inclusive
-    admits any irreducible specialization of degree >= 1.  Fields past
-    q = 2^18 (field._LOG_TABLE_LIMIT) raise ConstraintViolation: their
-    q^2 >= 6.9e10 pairs are out of reach of an exhaustive count.
+    admits any irreducible specialization of degree >= 1.  Past q = 2^18
+    substitution_rows refuses: the q^2 >= 6.9e10 pairs are out of reach of
+    an exhaustive count.
     """
-    if E.q > _LOG_TABLE_LIMIT:
-        raise ConstraintViolation(
-            f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {E.q}")
     _check_char(f)
     if f.field != E:
         f = f.map_to(E)
@@ -212,12 +212,12 @@ def _count_rows(f: BivariatePoly, E):
     """Per-a (full, inclusive) counts over every b, a (q, 2) array with a
     in canonical order: substitution_rows at D = 1, a row per a."""
     d = f.total_degree()
-    out = np.zeros((E.q, 2), dtype=np.int64)
-    for rows, deg, irr in substitution_rows(f.terms, E, 1):
-        out[rows, 1] = np.count_nonzero(irr, axis=1)
-        out[rows, 0] = (out[rows, 1] * (deg[:, 0] == d) if deg.shape[1] == 1
-                        else np.count_nonzero(irr & (deg == d), axis=1))
-    return out
+    full, incl = [], []
+    for _, deg, irr in substitution_rows(f.terms, E, 1):
+        incl.append(np.count_nonzero(irr, axis=1))
+        full.append(incl[-1] * (deg[:, 0] == d) if deg.shape[1] == 1
+                    else np.count_nonzero(irr & (deg == d), axis=1))
+    return np.stack([np.concatenate(full), np.concatenate(incl)], axis=1)
 
 
 def substitution_rows(terms, E, D):
@@ -228,7 +228,10 @@ def substitution_rows(terms, E, D):
     q cells are the values of g_0.  Yields (rows, deg, irr) per block of R
     rows, in index order: the row indices, the values' degrees, per cell
     or, when every row's values have one degree 2 or 3, per row (shape
-    (R, 1)), and the (R, q) mask of the irreducible values.
+    (R, 1)), and the (R, q) mask of the irreducible values.  The first
+    block raises ConstraintViolation past q = _LOG_TABLE_LIMIT (no tables
+    for GridArith), and DegreeOutOfRange past _POWER_TABLE_LIMIT digits in
+    a row, (N + 1) k q for the bound N on the values' degrees.
 
     One Horner pass (polycore.substitute) gives each row's coefficients
     of t^m g_0^e.  A curve point (t0, x0) is a root of the value in cell
@@ -236,11 +239,18 @@ def substitution_rows(terms, E, D):
     columns of [-t0, .., -t0^D, x0] marks every rooted cell.  Where the
     top coefficient, of t^2 or t^3, does not depend on g_0 the rootless
     values are the irreducible ones; the other rows are expanded over g_0
-    by a GridArith.dot and go to unipoly._irreducible_mask.
+    by a GridArith.dot and go to _irreducible_mask.
     """
     q, k = E.q, E.k
-    ar = GridArith(E)
     N = max((i + j * D for i, j in terms), default=0)  # >= every degree
+    if q > _LOG_TABLE_LIMIT:
+        raise ConstraintViolation(
+            f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {q}")
+    if (N + 1) * k * q > _POWER_TABLE_LIMIT:
+        raise DegreeOutOfRange(
+            f"values of degree {N} over F_{q} pass {_POWER_TABLE_LIMIT} "
+            "digits a row")
+    ar = GridArith(E)
     deg_t = [0] * (1 + max((j for _, j in terms), default=0))
     for i, j in terms:
         deg_t[j] = max(deg_t[j], i)
@@ -289,7 +299,7 @@ def substitution_rows(terms, E, D):
 def _curve_points(terms, E, ar: GridArith):
     """All affine points of f = 0 over E as index arrays (t, x), and the
     power table used: the zeros of sum_j c_j(t) x^j on blocks of t values
-    (_block_rows), after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
+    (see _BLOCK_DIGITS), after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
     exponents below q.  The zero polynomial, whose values have no degree
     for a root to settle, gets no points."""
     q = E.q
@@ -306,7 +316,7 @@ def _curve_points(terms, E, ar: GridArith):
         ct[ij] = c
     pcols = ar.power_columns(max(ct.shape) - 1)
     ct = ar.dot(ct, pcols[: len(ct)])  # ct[j, t] = c_j(t)
-    rows = _block_rows(E)
+    rows = max(1, _BLOCK_DIGITS // (4 * q * E.k))
     t_out, x_out = [], []
     for start in range(0, q, rows):
         zero = ar.dot(ct[:, start:start + rows], pcols[: len(ct)], zero=True)
@@ -316,25 +326,49 @@ def _curve_points(terms, E, ar: GridArith):
     return np.concatenate(t_out), np.concatenate(x_out), pcols
 
 
+def _irreducible_mask(c, has_root, E, ar: GridArith):
+    """(deg, irr) of a batch of polynomials over E: c[m] is the element
+    array of their x^m coefficients, has_root marks those with a root in E.
+
+    deg is 0 for constants and for zero, and irr marks the irreducible
+    ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
+    root is not, and a rootless one of degree 2 or 3 is.  The rootless
+    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
+    FrobCtx per n and chunk of _RABIN_BATCH table entries.  Past
+    n k = polycore._FROB_TABLE_LIMIT the first chunk's FrobCtx raises
+    DegreeOutOfRange before any table is allocated.
+    """
+    nonzero = c != 0
+    deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)
+    irr = deg == 1
+    rootless = ~has_root
+    for n in range(2, c.shape[0]):
+        idx = np.flatnonzero((deg == n) & rootless)
+        if n > 3 and idx.size:
+            step = max(1, _RABIN_BATCH // (n * E.k) ** 2)
+            passed = []
+            for start in range(0, idx.size, step):
+                part = idx[start:start + step]
+                cn = c[:n + 1, part]
+                ctx = FrobCtx(to_array(ar.mul(cn, ar.inv(cn[n])), E), E)
+                passed.append(part[_rabin_batch(ctx)])
+            idx = np.concatenate(passed)
+        irr[idx] = True
+    return deg, irr
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis checks and the simultaneous-specialization search
 
 
-def check_hypotheses(fs, E):
+def check_hypotheses(fs):
     """Raise HypothesisViolation unless every curve satisfies the
-    hypotheses (p odd, p does not divide d(d-1), smooth) and the curves are
-    pairwise non-proportional.  A smooth projective plane curve is
-    absolutely irreducible: two components would meet in a singular point
-    (Bezout; Fulton, Algebraic Curves, ch. 5)."""
-    if E.p == 2:
-        raise HypothesisViolation("the characteristic must be odd")
+    hypotheses (d >= 2, p does not divide d(d-1), so p is odd; smooth) and
+    the curves are pairwise non-proportional.  A smooth projective plane
+    curve is absolutely irreducible: two components would meet in a
+    singular point (Bezout; Fulton, Algebraic Curves, ch. 5)."""
     for f in fs:
-        d = f.total_degree()
-        if d < 2:
-            raise HypothesisViolation("curve degrees must be >= 2")
-        if (d * (d - 1)) % E.p == 0:
-            raise HypothesisViolation(
-                f"characteristic {E.p} divides d(d-1) = {d * (d - 1)}")
+        _check_char(f)
         smooth, witness = is_smooth(f)
         if not smooth:
             point = tuple(tuple(witness.field.to_vector(c))
@@ -382,7 +416,7 @@ def find_specialization(fs, base_field, s_max: int,
         raise ConstraintViolation(f"s_max must be at least 1, got {s_max}")
     if isinstance(fs, BivariatePoly):
         fs = [fs]
-    check_hypotheses(fs, base_field)
+    check_hypotheses(fs)
     degrees = [f.total_degree() for f in fs]
     for s in range(1, s_max + 1):
         E = make_field(base_field.p, base_field.k * s)

@@ -57,10 +57,6 @@ class ConstraintViolation(FqPencilError):
     pass
 
 
-class CoordinateChangeExhausted(FqPencilError):
-    pass
-
-
 class ParseError(FqPencilError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at offset {position})")

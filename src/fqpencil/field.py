@@ -11,9 +11,9 @@ and from_vector convert to and from coefficient vectors at the edges
 Arithmetic runs on integers mod p for k = 1.  For k > 1 and q up to
 _LOG_TABLE_LIMIT it reads log/exp and Zech logarithm tables (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36, 1990), built once with
-numpy; GridArith, the arithmetic of counting's whole-grid count, reads
-the same tables, so that count takes q <= _LOG_TABLE_LIMIT only.  Larger
-fields multiply and invert digit vectors directly.
+numpy; GridArith, the arithmetic of counting's substitution kernel,
+reads the same tables, so that kernel takes q <= _LOG_TABLE_LIMIT only.
+Larger fields multiply and invert digit vectors directly.
 
 The modulus is, unless overridden, the lexicographically smallest monic
 irreducible of degree k over F_p, coefficients compared from the highest
@@ -36,14 +36,15 @@ from .errors import (ConstraintViolation, DegreeOutOfRange, IncompatibleTower,
                      NotPrime)
 
 # Log/exp/Zech tables (28 bytes per element) are built for extension
-# fields up to this size; it also bounds counting.count_irreducible_pairs.
+# fields up to this size; GridArith reads them, so counting's
+# substitution kernel refuses larger fields.
 _LOG_TABLE_LIMIT = 1 << 18
 # Up to this size the tables are lists, which index faster than arrays.
 _LIST_TABLE_LIMIT = 1 << 12
 # rows per numpy step while the exp table is filled
 _TABLE_CHUNK = 1 << 15
-# float64 digits (128 MiB) of GridArith.power_columns, and of one row,
-# (N + 1) k q, of the count kernel's grid of values of degree <= N.
+# float64 digits (128 MiB) of GridArith.power_columns; counting's
+# substitution kernel refuses value-grid rows past it.
 _POWER_TABLE_LIMIT = 1 << 24
 
 
@@ -450,15 +451,6 @@ def _mod(a, p: int):
     """a mod p, as a - (a // p) p: numpy divides by a scalar with SIMD
     but computes % element by element, many times slower on large arrays."""
     return a - a // p * p
-
-
-def _block_rows(E) -> int:
-    """Rows of q cells per block: about 2^16 digits.
-
-    Each block's GridArith.dot product, (k rows, q) digits per row, then
-    stays inside memory that the allocator reuses and the cache holds.
-    """
-    return max(1, (1 << 16) // (E.q * E.k))
 
 
 class GridArith:

@@ -10,7 +10,7 @@ It runs on the count kernel, counting.substitution_rows: a row is the
 part g_1 t + .. + g_D t^D of g and its cells are the values of g_0.  The
 values' roots are marked through the curve points (t0, x0), in the cell
 where g(t0) = x0, and the rows whose values are not all of one degree 2
-or 3 are expanded over g_0 and classified by unipoly._irreducible_mask.
+or 3 are expanded over g_0 and classified by counting._irreducible_mask.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import numpy as np
 from .bivar import BivariatePoly
 from .counting import substitution_rows
 from .errors import ConstraintViolation, DegreeOutOfRange
-from .field import _LOG_TABLE_LIMIT, _POWER_TABLE_LIMIT, field_of_order
+from .field import field_of_order
 from .unipoly import UnivariatePoly
 
 # Substitutions q^(D + 1) of one verification.
@@ -62,27 +62,18 @@ def verify_conrad(instance, D: int) -> dict:
     irreducible value, and counterexample is the first such g in index
     order, g = sum_i g_i t^i at index sum_i g_i q^i.  Degenerate values
     (zero or constant) are classified separately, not counted as
-    irreducible.  Raises ConstraintViolation past q = _LOG_TABLE_LIMIT,
-    where GridArith has no tables, and DegreeOutOfRange when the values'
-    degree bound N makes one row of the kernel's value grid, (N + 1) k q
-    digits, pass _POWER_TABLE_LIMIT, when the q^(D + 1) substitutions
-    pass _SUBSTITUTION_LIMIT, or when a value that reaches the Rabin test
-    is past n k = polycore._FROB_TABLE_LIMIT.
+    irreducible.  Raises ConstraintViolation for D < 0 and
+    DegreeOutOfRange when the q^(D + 1) substitutions pass
+    _SUBSTITUTION_LIMIT, then the refusals of substitution_rows (q past
+    2^18, value-grid rows past 2^24 digits), and DegreeOutOfRange when a
+    value that reaches the Rabin test is past n k =
+    polycore._FROB_TABLE_LIMIT.
     """
     if D < 0:
         raise ConstraintViolation(f"degree cap D = {D} must be at least 0")
     f = instance.f if isinstance(instance, ConradInstance) else instance
     E = f.field
-    q, k = E.q, E.k
-    if q > _LOG_TABLE_LIMIT:
-        raise ConstraintViolation(
-            f"verifying substitutions needs q <= {_LOG_TABLE_LIMIT}, "
-            f"got q = {q}")
-    N = max((i + j * D for i, j in f.terms), default=0)  # >= deg f(t, g)
-    if (N + 1) * k * q > _POWER_TABLE_LIMIT:
-        raise DegreeOutOfRange(
-            f"values of degree up to {N} over F_{q} need value-grid rows "
-            f"past {_POWER_TABLE_LIMIT} digits")
+    q = E.q
     total = q ** (D + 1)
     if total > _SUBSTITUTION_LIMIT:
         raise DegreeOutOfRange(

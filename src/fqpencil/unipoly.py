@@ -13,7 +13,7 @@ import random
 import numpy as np
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
-from .field import _LOG_TABLE_LIMIT, GridArith, prime_factors
+from .field import prime_factors
 from .polycore import FrobCtx, ModCtx, from_array, to_array
 
 
@@ -43,10 +43,6 @@ class UnivariatePoly:
     @classmethod
     def x(cls, field):
         return cls(field, [field.zero, field.one])
-
-    @classmethod
-    def from_ints(cls, field, ints):
-        return cls(field, [field.from_int(c) for c in ints])
 
     # -- basic queries --------------------------------------------------------
 
@@ -144,9 +140,6 @@ class UnivariatePoly:
 
     def __mod__(self, other):
         return self.divmod(other)[1]
-
-    def __floordiv__(self, other):
-        return self.divmod(other)[0]
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -557,10 +550,6 @@ def discriminant(f: UnivariatePoly):
 # ---------------------------------------------------------------------------
 # Batched irreducibility: exhaustive counts, the count kernel, Conrad values
 
-# Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
-# moduli of degree n: 2 to 8 MiB, as the integer type goes.
-_RABIN_BATCH = 1 << 20
-
 
 def count_monic_irreducibles(field, n: int) -> int:
     """Number of monic irreducible polynomials of degree n, by enumeration.
@@ -573,8 +562,9 @@ def count_monic_irreducibles(field, n: int) -> int:
     factorizations besides the irreducible one use a single repeated
     degree n/l (any mixed combination of part sizes needs a linear part),
     so the remaining gcd conditions reduce to _rabin_batch's equality
-    tests x^{q^{n/l}} != x mod f.  Fields past q = 2^18 raise
-    DegreeOutOfRange.
+    tests x^{q^{n/l}} != x mod f.  n < 1 and n > 6 raise
+    DegreeOutOfRange; the kernel raises ConstraintViolation past
+    q = 2^18 and DegreeOutOfRange past (n + 1) k q = 2^24 digits.
     """
     from .counting import substitution_rows
     q = field.q
@@ -584,42 +574,9 @@ def count_monic_irreducibles(field, n: int) -> int:
         return q
     if n > 6:
         raise DegreeOutOfRange("exhaustive counting is limited to degree 6")
-    if q > _LOG_TABLE_LIMIT:
-        raise DegreeOutOfRange("field too large for exhaustive counting")
     terms = {(n, 0): 1, (0, 1): 1}  # the element 1 is 1
     return sum(int(np.count_nonzero(irr))
                for _, _, irr in substitution_rows(terms, field, n - 1))
-
-
-def _irreducible_mask(c, has_root, E, ar: GridArith):
-    """(deg, irr) of a batch of polynomials over E: c[m] is the element
-    array of their x^m coefficients, has_root marks those with a root in E.
-
-    deg is 0 for constants and for zero, and irr marks the irreducible
-    ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
-    root is not, and a rootless one of degree 2 or 3 is.  The rootless
-    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
-    FrobCtx per n and chunk of _RABIN_BATCH table entries.  Past
-    n k = polycore._FROB_TABLE_LIMIT the first chunk's FrobCtx raises
-    DegreeOutOfRange before any table is allocated.
-    """
-    nonzero = c != 0
-    deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)
-    irr = deg == 1
-    rootless = ~has_root
-    for n in range(2, c.shape[0]):
-        idx = np.flatnonzero((deg == n) & rootless)
-        if n > 3 and idx.size:
-            step = max(1, _RABIN_BATCH // (n * E.k) ** 2)
-            passed = []
-            for start in range(0, idx.size, step):
-                part = idx[start:start + step]
-                cn = c[:n + 1, part]
-                ctx = FrobCtx(to_array(ar.mul(cn, ar.inv(cn[n])), E), E)
-                passed.append(part[_rabin_batch(ctx)])
-            idx = np.concatenate(passed)
-        irr[idx] = True
-    return deg, irr
 
 
 def _rabin_batch(ctx: FrobCtx):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqpencil import errors
+from fqpencil import bivar, errors
 from fqpencil.bivar import (BivariatePoly, HomogeneousForm, SingularWitness,
                             _moved_form, _points_to_try, _unshear,
                             brute_force_singular_search, curve_invariants,
@@ -122,10 +122,19 @@ def test_moved_form_is_form_after_the_coordinate_change(p, k):
                 form_E.evaluate(*_unshear(w, F, P).point)
 
 
-def test_every_point_on_the_curve_exhausts_the_coordinate_changes():
-    # T X (T + X) vanishes on all seven points of P^2(F_2)
-    with pytest.raises(errors.CoordinateChangeExhausted):
-        is_smooth(parse_poly("t^2*x+t*x^2", make_field(2, 1)))
+def test_zero_discriminant_falls_back_to_point_search(monkeypatch):
+    # (x^5 + t^4)(x + t + 1) over F_5: the x-discriminant vanishes
+    # identically, so is_smooth searches the points directly
+    F5 = make_field(5, 1)
+    f = parse_poly("x^5+t^4", F5) * parse_poly("x+t+1", F5)
+    searches = []
+    search = bivar._brute_force_singular
+    monkeypatch.setattr(bivar, "_brute_force_singular",
+                        lambda form, m: searches.append(m) or search(form, m))
+    smooth, w = is_smooth(f)
+    assert searches == [6]
+    assert not smooth and w.field == F5 and w.point == (0, 0, 1)
+    assert brute_force_singular_search(f, 1).point == w.point
 
 
 def test_smoothness_guards():

@@ -259,27 +259,41 @@ def test_field_of_a_large_mersenne_prime():
     assert rep["field"] == {"p": p, "k": 1, "q": p, "modulus": [0, 1]}
 
 
-def test_curve_with_whole_line_at_infinity_on_it():
-    # the top form t(t-x)(t+x)(t^2+x^2) vanishes on the line at infinity
-    # over F_3, so (0:1:0) and the points of (t:1:0) and (0:1:z) are all
-    # on the curve
-    poly = "t^5+2*t*x^4+t*x^3+2*t^2*x+2*t"
-    code, rep = run_json(["curve", "--q", "3", "--poly", poly])
+def _reducible_curve_witness(p, poly):
+    """The singular witness of curve over the prime field F_p, checked:
+    the form and its three partials vanish at it."""
+    code, rep = run_json(["curve", "--q", str(p), "--poly", poly])
     assert code == 0
     curve = rep["curve"]
     assert curve["smooth"] is False
     assert curve["irreducible"] == {"status": "reducible", "factor": "t"}
     witness = curve["singular_witness"]
-    E = fqpencil.make_field(3, witness["extension_degree"])
+    E = fqpencil.make_field(p, witness["extension_degree"])
     point = [E.from_vector(v) for v in witness["point"]]
-    f = fqpencil.parse_poly(poly, fqpencil.make_field(3, 1))
+    f = fqpencil.parse_poly(poly, fqpencil.make_field(p, 1))
     d, form = homogenize_and_degree(f)
-    form = HomogeneousForm(E, d, form.terms)  # F_3 is E's prime field
+    form = HomogeneousForm(E, d, form.terms)  # F_p is E's prime field
     assert any(point)
     for g in (form, form.partial("T"), form.partial("X"), form.partial("Z")):
         assert g.evaluate(*point) == E.zero
+    return f, witness
+
+
+def test_curve_with_whole_line_at_infinity_on_it():
+    # the top form t(t-x)(t+x)(t^2+x^2) vanishes on the line at infinity
+    # over F_3, so (0:1:0) and the points of (t:1:0) and (0:1:z) are all
+    # on the curve
+    f, witness = _reducible_curve_witness(3, "t^5+2*t*x^4+t*x^3+2*t^2*x+2*t")
     assert brute_force_singular_search(f, witness["extension_degree"]) \
         is not None
+
+
+def test_curve_through_every_point_of_the_plane():
+    # T X (T + X) vanishes on all seven points of P^2(F_2), so the point
+    # moved to (0:1:0) is one over F_4; the three lines meet at (0:0:1)
+    _, witness = _reducible_curve_witness(2, "t^2*x+t*x^2")
+    assert witness == {"extension_degree": 2,
+                       "point": [[0, 0], [0, 0], [1, 0]]}
 
 
 def test_smooth_curve_passes_hypotheses_in_count_and_search():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from math import sqrt
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,8 +27,8 @@ from fqpencil.counting import (
     geyer_jarden_rhs_bounds,
     verify_application,
 )
-from fqpencil.errors import (ConstraintViolation, DegreeTooSmall,
-                             HypothesisViolation)
+from fqpencil.errors import (ConstraintViolation, DegreeOutOfRange,
+                             DegreeTooSmall, HypothesisViolation)
 from fqpencil.intervals import (
     fourth_root_bounds,
     mul_bounds,
@@ -35,7 +36,7 @@ from fqpencil.intervals import (
     q_pow_quarter_bounds,
     sqrt_bounds,
 )
-from fqpencil.unipoly import factor, is_irreducible
+from fqpencil.unipoly import count_monic_irreducibles, factor, is_irreducible
 
 
 F5 = make_field(5, 1)
@@ -352,13 +353,62 @@ def test_count_rejects_constants():
         count_irreducible_pairs(parse_poly("x+t", F7), F7)
 
 
+def test_count_over_a_subfield_of_the_counting_field():
+    F5, F25 = make_field(5, 1), make_field(5, 2)
+    f = parse_poly("t^3+x^3+t*x+2", F5)
+    assert count_irreducible_pairs(f, F25) == \
+        count_irreducible_pairs(f.map_to(F25), F25)
+
+
+def _curve(poly, q):
+    F = make_field(q, 1)
+    return parse_poly(poly, F), F
+
+
+# Every refusal of the kernel, substitution_rows, through each caller.
+# 262147 is past q = 2^18, where GridArith has no tables; 262139 is the
+# largest prime below it, and the values of x^70 + t over F_262139 need
+# value-grid rows of 71 q > 2^24 digits, as F_{2^18} does at n = 6.
+@pytest.mark.parametrize("run, error", [
+    (lambda: count_irreducible_pairs(*_curve("x^2+x-t", 262147)),
+     ConstraintViolation),
+    # refused before anything of size q is allocated
+    (lambda: count_irreducible_pairs(*_curve("x^2+x-t", 2 ** 61 - 1)),
+     ConstraintViolation),
+    (lambda: verify_conrad(_curve("x^2+x-t", 262147)[0], 0),
+     ConstraintViolation),
+    (lambda: count_monic_irreducibles(make_field(262147, 1), 2),
+     ConstraintViolation),
+    (lambda: count_irreducible_pairs(*_curve("x^70+t", 262139)),
+     DegreeOutOfRange),
+    (lambda: verify_conrad(_curve("t^70+x", 262139)[0], 0),
+     DegreeOutOfRange),
+    (lambda: count_monic_irreducibles(make_field(2, 18), 6),
+     DegreeOutOfRange),
+])
+def test_kernel_refusals(run, error):
+    with pytest.raises(error):
+        run()
+
+
+def test_kernel_limits_have_one_owner():
+    # the kernel's refusals and block size are decided in field.py and
+    # counting.py only
+    for path in Path(counting.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        assert "_block_rows" not in text, path.name
+        if path.name not in ("field.py", "counting.py"):
+            for name in ("_LOG_TABLE_LIMIT", "_POWER_TABLE_LIMIT"):
+                assert name not in text, (path.name, name)
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis checks
 
 
 def test_check_hypotheses_accepts_pair():
     fs = [parse_poly("x^2+x-t", F7), parse_poly("t^3+x^3+1", F7)]
-    check_hypotheses(fs, F7)
+    check_hypotheses(fs)
 
 
 def test_check_hypotheses_accepts_smooth_curve_without_certificate():
@@ -367,7 +417,7 @@ def test_check_hypotheses_accepts_smooth_curve_without_certificate():
     # verdict for it over F_3
     F3 = make_field(3, 1)
     f = parse_poly("x^5+t^5+1", F3)
-    check_hypotheses([f], F3)
+    check_hypotheses([f])
     report = verify_application(f, F3)
     assert report["smooth"] is True
     assert report["irreducible"] == "irreducible"
@@ -377,18 +427,18 @@ def test_check_hypotheses_accepts_smooth_curve_without_certificate():
 def test_check_hypotheses_rejects_char_two():
     F4 = make_field(2, 2)
     with pytest.raises(HypothesisViolation):
-        check_hypotheses([parse_poly("x^2+x+t", F4)], F4)
+        check_hypotheses([parse_poly("x^2+x+t", F4)])
 
 
 def test_check_hypotheses_rejects_singular():
     with pytest.raises(HypothesisViolation):
-        check_hypotheses([parse_poly("x^2-t^3", F7)], F7)
+        check_hypotheses([parse_poly("x^2-t^3", F7)])
 
 
 def test_check_hypotheses_rejects_proportional():
     fs = [parse_poly("x^2+x-t", F7), parse_poly("2*x^2+2*x-2*t", F7)]
     with pytest.raises(HypothesisViolation):
-        check_hypotheses(fs, F7)
+        check_hypotheses(fs)
 
 
 # ---------------------------------------------------------------------------
@@ -471,4 +521,8 @@ def test_verify_application_uses_given_counts():
 
 def test_verify_application_hypothesis_fail():
     report = verify_application(parse_poly("x^2-t^3", F7), F7)
-    assert report["verdict"] == "HYPOTHESIS_FAIL"
+    assert report["verdict"] == "HYPOTHESIS_FAIL" and "reason" not in report
+    F3 = make_field(3, 1)
+    report = verify_application(parse_poly("t^3+x^3+1", F3), F3)
+    assert report == {"q": 3, "d": 3, "verdict": "HYPOTHESIS_FAIL",
+                      "reason": "characteristic 3 divides d(d-1) = 6"}

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqpencil import errors
+from fqpencil import errors, unipoly
 from fqpencil.field import make_field
 from fqpencil.polycore import FrobCtx, from_array, to_array
 from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
@@ -278,6 +278,26 @@ def test_count_monic_irreducibles_large_primes():
     # residue product sums pass the int16 range from p = 131 on
     for p in (131, 251):
         assert count_monic_irreducibles(make_field(p, 1), 2) == necklace(p, 2)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_equal_degree_trace_with_frobenius_tables(k):
+    # three distinct cubics over F_{2^k}: their product of degree 9 takes
+    # the FrobCtx path, where the trace splits it
+    F = make_field(2, k)
+    rng = random.Random(k)
+    cubics = set()
+    while len(cubics) < 3:
+        cubics.add(_random_irreducible(F, rng, 3))
+    cubics = sorted(cubics, key=lambda g: g.sort_key())
+    f = cubics[0] * cubics[1] * cubics[2]
+    assert f.degree() >= unipoly._DDF_NUMPY_MIN
+    unit, facs = factor(f)
+    assert facs == [(g, 1) for g in cubics]
+    prod = UnivariatePoly.one(F)
+    for g, _ in facs:
+        prod = prod * g
+    assert prod.scale(unit) == f
 
 
 def test_count_degree_guard():
