@@ -228,10 +228,10 @@ def substitution_rows(terms, E, D):
     q cells are the values of g_0.  Yields (rows, deg, irr) per block of R
     rows, in index order: the row indices, the values' degrees, per cell
     or, when every row's values have one degree 2 or 3, per row (shape
-    (R, 1)), and the (R, q) mask of the irreducible values.  The first
-    block raises ConstraintViolation past q = _LOG_TABLE_LIMIT (no tables
-    for GridArith), and DegreeOutOfRange past _POWER_TABLE_LIMIT digits in
-    a row, (N + 1) k q for the bound N on the values' degrees.
+    (R, 1)), and the (R, q) mask of the irreducible values.  Before the
+    first block it raises ConstraintViolation past q = _LOG_TABLE_LIMIT (no
+    tables for GridArith), and DegreeOutOfRange past _POWER_TABLE_LIMIT
+    digits a row, (N + 1) k q for the bound N on the values' degrees.
 
     One Horner pass (polycore.substitute) gives each row's coefficients
     of t^m g_0^e.  A curve point (t0, x0) is a root of the value in cell
@@ -248,8 +248,8 @@ def substitution_rows(terms, E, D):
             f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {q}")
     if (N + 1) * k * q > _POWER_TABLE_LIMIT:
         raise DegreeOutOfRange(
-            f"values of degree {N} over F_{q} pass {_POWER_TABLE_LIMIT} "
-            "digits a row")
+            f"values of degree up to {N} over F_{q} pass "
+            f"{_POWER_TABLE_LIMIT} digits a row")
     ar = GridArith(E)
     deg_t = [0] * (1 + max((j for _, j in terms), default=0))
     for i, j in terms:
