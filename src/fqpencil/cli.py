@@ -22,7 +22,7 @@ from .counting import (application_bound, count_irreducible_pairs,
                        verify_application)
 from .errors import (ConstraintViolation, FqPencilError, NotFoundWithinBudget,
                      ParseError)
-from .field import field_of_order, make_field, prime_power
+from .field import GridArith, field_of_order, make_field, prime_power
 from .parsing import parse_poly, parse_univariate
 from .pencil import find_generic_point, pattern_histogram, pencil_discriminant
 from .reducible import conrad_polynomial, verify_conrad
@@ -211,6 +211,9 @@ def _dispatch(args, report) -> int:
 
     if cmd == "pencil":
         fs = [parse_poly(p, E) for p in args.poly]
+        # the fiber classifier's arithmetic: it refuses k > 1 past the log
+        # tables, so refuse before the base-point search
+        GridArith(E)
         report["inputs"] = {"poly": args.poly, "M": args.M}
         if args.M:
             try:

@@ -80,13 +80,6 @@ def galois_parameters(curves) -> GaloisData:
         discrepancy=(genus_sanity is not None and genus_sanity != genus_closure))
 
 
-def genus_closed_form(d: int, N: int) -> int:
-    """Closed form g = 1 + (N/2)(d-2)(d+1) for a single degree-d curve."""
-    num = N * (d - 2) * (d + 1)
-    assert num % 2 == 0
-    return 1 + num // 2
-
-
 # ---------------------------------------------------------------------------
 # Bounds
 

@@ -11,8 +11,9 @@ and from_vector convert to and from coefficient vectors at the edges
 Arithmetic runs on integers mod p for k = 1.  For k > 1 and q up to
 _LOG_TABLE_LIMIT it reads log/exp and Zech logarithm tables (Huber, "Some
 comments on Zech's logarithms", IEEE Trans. IT 36, 1990), built once with
-numpy; GridArith, the arithmetic of counting's substitution kernel,
-reads the same tables, so that kernel takes q <= _LOG_TABLE_LIMIT only.
+numpy; GridArith, the array arithmetic of counting's substitution kernel
+and of pencil's fiber classifier, reads the same tables, so it refuses
+larger extension fields.
 Larger fields multiply and invert digit vectors directly.
 
 The modulus is, unless overridden, the lexicographically smallest monic
@@ -454,8 +455,9 @@ def _mod(a, p: int):
 
 
 class GridArith:
-    """numpy arithmetic on arrays of elements: products by the field's
-    log/exp tables (integers mod p for k = 1), and sums of products by dot.
+    """numpy arithmetic on arrays of elements: products and sums by the
+    field's log/exp and Zech tables (integers mod p for k = 1), and sums
+    of products by dot.
 
     dot(C, columns(X)) is sum_j C[j, r] X[j, c] over F_q.  It writes the
     products in base-p digits: digit l of the result is the sum over j and
@@ -467,20 +469,46 @@ class GridArith:
     """
 
     def __init__(self, E):
+        """Raises ConstraintViolation for k > 1 past _LOG_TABLE_LIMIT, where
+        E has no log tables."""
         self.p, self.k, self.q = E.p, E.k, E.q
+        # element arrays whose products mul forms exactly: Python ints once
+        # a product of residues mod p could pass int64
+        self.dtype = object if (E.p - 1) ** 2 >= 1 << 63 else np.int64
         if E.k > 1:
+            if E.q > _LOG_TABLE_LIMIT:
+                raise ConstraintViolation(
+                    f"arithmetic on arrays of F_{E.q} elements needs "
+                    f"q <= {_LOG_TABLE_LIMIT} for k > 1 (log tables)")
             # int64 copies: gathers then index with numpy's native intp
             self.log = np.array(E._log, dtype=np.int64)
             self.exp = np.array(E._exp, dtype=np.int64)
-        # digits[l, e]: the coefficient of y^l of e; the elements y^v are
-        # the place values p^v
-        self.digits = E.to_vector(np.arange(E.q)).T.astype(np.float64)
+            self.zech = np.array(E._zech, dtype=np.int64)
+            # digits[l, e]: the coefficient of y^l of e; the elements y^v
+            # are the place values p^v.  For k = 1 an element is its own
+            # digit, so no table of size q is built.
+            self.digits = E.to_vector(np.arange(E.q)).T.astype(np.float64)
         self.places = E._places
+
+    def _digits(self, X):
+        """digits[:, X]: a new first axis of length k."""
+        if self.k == 1:
+            return X[None].astype(np.float64)
+        return self.digits[:, X]
 
     def mul(self, x, y):
         if self.k == 1:
             return _mod(x * y, self.p)
         return self.exp[self.log[x] + self.log[y]]
+
+    def add(self, x, y):
+        """x + y: for k > 1 g^lx (1 + g^(ly - lx)) by the Zech logarithm,
+        where g is the field's primitive element."""
+        if self.k == 1:
+            return _mod(x + y, self.p)
+        lx, ly = self.log[x], self.log[y]
+        s = self.exp[lx + self.zech[_mod(ly - lx, self.q - 1)]]
+        return np.where(x == 0, y, np.where(y == 0, x, s))
 
     def inv(self, x):
         """Inverse of nonzero x: x^(p-2) for k = 1, exp[-log x] for k > 1."""
@@ -509,7 +537,7 @@ class GridArith:
     def columns(self, X):
         """The right-hand side of dot for the (n, Q) element array X: an
         (n, k, Q) float64 array, digit v of X[j, c] at [j, v, c]."""
-        return np.ascontiguousarray(np.moveaxis(self.digits[:, X], 0, 1))
+        return np.ascontiguousarray(np.moveaxis(self._digits(X), 0, 1))
 
     def dot(self, C, cols, zero=False):
         """sum_j C[j, r] X[j, c] over F_q, an (R, Q) element array, for the
@@ -523,7 +551,7 @@ class GridArith:
                 f"2^53, past exact float64")
         R = C.shape[1]
         # lhs[(l, r), (j, v)]: digit l of C[j, r] y^v
-        lhs = self.digits[:, self.mul(C[:, None], self.places[:, None])]
+        lhs = self._digits(self.mul(C[:, None], self.places[:, None]))
         lhs = lhs.transpose(0, 3, 1, 2).reshape(k * R, n * k)
         S = (lhs @ cols.reshape(n * k, Q)).reshape(k, R, Q)
         # the multiple of p below S: floor of a correctly rounded S / p is

@@ -15,10 +15,15 @@ import random
 from dataclasses import dataclass, field as dc_field
 from math import comb
 
+import numpy as np
+
 from .bivar import BivariatePoly, discriminant_poly_coeffs
+from .counting import _BLOCK_DIGITS, _RABIN_BATCH
 from .errors import (BasePointOnCurve, CharacteristicObstruction,
                      ConstraintViolation, GenericPointNotFound)
-from .unipoly import UnivariatePoly, _root_part, factor, squarefree_part
+from .field import GridArith
+from .polycore import FrobCtx, ModCtx, degrees, poly_gcd, to_array
+from .unipoly import UnivariatePoly, factor, squarefree_part
 
 INFINITY = None  # pencil parameter of the vertical line
 
@@ -192,51 +197,128 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
 
 # ---------------------------------------------------------------------------
 # Fiber patterns
+#
+# The fibers are classified in batches, a column per fiber.  A fiber of
+# degree dA < d meets the line's infinity in the part (1, d - dA).  It is
+# ramified exactly when its binary d-form has a repeated root, that is when
+# Delta_M(u) = 0, or deficit >= 1 at u = infinity; only those fibers go to
+# factor, and a generic pencil has at most deg Delta_M + 1 of them.  The
+# finite part g of any other fiber, made monic, is squarefree, so
+# c_i = deg gcd(x^(q^i) - x, g) = sum over e | i of e N_e for the number
+# N_e of its irreducible factors of degree e: Moebius inversion of c_i,
+# i <= n/2, gives every N_e for e <= n/2, and the degree left over is at
+# most one factor, of degree above n/2 (distinct-degree factorization,
+# von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  The images
+# x^(q^i) mod g are one ModCtx.xpow(q) and Frobenius steps, and the gcds one
+# polycore.poly_gcd over the batch.  An unramified pattern is a row of
+# N_1..N_d.
 
 
 def fiber_pattern(pd: PencilDescriptor, u) -> FiberPattern:
-    """Factorization pattern of the fiber at pencil parameter u (None = inf)."""
-    E = pd.field
-    if u is INFINITY:
-        A = pd.curve.specialize_t(pd.M[0])
+    """Factorization pattern of the fiber at pencil parameter u (None = inf):
+    the batch of one."""
+    ar = GridArith(pd.field)
+    us = np.array([] if u is INFINITY else [u], dtype=ar.dtype)
+    return _pattern(*_classify(*_fibers(pd, ar, us, u is INFINITY), pd.d,
+                               pd.field, ar), 0)
+
+
+def _fibers(pd: PencilDescriptor, ar: GridArith, us, vertical: bool):
+    """The fibers at the parameters us, after the one at u = infinity when
+    vertical: their (d + 1, B) element array of coefficients, and whether
+    each one ramifies.  Horner steps in u evaluate every A_m and Delta_M at
+    once."""
+    polys = pd.coeff_polys + [pd.delta]
+    C = np.zeros((max(len(a.coeffs) for a in polys), len(polys)),
+                 dtype=ar.dtype)  # C[j, m]: the coefficient of u^j in A_m
+    for m, a in enumerate(polys):
+        C[: len(a.coeffs), m] = a.coeffs
+    acc = np.broadcast_to(C[-1][:, None], (len(polys), len(us)))
+    for row in C[-2::-1]:
+        acc = ar.add(ar.mul(acc, us), row[:, None])
+    c, ram = acc[:-1], acc[-1] == 0
+    if vertical:
+        col = np.zeros((pd.d + 1, 1), dtype=ar.dtype)
+        coeffs = pd.curve.specialize_t(pd.M[0]).coeffs
+        col[: len(coeffs), 0] = coeffs
+        c = np.concatenate([col, c], axis=1)
+        ram = np.concatenate([[pd.deficit >= 1], ram])
+    return c, ram
+
+
+def _classify(c, ram, d: int, E, ar: GridArith):
+    """Patterns of the fibers with the (d + 1, B) element array c of
+    coefficients, formal degree d, where ram marks the ramified ones: an
+    (B, d) array of the number of simple parts of each degree 1..d, read
+    for the unramified fibers, and a dict from column to the FiberPattern
+    of each ramified fiber."""
+    deg = degrees((c != 0)[:, None])
+    counts = np.zeros((c.shape[1], d), dtype=np.int64)
+    # a linear fiber, and a simple point at the line's infinity
+    counts[:, 0] = (deg == 1).astype(np.int64) + (deg == d - 1)
+    for n in range(2, d + 1):
+        idx = np.flatnonzero((deg == n) & ~ram)
+        # FrobCtx tables of (n k)^2 entries a fiber, as in _irreducible_mask
+        step = max(1, _RABIN_BATCH // (n * E.k) ** 2 if n > 3 else idx.size)
+        for start in range(0, idx.size, step):
+            part = idx[start:start + step]
+            cn = c[: n + 1, part]
+            g = to_array(ar.mul(cn, ar.inv(cn[n])), E)
+            counts[part, :n] += _distinct_degree_counts(g, E)[1:].T
+    ramified = {}
+    for j in np.flatnonzero(ram).tolist():
+        dA = int(deg[j])
+        parts = [(1, d - dA)] if dA < d else []
+        if dA >= 1:
+            A = UnivariatePoly(E, c[:, j].tolist())
+            parts += [(f.degree(), m) for f, m in factor(A)[1]]
+        ramified[j] = _make_pattern(parts)
+    return counts, ramified
+
+
+def _distinct_degree_counts(g, E):
+    """The number N[e, b] of irreducible factors of degree e of each
+    squarefree monic polynomial g_b of degree n >= 2 in the (n + 1, k, B)
+    array g."""
+    n, B = len(g) - 1, g.shape[2]
+    if n > 3:
+        ctx = FrobCtx(g, E)
+        images = [ctx.xq]
+        for _ in range(2, n // 2 + 1):
+            images.append(ctx.frobenius(images[-1]))
     else:
-        A = UnivariatePoly(E, [p.evaluate(u) for p in pd.coeff_polys])
-    return _pattern_of(A, pd.d)
+        images = [ModCtx(g, E).xpow(E.q)]
+    x = to_array([0, 1], E, n)
+    _, c = poly_gcd(np.tile(g, (1, 1, len(images))),
+                    np.concatenate([r - x for r in images], axis=2), E)
+    c = c.reshape(len(images), B)  # c[i - 1]: deg gcd(x^(q^i) - x, g)
+    N = np.zeros((n + 1, B), dtype=np.int64)
+    for e in range(1, len(images) + 1):
+        N[e] = (c[e - 1] - sum(j * N[j] for j in range(1, e) if e % j == 0)) \
+            // e
+    rest = n - np.arange(n + 1) @ N  # one factor, of degree above n/2
+    N[rest, np.arange(B)] += rest > 0
+    return N
 
 
-def _pattern_of(A: UnivariatePoly, d: int) -> FiberPattern:
-    """Pattern of the homogeneous line restriction with formal degree d."""
-    E = A.field
-    dA = A.degree()
-    parts = []
-    if dA < d:
-        parts.append((1, d - dA))  # intersection at the line's infinity
-    if dA >= 1:
-        parts.extend(_finite_parts(A, dA))
-    return _make_pattern(parts)
+def _pattern(counts, ramified, j) -> FiberPattern:
+    """The pattern of column j from the output of _classify."""
+    return ramified.get(j) or _unramified(counts[j])
 
 
-def _finite_parts(A: UnivariatePoly, dA: int):
-    E = A.field
-    if dA == 1:
-        return [(1, 1)]
-    if dA == 2:
-        a0, a1, a2 = (A.coeffs + [E.zero] * 3)[:3]
-        disc = E.sub(E.mul(a1, a1),
-                     E.scalar(4, E.mul(a0, a2)))
-        if disc == E.zero:
-            return [(1, 2)]
-        return [(1, 1), (1, 1)] if E.is_square(disc) else [(2, 1)]
-    if dA == 3:
-        g = A.gcd(A.derivative())
-        if g.is_constant():
-            r = _root_part(A).degree()
-            if r == 3:
-                return [(1, 1), (1, 1), (1, 1)]
-            if r == 1:
-                return [(1, 1), (2, 1)]
-            return [(3, 1)]
-    return [(g.degree(), m) for g, m in factor(A)[1]]
+def _unramified(row) -> FiberPattern:
+    """The pattern with row[e - 1] simple parts of degree e."""
+    return FiberPattern(tuple((e, 1) for e, m in enumerate(row.tolist(), 1)
+                              for _ in range(m)))
+
+
+def _key(row, widths) -> str:
+    """Joint key of a row of concatenated per-curve simple-part counts."""
+    out, at = [], 0
+    for w in widths:
+        out.append(_unramified(row[at:at + w]).key())
+        at += w
+    return "|".join(out)
 
 
 @dataclass
@@ -261,28 +343,44 @@ def pattern_histogram(pds) -> PatternHistogram:
 
     A list of descriptors (sharing M and field) produces the joint
     histogram keyed by '|'-joined per-curve patterns; a fiber is ramified
-    if any of the curves ramifies there.
+    if any of the curves ramifies there.  The fibers are classified in
+    blocks of parameters, u = infinity first; GridArith raises
+    ConstraintViolation for k > 1 past its log tables.
     """
     if isinstance(pds, PencilDescriptor):
         pds = [pds]
     E = pds[0].field
     assert all(pd.field == E and pd.M == pds[0].M for pd in pds)
-    counts = {}
-    ramified = 0
+    ar = GridArith(E)
+    widths = [pd.d for pd in pds]
+    # a row's code: its counts, each at most d, as digits in base max d + 1
+    base, W = max(widths) + 1, sum(widths)
+    weights = np.array([base ** i for i in range(W)],
+                       dtype=object if base ** W >= 1 << 63 else np.int64)
+    tally = {}  # code -> [joint row of simple-part counts, fibers]
     ramified_patterns = []
-    vertical_key = ""
-    total = 0
-    params = [INFINITY, *range(E.q)]
-    for u in params:
-        pats = [fiber_pattern(pd, u) for pd in pds]
-        key = "|".join(p.key() for p in pats)
-        if u is INFINITY:
-            vertical_key = key
-        total += 1
-        if any(p.ramified for p in pats):
-            ramified += 1
-            ramified_patterns.append((u, pats))
-        else:
-            counts[key] = counts.get(key, 0) + 1
-    return PatternHistogram(counts, ramified, total, vertical_key,
-                            ramified_patterns)
+    # fibers a block: 2^16 coefficient digits, as _curve_points takes,
+    # keep the classifier's arrays to a few MiB
+    step = max(1, _BLOCK_DIGITS // (4 * (max(widths) + 1) * E.k))
+    for s0 in range(0, E.q + 1, step):  # slot s is u = s - 1, slot 0 is inf
+        s1 = min(s0 + step, E.q + 1)
+        start = max(s0, 1)  # Python ints past int64
+        us = np.arange(s1 - start).astype(ar.dtype) + (start - 1)
+        found = [_classify(*_fibers(pd, ar, us, s0 == 0), pd.d, E, ar)
+                 for pd in pds]
+        if s0 == 0:
+            vertical_key = "|".join(_pattern(*cls, 0).key() for cls in found)
+        rows = np.concatenate([cnt for cnt, _ in found], axis=1)
+        keep = np.ones(s1 - s0, dtype=bool)
+        for j in sorted(set().union(*(ram for _, ram in found))):
+            keep[j] = False
+            u = INFINITY if s0 + j == 0 else s0 + j - 1
+            ramified_patterns.append((u, [_pattern(*cls, j) for cls in found]))
+        rows = rows[keep]
+        codes, first, num = np.unique(rows @ weights, return_index=True,
+                                      return_counts=True)
+        for code, j, m in zip(codes.tolist(), first, num.tolist()):
+            tally.setdefault(code, [rows[j], 0])[1] += m
+    counts = {_key(row, widths): m for row, m in tally.values()}
+    return PatternHistogram(counts, len(ramified_patterns), E.q + 1,
+                            vertical_key, ramified_patterns)

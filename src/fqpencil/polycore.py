@@ -165,6 +165,65 @@ def poly_mul(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     return _mod(_product(a, b, field), field.p)
 
 
+def degrees(a: np.ndarray) -> np.ndarray:
+    """Degree of each polynomial of an (..., n, k, B) array, -1 for zero."""
+    rows = np.arange(a.shape[-3])[:, None]
+    return np.where(a.any(axis=-2), rows, -1).max(axis=-2, initial=-1)
+
+
+def scale(a: np.ndarray, c: np.ndarray, field) -> np.ndarray:
+    """c a for residues a of shape (..., m, k, B) and the (..., k, B)
+    digits c of one element per polynomial, not reduced mod p: a product
+    with the matrix of c's y^u multiples, built from one row rather than
+    m."""
+    cy = _times_y_powers(c[..., None, :, :], field)[..., 0, :, :]
+    return np.einsum("...iub,...uvb->...ivb", a, cy)
+
+
+def poly_gcd(a: np.ndarray, b: np.ndarray, field):
+    """A gcd of each pair of polynomials in the (n, k, B) and (m, k, B)
+    arrays a and b, as an (max(n, m), k, B) array, and its degree, -1
+    where both are zero.
+
+    Euclid's algorithm one term at a time across the batch, with the
+    degree kept per slot: where deg a >= deg b > 0, a becomes
+    lc(b) a - lc(a) x^(deg a - deg b) b, which lowers deg a, and a pair
+    with deg a < deg b is swapped first, until b is zero or a constant.
+    So it takes at most deg a + deg b + 1 rounds, and forms no inverse:
+    each gcd is found up to a nonzero factor, its leading coefficient is
+    not made 1.
+    """
+    p, n = field.p, max(len(a), len(b))
+    pair = np.zeros((2, n) + a.shape[1:], dtype=_count_dtype(field, n))
+    pair[0, : len(a)], pair[1, : len(b)] = a, b
+    pair = _mod(pair, p)  # [a, b]
+    deg = degrees(pair)
+    rows = np.arange(n)[:, None, None]
+    while True:
+        swap = deg[0] < deg[1]
+        if swap.any():
+            pair, deg = np.where(swap, pair[::-1], pair), \
+                np.where(swap, deg[::-1], deg)
+        live = deg[1] > 0  # the gcd is b where it is a nonzero constant
+        if not live.any():
+            done = deg[1] == 0
+            return np.where(done, pair[1], pair[0]), np.where(done, 0, deg[0])
+        shift = deg[0] - deg[1]
+        terms = pair * (shift == 0)  # [a, x^(da - db) b]
+        terms[0] = pair[0]
+        for s in range(1, shift.max() + 1):
+            terms[1, s:] += pair[1, : n - s] * (shift == s)
+        # [la, lb], and a is kept (lb = 1, la = 0) where the gcd is known
+        lead = (pair * (rows == deg[:, None, None])).sum(axis=1,
+                                                          dtype=pair.dtype)
+        lead[0] *= live
+        lead[1, 0] = np.where(live, lead[1, 0], 1)
+        lead[1, 1:] *= live
+        terms = scale(terms, lead[::-1], field)  # [lb a, la x^.. b]
+        pair[0] = _mod(terms[0] - terms[1], p)
+        deg[0] = degrees(pair[0])
+
+
 def substitute(cs, g, field) -> np.ndarray:
     """Coefficients of sum_j c_j(t) (g(t) + z)^j for each column of the
     (D, B) element array g, the coefficients of t^1 .. t^D of B

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,27 @@ def test_pencil_command_csv():
     assert code == 0
     assert text.splitlines() == [
         "pattern,count", "1+1,3", "2,3", "ramified,2", "total,8"]
+
+
+def test_pencil_refuses_extension_fields_without_log_tables():
+    # F_{3^12} has no log tables for the fiber classifier; the refusal
+    # comes before the base-point search, not after a walk of q + 1 fibers
+    start = time.perf_counter()
+    code, rep = run_json(["pencil", "--q", "531441", "--poly", "x^2+x-t"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert rep["error"]["type"] == "ConstraintViolation"
+    assert "pencils" not in rep
+
+
+def test_pencil_over_a_prime_past_the_log_tables():
+    q = 262147  # a prime just above 2^18: k = 1 needs no tables
+    code, rep = run_json(["pencil", "--q", str(q), "--poly", "x^2+x-t"])
+    assert code == 0
+    hist = rep["histogram"]
+    assert hist["total"] == q + 1
+    assert sum(hist["counts"].values()) + hist["ramified"] == q + 1
+    assert set(hist["counts"]) == {"1+1", "2"}
 
 
 def test_pencil_auto_base_point():

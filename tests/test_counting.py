@@ -22,7 +22,6 @@ from fqpencil.counting import (
     count_irreducible_pairs,
     find_specialization,
     galois_parameters,
-    genus_closed_form,
     geyer_jarden_rhs,
     geyer_jarden_rhs_bounds,
     verify_application,
@@ -120,6 +119,13 @@ def test_galois_parameters_rejects_small_degree():
         galois_parameters([1])
     with pytest.raises(HypothesisViolation):
         galois_parameters([])
+
+
+def genus_closed_form(d: int, N: int) -> int:
+    """Closed form g = 1 + (N/2)(d-2)(d+1) for a single degree-d curve."""
+    num = N * (d - 2) * (d + 1)
+    assert num % 2 == 0
+    return 1 + num // 2
 
 
 def test_genus_closed_form_matches_closure_track():

@@ -1,11 +1,17 @@
 """Tests for pencil discriminants, fiber patterns, and histograms."""
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from fqpencil.field import make_field
+from fqpencil.bivar import BivariatePoly, homogenize_and_degree
+from fqpencil import pencil
+from fqpencil.field import field_of_order, make_field
 from fqpencil.parsing import parse_poly
 from fqpencil.pencil import (
     INFINITY,
+    FiberPattern,
+    PatternHistogram,
     PencilDescriptor,
     branch_loci_disjoint,
     fiber_pattern,
@@ -19,6 +25,8 @@ from fqpencil.errors import (
     CharacteristicObstruction,
     GenericPointNotFound,
 )
+from fqpencil.unipoly import (UnivariatePoly, _root_part, discriminant,
+                              factor)
 
 
 F7 = make_field(7, 1)
@@ -207,3 +215,200 @@ def test_descriptor_as_dict_round_trip():
     assert d["generic"] is True
     assert d["branch_count"] == 2
     assert d["branch_at_infinity"] is False
+
+
+# ---------------------------------------------------------------------------
+# The per-fiber oracle: one factorization per fiber, as pattern_histogram
+# computed it before it classified the fibers in batches
+
+
+def _pattern_of(A: UnivariatePoly, d: int) -> FiberPattern:
+    """Pattern of the homogeneous line restriction with formal degree d."""
+    dA = A.degree()
+    parts = []
+    if dA < d:
+        parts.append((1, d - dA))  # intersection at the line's infinity
+    if dA >= 1:
+        parts.extend(_finite_parts(A, dA))
+    return FiberPattern(tuple(sorted(parts)))
+
+
+def _finite_parts(A: UnivariatePoly, dA: int):
+    E = A.field
+    if dA == 1:
+        return [(1, 1)]
+    if dA == 2:
+        a0, a1, a2 = (A.coeffs + [E.zero] * 3)[:3]
+        disc = E.sub(E.mul(a1, a1),
+                     E.scalar(4, E.mul(a0, a2)))
+        if disc == E.zero:
+            return [(1, 2)]
+        return [(1, 1), (1, 1)] if E.is_square(disc) else [(2, 1)]
+    if dA == 3:
+        g = A.gcd(A.derivative())
+        if g.is_constant():
+            r = _root_part(A).degree()
+            if r == 3:
+                return [(1, 1), (1, 1), (1, 1)]
+            if r == 1:
+                return [(1, 1), (2, 1)]
+            return [(3, 1)]
+    return [(g.degree(), m) for g, m in factor(A)[1]]
+
+
+def _fiber(pd, u) -> UnivariatePoly:
+    if u is INFINITY:
+        return pd.curve.specialize_t(pd.M[0])
+    return UnivariatePoly(pd.field, [a.evaluate(u) for a in pd.coeff_polys])
+
+
+def _oracle_histogram(pds) -> PatternHistogram:
+    counts, ramified_patterns, vertical_key = {}, [], ""
+    for u in [INFINITY, *range(pds[0].field.q)]:
+        pats = [_pattern_of(_fiber(pd, u), pd.d) for pd in pds]
+        key = "|".join(p.key() for p in pats)
+        if u is INFINITY:
+            vertical_key = key
+        if any(p.ramified for p in pats):
+            ramified_patterns.append((u, pats))
+        else:
+            counts[key] = counts.get(key, 0) + 1
+    return PatternHistogram(counts, len(ramified_patterns),
+                            pds[0].field.q + 1, vertical_key,
+                            ramified_patterns)
+
+
+# q <= 125 and odd: p = 2 divides every d(d - 1)
+FIELDS = [(3, 1), (5, 1), (7, 1), (11, 1), (13, 1), (3, 2), (5, 2), (7, 2),
+          (3, 3), (5, 3), (3, 4)]
+# a reducible conic, x (x - t - 1); the square of a line, (x - t)^2, where
+# Delta_M = 0 at every u; a cuspidal and a nodal cubic
+SPECIAL = [(2, "x^2-t*x-x"), (2, "x^2-2*t*x+t^2"), (3, "x^2-t^3"),
+           (3, "x^2-t^2-t^3"), (4, "x^4+t^3"), (5, "x^5-t^2*x^3+t")]
+
+
+@st.composite
+def curves(draw, E):
+    """A curve of degree 2..5 over E with p not dividing d(d - 1): one of
+    SPECIAL, or sparse random coefficients, so that some fibers lose
+    degree at the line's infinity."""
+    degrees = [d for d in (2, 3, 4, 5) if d * (d - 1) % E.p]
+    special = [poly for d, poly in SPECIAL if d in degrees]
+    if draw(st.booleans()):
+        return parse_poly(draw(st.sampled_from(special)), E)
+    d = draw(st.sampled_from(degrees))
+    coeff = st.one_of(st.just(0), st.integers(0, E.q - 1))
+    terms = {(i, j): draw(coeff) for i in range(d + 1)
+             for j in range(d + 1 - i)}
+    if not any(terms[i, d - i] for i in range(d + 1)):
+        terms[0, d] = 1
+    return BivariatePoly(E, terms)
+
+
+@st.composite
+def pencils(draw):
+    """One or two curves over one field and a base point off them; the
+    point is explicit, so it is often not generic."""
+    E = make_field(*draw(st.sampled_from(FIELDS)))
+    fs = [draw(curves(E)) for _ in range(draw(st.integers(1, 2)))]
+    M = (draw(st.integers(0, E.q - 1)), draw(st.integers(0, E.q - 1)))
+    assume(all(f.evaluate(*M) != E.zero for f in fs))
+    return [pencil_discriminant(f, M, E) for f in fs]
+
+
+@settings(max_examples=100)
+@given(pencils())
+def test_batched_histogram_matches_per_fiber_oracle(pds):
+    hist = pattern_histogram(pds)
+    oracle = _oracle_histogram(pds)
+    assert hist.counts == oracle.counts
+    assert hist.ramified == oracle.ramified
+    assert hist.total == oracle.total
+    assert hist.vertical_key == oracle.vertical_key
+    assert hist.ramified_patterns == oracle.ramified_patterns
+    for u in (INFINITY, 0, pds[0].field.q - 1):
+        assert fiber_pattern(pds[0], u) == _pattern_of(_fiber(pds[0], u),
+                                                       pds[0].d)
+
+
+@pytest.mark.parametrize("q,poly", [(27, "x^5-t^2*x^3+t^4+1"),
+                                    (49, "t^3+x^3+1"), (11, "x^4+t^4+t+3")])
+def test_histogram_in_small_blocks_and_chunks(monkeypatch, q, poly):
+    # blocks of a few parameters and Frobenius tables of one fiber each
+    monkeypatch.setattr(pencil, "_BLOCK_DIGITS", 64)
+    monkeypatch.setattr(pencil, "_RABIN_BATCH", 1)
+    E = field_of_order(q)
+    f = parse_poly(poly, E)
+    pds = [pencil_discriminant(f, (1, 2), E)]
+    hist, oracle = pattern_histogram(pds), _oracle_histogram(pds)
+    assert (hist.counts, hist.ramified, hist.vertical_key) == \
+        (oracle.counts, oracle.ramified, oracle.vertical_key)
+    assert hist.ramified_patterns == oracle.ramified_patterns
+
+
+def test_fiber_pattern_past_int64_products():
+    # p > 2^32: products of residues pass int64, so the classifier's
+    # element arrays hold Python ints; past 2^64 so do the elements
+    for p in (4294967311, 2 ** 64 + 13):
+        E = make_field(p, 1)
+        for poly in ("x^2+x-t", "t^3+x^3+1", "x^4+t^4+t+3"):
+            pd = pencil_discriminant(parse_poly(poly, E), (0, 1), E)
+            for u in (INFINITY, 0, 1, 2, 12345, E.q - 1):
+                assert fiber_pattern(pd, u) == _pattern_of(_fiber(pd, u),
+                                                           pd.d)
+
+
+def _projective_points(f):
+    """#C(P^2(F_q)) by brute force over every point."""
+    E = f.field
+    _, F = homogenize_and_degree(f)
+    pts = [(t, x, 1) for t in range(E.q) for x in range(E.q)]
+    pts += [(1, x, 0) for x in range(E.q)] + [(0, 1, 0)]
+    return sum(F.evaluate(*pt) == E.zero for pt in pts)
+
+
+@pytest.mark.parametrize("q,poly", [
+    (7, "x^2+x-t"), (25, "x^2+x-t"), (7, "t^3+x^3+1"), (49, "t^3+x^3+1"),
+    (11, "x^4+t^4+t+3"), (13, "x^2-t^3"), (25, "x^2-t^2-t^3"),
+    (5, "x^2-t*x-x"), (7, "x^5-t^2*x^3+t"),
+])
+def test_pencil_identity_counts_points(q, poly):
+    # each F_q-point of C lies on exactly one line through M, off C, so
+    # the distinct degree-1 parts over all q + 1 fibers count C(P^2(F_q))
+    E = field_of_order(q)
+    f = parse_poly(poly, E)
+    M = next((t, x) for t in range(q) for x in range(q)
+             if f.evaluate(t, x) != E.zero)
+    pd = pencil_discriminant(f, M, E)
+    hist = pattern_histogram(pd)
+    linear = sum(key.split("+").count("1") * m
+                 for key, m in hist.counts.items())
+    linear += sum(sum(deg == 1 for deg, _ in pat.parts)
+                  for _, (pat,) in hist.ramified_patterns)
+    assert linear == _projective_points(f)
+
+
+@pytest.mark.parametrize("q,poly", [
+    (7, "t^3+x^3+1"), (25, "t^3+x^3+1"), (11, "x^4+t^4+t+3"),
+    (13, "x^4+t^4+t+3"), (27, "x^5-t^2*x^3+t^4+1"),
+])
+def test_stickelberger_parity(q, poly):
+    # Swan 1962: for squarefree A of degree d in odd characteristic,
+    # d - (number of irreducible factors) is even exactly when disc(A) is
+    # a square; shares no code with the distinct-degree counts
+    E = field_of_order(q)
+    f = parse_poly(poly, E)
+    pd = pencil_discriminant(f, find_generic_point(f, E), E)
+    checked = 0
+    for u in range(q):
+        A = _fiber(pd, u)
+        if A.degree() < pd.d:
+            continue
+        disc = discriminant(A)
+        if disc == E.zero:
+            continue
+        pat = fiber_pattern(pd, u)
+        assert not pat.ramified
+        assert ((pd.d - len(pat.parts)) % 2 == 0) == E.is_square(disc)
+        checked += 1
+    assert checked > q // 2

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fqpencil import errors, unipoly
 from fqpencil.field import make_field
-from fqpencil.polycore import FrobCtx, from_array, to_array
+from fqpencil.polycore import FrobCtx, elements, from_array, poly_gcd, to_array
 from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
                               count_monic_irreducibles, discriminant, factor,
                               is_irreducible, resultant, roots_in_field,
@@ -411,3 +411,44 @@ def test_batched_kernel_matches_single_and_unipoly(p, k, data):
         for name, want in expected.items():
             got = from_array(together[name][:, :, col:col + 1], F)
             assert got == from_array(alone[name], F) == want.coeffs, name
+
+
+# ---------------------------------------------------------------------------
+# The batched gcd
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (7, 1), (3, 2), (5, 3), (2, 4),
+                                 (4294967311, 1)])
+@given(data=st.data())
+def test_poly_gcd_matches_unipoly(p, k, data):
+    # slot by slot against UnivariatePoly.gcd: mixed degrees with a common
+    # factor, zero and equal operands, and top rows that are zero in some
+    # slots (a vanishing leading coefficient); p > 2^32 runs on Python ints
+    F = make_field(p, k)
+    elem = st.integers(0, F.q - 1)
+    pairs = []
+    for _ in range(data.draw(st.integers(1, 8), label="B")):
+        g, a, b = (UnivariatePoly(F, data.draw(st.lists(elem, max_size=m)))
+                   for m in (3, 4, 4))
+        a, b = g * a, g * b
+        kind = data.draw(st.sampled_from(["common", "zero", "equal"]))
+        if kind == "zero":
+            a = UnivariatePoly.zero(F)
+        elif kind == "equal":
+            b = a
+        pairs.append((a, b))
+    rows = (6, data.draw(st.integers(6, 8), label="rows of b"))
+    arrays = []
+    for side, n in enumerate(rows):
+        cols = np.zeros((n, len(pairs)), dtype=object)
+        for j, pair in enumerate(pairs):
+            coeffs = pair[side].coeffs
+            cols[: len(coeffs), j] = coeffs
+        arrays.append(to_array(cols, F))
+    g, deg = poly_gcd(*arrays, F)
+    assert g.shape == (max(rows), k, len(pairs))
+    got = elements(g, F)
+    for j, (a, b) in enumerate(pairs):
+        ref = a.gcd(b)
+        assert deg[j] == ref.degree()
+        assert UnivariatePoly(F, got[:, j].tolist()).monic() == ref
