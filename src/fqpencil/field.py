@@ -29,7 +29,7 @@ degrees) and prime_power (q = p^k by exact integer roots, no factoring).
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -484,14 +484,18 @@ class GridArith:
             self.log = np.array(E._log, dtype=np.int64)
             self.exp = np.array(E._exp, dtype=np.int64)
             self.zech = np.array(E._zech, dtype=np.int64)
-            # digits[l, e]: the coefficient of y^l of e; the elements y^v
-            # are the place values p^v.  For k = 1 an element is its own
-            # digit, so no table of size q is built.
-            self.digits = E.to_vector(np.arange(E.q)).T.astype(np.float64)
         self.places = E._places
 
+    @cached_property
+    def digits(self):
+        """digits[l, e]: the coefficient of y^l of e, for k > 1; the
+        elements y^v are the place values p^v.  Built at the first dot."""
+        return np.stack([np.arange(self.q) // p_l % self.p
+                         for p_l in self.places]).astype(np.float64)
+
     def _digits(self, X):
-        """digits[:, X]: a new first axis of length k."""
+        """digits[:, X]: a new first axis of length k.  For k = 1 an element
+        is its own digit, so no table of size q is built."""
         if self.k == 1:
             return X[None].astype(np.float64)
         return self.digits[:, X]

@@ -18,7 +18,8 @@ each for every B.  ModCtx and FrobCtx hold a batch of monic moduli of one
 degree n, in the narrowest integer type that holds every sum the kernels
 form (_count_dtype): int16, int32, int64, or Python ints (object arrays)
 once a sum could pass int64, so every p is exact.  They refuse n k past
-_FROB_TABLE_LIMIT.
+_FROB_TABLE_LIMIT.  poly_gcd runs Euclid's algorithm across a batch of
+pairs, in the same integer types, with the degree kept per slot.
 """
 
 from __future__ import annotations
