@@ -230,7 +230,7 @@ def _fibers(pd: PencilDescriptor, ar: GridArith, us, vertical: bool):
     once."""
     polys = pd.coeff_polys + [pd.delta]
     C = np.zeros((max(len(a.coeffs) for a in polys), len(polys)),
-                 dtype=ar.dtype)  # C[j, m]: the coefficient of u^j in A_m
+                 dtype=ar.dtype)  # C[j, m]: of u^j in A_m, m = d + 1: Delta_M
     for m, a in enumerate(polys):
         C[: len(a.coeffs), m] = a.coeffs
     acc = np.broadcast_to(C[-1][:, None], (len(polys), len(us)))
