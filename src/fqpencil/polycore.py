@@ -172,15 +172,6 @@ def degrees(a: np.ndarray) -> np.ndarray:
     return np.where(a.any(axis=-2), rows, -1).max(axis=-2, initial=-1)
 
 
-def scale(a: np.ndarray, c: np.ndarray, field) -> np.ndarray:
-    """c a for residues a of shape (..., m, k, B) and the (..., k, B)
-    digits c of one element per polynomial, not reduced mod p: a product
-    with the matrix of c's y^u multiples, built from one row rather than
-    m."""
-    cy = _times_y_powers(c[..., None, :, :], field)[..., 0, :, :]
-    return np.einsum("...iub,...uvb->...ivb", a, cy)
-
-
 def poly_gcd(a: np.ndarray, b: np.ndarray, field):
     """A gcd of each pair of polynomials in the (n, k, B) and (m, k, B)
     arrays a and b, as an (max(n, m), k, B) array, and its degree, -1
@@ -220,7 +211,9 @@ def poly_gcd(a: np.ndarray, b: np.ndarray, field):
         lead[0] *= live
         lead[1, 0] = np.where(live, lead[1, 0], 1)
         lead[1, 1:] *= live
-        terms = scale(terms, lead[::-1], field)  # [lb a, la x^.. b]
+        # [lb a, la x^.. b]: products with the y^u multiples of the leads
+        ly = _times_y_powers(lead[::-1, None], field)[:, :, 0]
+        terms = np.einsum("siub,suvb->sivb", terms, ly)
         pair[0] = _mod(terms[0] - terms[1], p)
         deg[0] = degrees(pair[0])
 
