@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .errors import (CharacteristicDividesDegree, DegreeTooSmall,
                      ZeroOrConstant)
 from .field import embed, make_field
-from .unipoly import (UnivariatePoly, factor, roots_in_field,
-                      squarefree_decomposition)
+from .unipoly import UnivariatePoly, factor, roots_in_field
 
 
 class BivariatePoly:
@@ -456,25 +455,25 @@ def _singular_point(form: HomogeneousForm):
         # shared component; fall back to a direct point search.
         return _brute_force_singular(form, 6)
     ft_slices = form.partial("T").x_slices()
-    for fac, _ in squarefree_decomposition(D):
-        for irr, _ in factor(fac)[1]:
-            E = make_field(F.p, F.k * irr.degree())
-            lift = lambda c: embed(F, E, c)
-            tau = roots_in_field(irr.map_coeffs(lift, E))[0]
-            fx_at = UnivariatePoly(
-                E, [p.map_coeffs(lift, E).evaluate(tau) for p in slices])
-            g = fx_at.gcd(fx_at.derivative())
-            if g.is_constant():
-                continue
-            ft_at = UnivariatePoly(
-                E, [p.map_coeffs(lift, E).evaluate(tau) for p in ft_slices])
-            for irr2, _ in factor(g)[1]:
-                E2 = make_field(F.p, E.k * irr2.degree())
-                lift2 = lambda c: embed(E, E2, c)
-                for xi in roots_in_field(irr2.map_coeffs(lift2, E2)):
-                    if ft_at.map_coeffs(lift2, E2).evaluate(xi) == E2.zero:
-                        return SingularWitness(
-                            E2, (embed(E, E2, tau), xi, E2.one))
+    facs = factor(D)[1] if D.degree() >= 1 else []
+    for irr, _ in sorted(facs, key=lambda fm: (fm[1], fm[0].sort_key())):
+        E = make_field(F.p, F.k * irr.degree())
+        lift = lambda c: embed(F, E, c)
+        tau = roots_in_field(irr.map_coeffs(lift, E))[0]
+        fx_at = UnivariatePoly(
+            E, [p.map_coeffs(lift, E).evaluate(tau) for p in slices])
+        g = fx_at.gcd(fx_at.derivative())
+        if g.is_constant():
+            continue
+        ft_at = UnivariatePoly(
+            E, [p.map_coeffs(lift, E).evaluate(tau) for p in ft_slices])
+        for irr2, _ in factor(g)[1]:
+            E2 = make_field(F.p, E.k * irr2.degree())
+            lift2 = lambda c: embed(E, E2, c)
+            for xi in roots_in_field(irr2.map_coeffs(lift2, E2)):
+                if ft_at.map_coeffs(lift2, E2).evaluate(xi) == E2.zero:
+                    return SingularWitness(
+                        E2, (embed(E, E2, tau), xi, E2.one))
     return None
 
 

@@ -24,7 +24,7 @@ from .errors import (ConstraintViolation, FqPencilError, NotFoundWithinBudget,
                      ParseError)
 from .field import GridArith, field_of_order, make_field, prime_power
 from .parsing import parse_poly, parse_univariate
-from .pencil import find_generic_point, pattern_histogram, pencil_discriminant
+from .pencil import _generic_points, pattern_histogram, pencil_discriminant
 from .reducible import conrad_polynomial, verify_conrad
 from .unipoly import factor
 
@@ -224,11 +224,11 @@ def _dispatch(args, report) -> int:
                 raise ConstraintViolation(
                     f"--M must be two element indices 't0,x0' in "
                     f"0..{E.q - 1}, got {args.M!r}")
-            M = tuple(idx)
+            pds = [pencil_discriminant(f, tuple(idx), E) for f in fs]
         else:
-            M = find_generic_point(fs, E, trial_budget=args.trial_budget,
-                                   seed=args.seed)
-        pds = [pencil_discriminant(f, M, E) for f in fs]
+            # the descriptors the base-point search built for its point
+            _, pds = next(_generic_points(fs, E, args.trial_budget,
+                                          args.seed))
         hist = pattern_histogram(pds)
         report["pencils"] = [pd.as_dict() for pd in pds]
         report["histogram"] = hist.as_dict()

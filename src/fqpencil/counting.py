@@ -319,6 +319,19 @@ def _curve_points(terms, E, ar: GridArith):
     return np.concatenate(t_out), np.concatenate(x_out), pcols
 
 
+def _monic_chunks(c, deg, mask, E, ar: GridArith):
+    """(n, part, g): g is the monic (n + 1, k, B) array of the columns part
+    of c with degree deg == n >= 2 and mask set, in chunks of _RABIN_BATCH
+    FrobCtx table entries, (n k)^2 a polynomial, from n = 4 on."""
+    for n in range(2, c.shape[0]):
+        idx = np.flatnonzero((deg == n) & mask)
+        step = max(1, _RABIN_BATCH // (n * E.k) ** 2 if n > 3 else idx.size)
+        for start in range(0, idx.size, step):
+            part = idx[start:start + step]
+            cn = c[:n + 1, part]
+            yield n, part, to_array(ar.mul(cn, ar.inv(cn[n])), E)
+
+
 def _irreducible_mask(c, has_root, E, ar: GridArith):
     """(deg, irr) of a batch of polynomials over E: c[m] is the element
     array of their x^m coefficients, has_root marks those with a root in E.
@@ -326,27 +339,17 @@ def _irreducible_mask(c, has_root, E, ar: GridArith):
     deg is 0 for constants and for zero, and irr marks the irreducible
     ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
     root is not, and a rootless one of degree 2 or 3 is.  The rootless
-    ones of degree n >= 4 are made monic and tested with _rabin_batch, one
-    FrobCtx per n and chunk of _RABIN_BATCH table entries.  Past
-    n k = polycore._FROB_TABLE_LIMIT the first chunk's FrobCtx raises
-    DegreeOutOfRange before any table is allocated.
+    ones of degree n >= 4 are tested with _rabin_batch, one FrobCtx a
+    chunk of _monic_chunks.  Past n k = polycore._FROB_TABLE_LIMIT the
+    first chunk's FrobCtx raises DegreeOutOfRange before any table is
+    allocated.
     """
     nonzero = c != 0
     deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)
-    irr = deg == 1
     rootless = ~has_root
-    for n in range(2, c.shape[0]):
-        idx = np.flatnonzero((deg == n) & rootless)
-        if n > 3 and idx.size:
-            step = max(1, _RABIN_BATCH // (n * E.k) ** 2)
-            passed = []
-            for start in range(0, idx.size, step):
-                part = idx[start:start + step]
-                cn = c[:n + 1, part]
-                ctx = FrobCtx(to_array(ar.mul(cn, ar.inv(cn[n])), E), E)
-                passed.append(part[_rabin_batch(ctx)])
-            idx = np.concatenate(passed)
-        irr[idx] = True
+    irr = (deg == 1) | rootless & ((deg == 2) | (deg == 3))
+    for _, part, g in _monic_chunks(c, deg, rootless & (deg > 3), E, ar):
+        irr[part] = _rabin_batch(FrobCtx(g, E))
     return deg, irr
 
 

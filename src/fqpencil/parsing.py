@@ -3,7 +3,8 @@
 Grammar: terms joined by '+'/'-'; a term is [integer]['*']? followed by
 factors; a factor is 't' or 'x' with an optional '^' positive-integer
 exponent; whitespace is ignored; integer coefficients are reduced mod p.
-'*' between factors is tolerated so canonical printer output re-parses.
+'*' between factors is tolerated so canonical printer output re-parses;
+a '*' must be followed by a factor.
 """
 
 from __future__ import annotations
@@ -64,13 +65,13 @@ class _Parser:
     def _term(self):
         self._skip()
         coeff = 1
-        saw = False
+        saw = star = False
         if self._peek().isdigit():
             coeff = self._integer()
             saw = True
             self._skip()
-            if self._peek() == "*":
-                self.i += 1
+            star = self._peek() == "*"
+            self.i += star
         et = ex = 0
         while True:
             self._skip()
@@ -94,12 +95,14 @@ class _Parser:
                     ex += e
                 saw = True
                 self._skip()
-                if self._peek() == "*":
-                    self.i += 1
+                star = self._peek() == "*"
+                self.i += star
                 continue
             if ch.isalpha():
                 raise UnknownVariable(
                     f"unknown variable {ch!r} (only 't' and 'x')", self.i)
+            if star:
+                raise ParseError("expected 't' or 'x' after '*'", self.i)
             break
         if not saw:
             raise ParseError("expected a term", self.i)

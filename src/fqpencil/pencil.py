@@ -13,17 +13,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field as dc_field
+from itertools import combinations, islice
 from math import comb
 
 import numpy as np
 
 from .bivar import BivariatePoly, discriminant_poly_coeffs
-from .counting import _BLOCK_DIGITS, _RABIN_BATCH
+from .counting import _BLOCK_DIGITS, _monic_chunks
 from .errors import (BasePointOnCurve, CharacteristicObstruction,
                      ConstraintViolation, GenericPointNotFound)
 from .field import GridArith
 from .polycore import FrobCtx, ModCtx, degrees, poly_gcd, to_array
-from .unipoly import UnivariatePoly, factor, squarefree_part
+from .unipoly import UnivariatePoly, factor
 
 INFINITY = None  # pencil parameter of the vertical line
 
@@ -59,7 +60,7 @@ class PencilDescriptor:
     delta: UnivariatePoly         # affine chart of Delta_M
     deficit: int                  # d(d-1) - deg(delta) = multiplicity at u = inf
     generic: bool
-    branch_factors: list          # (irreducible factor of sqfree(delta), degree)
+    branch_factors: list          # (irreducible factor of delta, multiplicity)
     branch_count: int             # distinct branch parameters over the closure
 
     def as_dict(self):
@@ -93,11 +94,9 @@ def pencil_discriminant(f: BivariatePoly, M, E) -> PencilDescriptor:
     if delta.is_zero():
         return PencilDescriptor(f, M, E, d, A, delta, dd1, False, [], 0)
     deficit = dd1 - delta.degree()
-    sqf = squarefree_part(delta)
-    squarefree = sqf.degree() == delta.degree()
-    generic = squarefree and deficit <= 1
-    branch_factors = factor(sqf)[1] if sqf.degree() >= 1 else []
-    branch_count = sqf.degree() + (1 if deficit >= 1 else 0)
+    branch_factors = factor(delta)[1] if delta.degree() >= 1 else []
+    generic = deficit <= 1 and all(m == 1 for _, m in branch_factors)
+    branch_count = sum(g.degree() for g, _ in branch_factors) + (deficit >= 1)
     return PencilDescriptor(f, M, E, d, A, delta, deficit, generic,
                             branch_factors, branch_count)
 
@@ -136,8 +135,9 @@ def branch_loci_disjoint(pd1: PencilDescriptor, pd2: PencilDescriptor) -> bool:
         return False
     if pd1.deficit >= 1 and pd2.deficit >= 1:
         return False
-    return squarefree_part(pd1.delta).gcd(
-        squarefree_part(pd2.delta)).is_constant()
+    # monic irreducibles over one field share a root exactly when equal
+    return {g for g, _ in pd1.branch_factors}.isdisjoint(
+        g for g, _ in pd2.branch_factors)
 
 
 _EXHAUSTIVE_THRESHOLD = 4096
@@ -150,6 +150,14 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
     Points are tried in the deterministic element order up to an exhaustive
     threshold, then by seeded random sampling, up to trial_budget candidates.
     """
+    points = _generic_points(fs, E, trial_budget, seed)
+    found = [M for M, _ in islice(points, max(count, 1))]
+    return found[0] if count == 1 else found
+
+
+def _generic_points(fs, E, trial_budget=None, seed=0):
+    """(M, the descriptor of every curve at M) for each base point that
+    find_generic_point accepts, in its order and within its budget."""
     if trial_budget is not None and trial_budget < 1:
         raise ConstraintViolation(
             f"the trial budget must be at least 1, got {trial_budget}")
@@ -159,7 +167,6 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
     q2 = E.q * E.q
     if trial_budget is None:
         trial_budget = q2
-    found = []
     tried = 0
     rng = random.Random(seed)
 
@@ -176,21 +183,14 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
         if any(f.evaluate(*M) == E.zero for f in fs):
             continue
         pds = []
-        ok = True
         for f in fs:
             pd = pencil_discriminant(f, M, E)
             if not pd.generic:
-                ok = False
                 break
             pds.append(pd)
-        if not ok:
-            continue
-        if any(not branch_loci_disjoint(pds[i], pds[j])
-               for i in range(len(pds)) for j in range(i + 1, len(pds))):
-            continue
-        found.append(M)
-        if len(found) >= count:
-            return found[0] if count == 1 else found
+        else:
+            if all(branch_loci_disjoint(*ab) for ab in combinations(pds, 2)):
+                yield M, pds
     raise GenericPointNotFound(
         f"no generic base point within {trial_budget} trials")
 
@@ -256,15 +256,8 @@ def _classify(c, ram, d: int, E, ar: GridArith):
     counts = np.zeros((c.shape[1], d), dtype=np.int64)
     # a linear fiber, and a simple point at the line's infinity
     counts[:, 0] = (deg == 1).astype(np.int64) + (deg == d - 1)
-    for n in range(2, d + 1):
-        idx = np.flatnonzero((deg == n) & ~ram)
-        # FrobCtx tables of (n k)^2 entries a fiber, as in _irreducible_mask
-        step = max(1, _RABIN_BATCH // (n * E.k) ** 2 if n > 3 else idx.size)
-        for start in range(0, idx.size, step):
-            part = idx[start:start + step]
-            cn = c[: n + 1, part]
-            g = to_array(ar.mul(cn, ar.inv(cn[n])), E)
-            counts[part, :n] += _distinct_degree_counts(g, E)[1:].T
+    for n, part, g in _monic_chunks(c, deg, ~ram, E, ar):
+        counts[part, :n] += _distinct_degree_counts(g, E)[1:].T
     ramified = {}
     for j in np.flatnonzero(ram).tolist():
         dA = int(deg[j])

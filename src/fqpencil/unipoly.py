@@ -278,19 +278,14 @@ def squarefree_decomposition(f: UnivariatePoly):
     """Yu's recursive characteristic-p square-free decomposition.
 
     Returns a list of (g_i, m_i) with f = prod g_i^{m_i} (f monic), the g_i
-    pairwise coprime and square-free.
+    pairwise coprime and square-free, and the m_i distinct: rec(f, mult)
+    emits mult * i, p not dividing i, once a Yun step i, and recurses on a
+    p-th power at mult * p.
     """
     F = f.field
     p = F.p
     f = f.monic()
     result = []
-
-    def merge(g, m):
-        for idx, (h, e) in enumerate(result):
-            if e == m:
-                result[idx] = (h * g, m)
-                return
-        result.append((g, m))
 
     def rec(f, mult):
         if f.is_constant():
@@ -303,7 +298,7 @@ def squarefree_decomposition(f: UnivariatePoly):
             return
         c = f.gcd(df)
         if c.is_constant():
-            merge(f, mult)
+            result.append((f, mult))
             return
         w = f.exact_div(c)
         i = 1
@@ -311,7 +306,7 @@ def squarefree_decomposition(f: UnivariatePoly):
             y = w.gcd(c)
             fac = w.exact_div(y)
             if not fac.is_constant():
-                merge(fac.monic(), mult * i)
+                result.append((fac.monic(), mult * i))
             w = y
             c = c.exact_div(y)
             i += 1

@@ -137,6 +137,17 @@ def test_zero_discriminant_falls_back_to_point_search(monkeypatch):
     assert brute_force_singular_search(f, 1).point == w.point
 
 
+def test_brute_force_witness_on_the_line_at_infinity():
+    # T X^2 = Z^3 is singular at (1:0:0) only, off the affine chart and
+    # off (0:1:0)
+    F7 = make_field(7, 1)
+    f = parse_poly("t*x^2-1", F7)
+    w = brute_force_singular_search(f, 1)
+    assert w.field == F7 and w.point == (1, 0, 0)
+    smooth, witness = is_smooth(f)
+    assert not smooth and witness.point == w.point
+
+
 def test_smoothness_guards():
     F3 = make_field(3, 1)
     with pytest.raises(errors.CharacteristicDividesDegree):

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fqpencil
-from fqpencil import cli, counting
+from fqpencil import cli, counting, pencil
 from fqpencil.bivar import (HomogeneousForm, brute_force_singular_search,
                             homogenize_and_degree)
 from fqpencil.cli import run_command
@@ -174,7 +174,37 @@ def test_budget_error_exit_one():
     code, rep = run_json(["pencil", "--q", "7", "--poly", "x^2+x-t",
                           "--trial-budget", "1"])
     assert code == 1
-    assert rep["error"]["type"] == "GenericPointNotFound"
+    rep.pop("timing_seconds")
+    assert rep == {
+        "command": "pencil", "seed": 0,
+        "error": {"type": "GenericPointNotFound",
+                  "message": "no generic base point within 1 trials"},
+        "field": {"p": 7, "k": 1, "q": 7, "modulus": [0, 1]},
+        "inputs": {"poly": ["x^2+x-t"], "M": None}}
+
+
+def test_pencil_command_builds_no_descriptor_after_the_search(monkeypatch):
+    # the report's descriptors are the ones the base-point search built
+    calls = []
+    real = pencil.pencil_discriminant
+
+    def counted(f, M, E):
+        calls.append(M)
+        return real(f, M, E)
+
+    monkeypatch.setattr(pencil, "pencil_discriminant", counted)
+    monkeypatch.setattr(cli, "pencil_discriminant", counted)
+    polys = ["x^2+x-t", "t^3+x^3+1"]
+    E = fqpencil.field_of_order(25)
+    M = pencil.find_generic_point([fqpencil.parse_poly(p, E) for p in polys],
+                                  E)
+    searched, calls[:] = list(calls), []
+    code, rep = run_json(["pencil", "--q", "25", "--poly", polys[0],
+                          "--poly", polys[1]])
+    assert code == 0
+    assert calls == searched and len(searched) > len(polys)
+    assert all(pd["M"] == [E.to_vector(c) for c in M]
+               for pd in rep["pencils"])
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])
@@ -267,6 +297,10 @@ SEMIPRIME = "30000000000000000000000000096400000000000000000000000002233"
     (["count", "--q", SEMIPRIME, "--poly", "x^2+x-t"], "NotPrime"),
     # the least strong pseudoprime to the bases 2..41
     (["field", "--q", "3317044064679887385961981"], "NotPrime"),
+    # a '*' with no factor after it
+    (["pencil", "--q", "7", "--poly", "x^2*-t"], "ParseError"),
+    (["factor", "--q", "7", "--poly", "3*x*-2"], "ParseError"),
+    (["count", "--q", "7", "--poly", "2*"], "ParseError"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)

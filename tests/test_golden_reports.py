@@ -4,6 +4,8 @@ field, must equal the one recorded in data/golden_reports.json.
 The commands cover every place a field element reaches a report: moduli,
 factorization units, singular points, certificate values in extension
 fields, pencil base points, search witnesses and counts over F_{p^k}.
+Every CLI job of the benchmark is also run against its recorded report in
+perfbench/reference.json.
 
 Re-record (only when a report is meant to change) with
     PYTHONPATH=src python tests/test_golden_reports.py
@@ -18,6 +20,8 @@ import pytest
 from fqpencil.cli import run_command
 
 DATA = Path(__file__).resolve().parent / "data" / "golden_reports.json"
+BENCH_REFERENCE = (Path(__file__).resolve().parents[1] / "perfbench"
+                   / "reference.json")
 
 COMMANDS = [
     ["field", "--q", "9"],
@@ -55,6 +59,19 @@ def _report(argv):
 def test_report_matches_golden(argv):
     golden = json.loads(DATA.read_text())
     assert _report(argv) == golden[" ".join(argv)]
+
+
+BENCH_JOBS = json.loads(BENCH_REFERENCE.read_text())["jobs"]
+
+
+@pytest.mark.parametrize("key", sorted(k for k in BENCH_JOBS
+                                       if k.startswith("cli ")))
+def test_benchmark_cli_report_matches_reference(key):
+    # the benchmark checks each report against perfbench/reference.json,
+    # dumped as perfbench/jobs.py does
+    got, ref = _report(key.split()[1:]), BENCH_JOBS[key]
+    assert got["exit"] == ref["exit"]
+    assert json.dumps(got["report"], sort_keys=True, indent=2) == ref["report"]
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil.bivar import BivariatePoly
+from fqpencil.errors import ParseError
 from fqpencil.field import make_field
 from fqpencil.parsing import parse_poly, parse_univariate
 from fqpencil.unipoly import UnivariatePoly
@@ -30,3 +31,17 @@ def test_univariate_format_round_trip(p, data):
     g = UnivariatePoly(F, data.draw(
         st.lists(st.integers(0, p - 1), min_size=1, max_size=12)))
     assert parse_univariate(g.format(), F)[0] == g
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("x^2*-t", 4), ("3*x*-2", 4), ("2*", 2), ("2 * ", 4), ("t*x*", 4),
+    ("2*3", 2), ("x*+1", 2)])
+def test_star_needs_a_factor_after_it(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_poly(text, make_field(7, 1))
+    assert exc.value.position == offset
+
+
+def test_star_between_factors():
+    F = make_field(7, 1)
+    assert parse_poly("3 * t * x^2", F) == parse_poly("3t x^2", F)

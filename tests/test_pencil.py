@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqpencil.bivar import BivariatePoly, homogenize_and_degree
-from fqpencil import pencil
+from fqpencil import counting, pencil
 from fqpencil.field import field_of_order, make_field
 from fqpencil.parsing import parse_poly
 from fqpencil.pencil import (
@@ -112,6 +112,58 @@ def test_find_generic_point_budget_exhausted():
     # the first candidate, (0, 0), lies on the conic
     with pytest.raises(GenericPointNotFound):
         find_generic_point(conic(F7), F7, trial_budget=1)
+
+
+def test_branch_loci_meet_where_delta_vanishes():
+    # the square of a line: every fiber is a double point, Delta_M = 0
+    pd = pencil_discriminant(parse_poly("x^2-2*t*x+t^2", F7), (0, 1), F7)
+    assert pd.delta.is_zero() and not pd.generic and pd.branch_count == 0
+    other = pencil_discriminant(conic(F7), (0, 1), F7)
+    assert not branch_loci_disjoint(pd, other)
+    assert not branch_loci_disjoint(other, pd)
+
+
+def test_branch_loci_meet_at_infinity():
+    # both parabolas branch at u = infinity (deficit 1); their finite
+    # branch points 1/4 and 1/2 differ
+    pd1 = pencil_discriminant(parse_poly("x^2-t", F5), (0, 1), F5)
+    pd2 = pencil_discriminant(parse_poly("x^2-2*t", F5), (0, 1), F5)
+    assert pd1.deficit == pd2.deficit == 1
+    assert [f.format("u") for f, _ in pd1.branch_factors] == ["u+1"]
+    assert [f.format("u") for f, _ in pd2.branch_factors] == ["u+2"]
+    assert not branch_loci_disjoint(pd1, pd2)
+
+
+def test_branch_loci_meet_in_a_shared_factor():
+    pd = pencil_discriminant(conic(F7), (0, 1), F7)
+    assert pd.deficit == 0
+    assert not branch_loci_disjoint(pd, pd)
+    # a proportional curve has the same branch points
+    twice = pencil_discriminant(parse_poly("2*x^2+2*x-2*t", F7), (0, 1), F7)
+    assert not branch_loci_disjoint(pd, twice)
+
+
+def test_equal_curves_have_no_joint_generic_point():
+    # every base point generic for the conic is skipped: its loci meet
+    with pytest.raises(GenericPointNotFound):
+        find_generic_point([conic(F7), conic(F7)], F7)
+
+
+def test_descriptor_multiplicities():
+    # a generic descriptor's branch factors are simple; the line through
+    # the cusp of x^2 = t^3 is a repeated branch parameter, so no base
+    # point is generic for it
+    for f, E in ((conic(F7), F7), (cubic(F7), F7)):
+        pd = pencil_discriminant(f, find_generic_point(f, E), E)
+        assert all(m == 1 for _, m in pd.branch_factors)
+        assert pd.branch_count == sum(g.degree() for g, _ in
+                                      pd.branch_factors) + (pd.deficit >= 1)
+    cusp = parse_poly("x^2-t^3", F7)
+    pds = [pencil_discriminant(cusp, (i, j), F7)
+           for i in range(7) for j in range(7)
+           if cusp.evaluate(i, j) != 0]
+    assert not any(pd.generic for pd in pds)
+    assert any(m > 1 for pd in pds for _, m in pd.branch_factors)
 
 
 def test_joint_generic_point_disjoint_branch_loci():
@@ -336,7 +388,7 @@ def test_batched_histogram_matches_per_fiber_oracle(pds):
 def test_histogram_in_small_blocks_and_chunks(monkeypatch, q, poly):
     # blocks of a few parameters and Frobenius tables of one fiber each
     monkeypatch.setattr(pencil, "_BLOCK_DIGITS", 64)
-    monkeypatch.setattr(pencil, "_RABIN_BATCH", 1)
+    monkeypatch.setattr(counting, "_RABIN_BATCH", 1)
     E = field_of_order(q)
     f = parse_poly(poly, E)
     pds = [pencil_discriminant(f, (1, 2), E)]

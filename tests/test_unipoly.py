@@ -252,6 +252,41 @@ def test_squarefree_decomposition_reassembles():
             assert acc == f.monic()
 
 
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_squarefree_decomposition_of_built_exponents(data):
+    # f = prod g^e over distinct monic irreducibles g of degree <= 2 with
+    # exponents e <= p^2: the part of multiplicity m is the product of the
+    # g with e = m
+    p, k = data.draw(st.sampled_from([(2, 1), (3, 1), (2, 2), (3, 2),
+                                      (5, 1)]))
+    F = make_field(p, k)
+    q = F.q
+    picks = data.draw(st.lists(st.integers(0, q + q * q - 1), max_size=4,
+                               unique=True))
+    f, expected = UnivariatePoly.one(F), {}
+    for i in picks:
+        coeffs = [i] if i < q else [(i - q) % q, (i - q) // q]
+        g = UnivariatePoly(F, [F.element_at(c) for c in coeffs] + [F.one])
+        if not is_irreducible(g):
+            continue
+        e = data.draw(st.integers(1, p * p))
+        expected[e] = expected.get(e, UnivariatePoly.one(F)) * g
+        for _ in range(e):
+            f = f * g
+    parts = squarefree_decomposition(f)
+    mults = [m for _, m in parts]
+    assert len(set(mults)) == len(mults)
+    assert {m: g for g, m in parts} == expected
+    acc = UnivariatePoly.one(F)
+    for g, m in parts:
+        assert g.gcd(g.derivative()).is_constant()  # squarefree
+        assert all(g.gcd(h).is_constant() for h, e in parts if e != m)
+        for _ in range(m):
+            acc = acc * g
+    assert acc == f
+
+
 def test_roots_in_field():
     F = make_field(7, 1)
     f = from_ints(F, [-1, 0, 1])     # x^2 - 1
