@@ -155,7 +155,7 @@ def find_generic_point(fs, E, trial_budget=None, seed=0, count=1):
     return found[0] if count == 1 else found
 
 
-def _generic_points(fs, E, trial_budget=None, seed=0):
+def _generic_points(fs, E, trial_budget, seed):
     """(M, the descriptor of every curve at M) for each base point that
     find_generic_point accepts, in its order and within its budget."""
     if trial_budget is not None and trial_budget < 1:

@@ -198,7 +198,8 @@ def test_pencil_command_builds_no_descriptor_after_the_search(monkeypatch):
     E = fqpencil.field_of_order(25)
     M = pencil.find_generic_point([fqpencil.parse_poly(p, E) for p in polys],
                                   E)
-    searched, calls[:] = list(calls), []
+    searched = calls[:]
+    calls.clear()
     code, rep = run_json(["pencil", "--q", "25", "--poly", polys[0],
                           "--poly", polys[1]])
     assert code == 0
