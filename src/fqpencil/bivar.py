@@ -2,11 +2,13 @@
 
 Sparse representation: terms maps (i, j) -> nonzero coefficient of t^i x^j.
 The projective closure lives in (T : X : Z) with Z the homogenizing
-variable.  Smoothness is certified by discriminant-factor elimination:
-after a linear change of coordinates making the X^d coefficient a nonzero
-constant (moving a point off the curve to (0:1:0), over the least
-extension of F_q that has one), the repeated-root loci in every residue
-field of disc_X are inspected directly.
+variable.  Smoothness is certified after a linear change of coordinates
+making the X^d coefficient a nonzero constant (moving a point off the
+curve to (0:1:0), over the least extension of F_q that has one): the
+singular T-coordinates are roots of gcd(disc_X f, Res_X(f_X, f_T)), so a
+constant gcd certifies a smooth curve over F_q, and otherwise only the
+factors of disc_X dividing it have their repeated-root loci inspected, in
+their residue fields.
 """
 
 from __future__ import annotations
@@ -429,7 +431,19 @@ def _unshear(w: SingularWitness, F, P):
 
 
 def _singular_point(form: HomogeneousForm):
-    """Singular point of a form whose X^d coefficient is nonzero, or None."""
+    """Singular point of a form whose X^d coefficient is nonzero, or None.
+
+    At infinity the singular X are the common roots of f, f_X and f_Z at
+    T = 1.  In the chart Z = 1, f and f_X have constant leading
+    coefficients in X, so at a singular point (tau, xi), where f, f_X and
+    f_T vanish, tau is a root of D = disc_X f and of R = Res_X(f_X, f_T),
+    and so of G = gcd(D, R), which is D when R = 0 (Fulton, Algebraic
+    Curves, ch. 3).  A constant G certifies the chart smooth over F_q.
+    Otherwise the irreducible factors of D are tried by (multiplicity,
+    sort_key), those not dividing G skipped: each tried factor's root tau
+    is taken in its residue field and the repeated roots of f(tau, x) in
+    theirs, and the first common root with f_T is the witness.
+    """
     F = form.field
     d = form.d
 
@@ -447,7 +461,7 @@ def _singular_point(form: HomogeneousForm):
         xi = roots_in_field(irr.map_coeffs(lambda c: embed(F, E, c), E))[0]
         return SingularWitness(E, (E.one, xi, E.zero))
 
-    # Affine chart Z = 1: singular T-coordinates are roots of disc_X.
+    # Affine chart Z = 1: singular T-coordinates are roots of G.
     slices = form.x_slices()
     D = discriminant_poly_coeffs(slices, d, F)
     if D.is_zero():
@@ -455,8 +469,15 @@ def _singular_point(form: HomogeneousForm):
         # shared component; fall back to a direct point search.
         return _brute_force_singular(form, 6)
     ft_slices = form.partial("T").x_slices()
-    facs = factor(D)[1] if D.degree() >= 1 else []
-    for irr, _ in sorted(facs, key=lambda fm: (fm[1], fm[0].sort_key())):
+    R = resultant_poly_coeffs(form.partial("X").x_slices(), d - 1,
+                              ft_slices, d - 1, F)
+    G = D.gcd(R)
+    if G.is_constant():
+        return None
+    for irr, _ in sorted(factor(D)[1],
+                         key=lambda fm: (fm[1], fm[0].sort_key())):
+        if not (G % irr).is_zero():
+            continue
         E = make_field(F.p, F.k * irr.degree())
         lift = lambda c: embed(F, E, c)
         tau = roots_in_field(irr.map_coeffs(lift, E))[0]

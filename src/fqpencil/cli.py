@@ -12,6 +12,7 @@ count, factor, curve and conrad take one --poly; a second one exits 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -60,7 +61,10 @@ def _resolve_field(args):
     return make_field(args.p, args.k, modulus)
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged, so every run_command shares it."""
     ap = argparse.ArgumentParser(
         prog="fqpencil",
         description="Finite-field curve pencils, irreducible-specialization "

@@ -26,7 +26,8 @@ from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt
 from .polycore import FrobCtx, substitute, to_array
 from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
 
-# Digits of a block of substitution_rows, (N + 1) q k a row, and of
+# Digits of a cell block of substitution_rows, (N + 1) q k a row, of
+# polycore.substitute's widest array for a row chunk, and of a block of
 # _curve_points, 4 q k a row: root grids of about 2^16 cells.
 _BLOCK_DIGITS = 1 << 18
 # Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
@@ -233,6 +234,14 @@ def substitution_rows(terms, E, D):
     top coefficient, of t^2 or t^3, does not depend on g_0 the rootless
     values are the irreducible ones; the other rows are expanded over g_0
     by a GridArith.dot and go to _irreducible_mask.
+
+    The one constant _BLOCK_DIGITS sets two granularities.  The row work,
+    substitute and each row's degree, top coefficient and need of the
+    expansion, runs once per chunk of rows, sized so that substitute's
+    widest array, (N + 1)(2k - 1) Z digits a row for Z = min(deg_x f + 1,
+    q), stays within it.  The cell work, the root marks, the expansion and
+    _irreducible_mask, runs on blocks of (N + 1) q k digits a row within
+    it; a chunk is a whole number of blocks, and a block is one yield.
     """
     q, k = E.q, E.k
     N = max((i + j * D for i, j in terms), default=0)  # >= every degree
@@ -257,36 +266,44 @@ def substitution_rows(terms, E, D):
         marks.insert(-1, power)
         power = ar.mul(power, t_pts)
     marks = ar.columns(np.stack(marks))
-    step = max(1, _BLOCK_DIGITS // ((N + 1) * q * k))
-    for start in range(0, q ** D, step):
-        rows = np.arange(start, min(start + step, q ** D))
+    block = max(1, _BLOCK_DIGITS // ((N + 1) * q * k))
+    Z = min(len(cs), q)
+    chunk = block * max(1, _BLOCK_DIGITS // ((N + 1) * (2 * k - 1) * Z
+                                             * block))
+    for start in range(0, q ** D, chunk):
+        rows = np.arange(start, min(start + chunk, q ** D))
         g = rows // q ** np.arange(D + 1)[:, None] % q  # g_1 .. g_D, 0
         coef = substitute(cs, g[:D], E)  # coef[m, e]: of t^m g_0^e
         g[D] = 1  # the element 1 is 1
-        cells = ar.dot(g, marks)
-        cells += np.arange(0, rows.size * q, q)[:, None]
-        has_root = np.zeros((rows.size, q), dtype=bool)
-        has_root.reshape(-1)[cells] = True  # a flat scatter: faster than 2-d
         nonzero = coef.any(axis=1)
         n = (len(coef) - 1 - np.argmax(nonzero[::-1], axis=0)) \
             * nonzero.any(axis=0)
         top = coef[n, :, np.arange(rows.size)]
         rest = ((n != 2) & (n != 3)) | top[:, 1:].any(axis=1)
-        deg, irr = n[:, None], ~has_root
-        if rest.any():
-            # compress keeps C order, unlike coef[..., rest]: faster sums
-            coef = coef[: n[rest].max() + 1].compress(rest, axis=2)
-            z = 1 + np.flatnonzero(coef.any(axis=(0, 2))).max(initial=0)
-            if z > len(pcols):
-                pcols = ar.power_columns(z - 1)
-            c = ar.dot(coef[:, :z].transpose(1, 0, 2).reshape(z, -1),
-                       pcols[:z]).reshape(len(coef), -1)
-            deg_rest, irr_rest = _irreducible_mask(
-                c, has_root[rest].reshape(-1), E, ar)
-            deg = np.repeat(deg, q, axis=1)
-            deg[rest], irr[rest] = deg_rest.reshape(-1, q), \
-                irr_rest.reshape(-1, q)
-        yield rows, deg, irr
+        for s in range(0, rows.size, block):
+            b = slice(s, s + block)
+            cells = ar.dot(g[:, b], marks)
+            R = len(cells)
+            cells += np.arange(0, R * q, q)[:, None]
+            has_root = np.zeros((R, q), dtype=bool)
+            has_root.reshape(-1)[cells] = True  # a flat scatter: faster
+            deg, irr, r = n[b, None], ~has_root, rest[b]
+            if r.any():
+                # compress keeps C order, unlike coef[..., r]: faster sums.
+                # part lives until the block ends: freed earlier, it left
+                # malloc returning and refetching pages every block, with
+                # twice the minor page faults on a quartic over F_1999.
+                part = coef[: n[b][r].max() + 1, :, b].compress(r, axis=2)
+                z = 1 + np.flatnonzero(part.any(axis=(0, 2))).max(initial=0)
+                if z > len(pcols):
+                    pcols = ar.power_columns(z - 1)
+                c = ar.dot(part[:, :z].transpose(1, 0, 2).reshape(z, -1),
+                           pcols[:z]).reshape(len(part), -1)
+                deg_r, irr_r = _irreducible_mask(
+                    c, has_root[r].reshape(-1), E, ar)
+                deg = np.repeat(deg, q, axis=1)
+                deg[r], irr[r] = deg_r.reshape(-1, q), irr_r.reshape(-1, q)
+            yield rows[b], deg, irr
 
 
 def _curve_points(terms, E, ar: GridArith):

@@ -2,9 +2,10 @@
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqpencil import bivar, errors
@@ -15,6 +16,7 @@ from fqpencil.bivar import (BivariatePoly, HomogeneousForm, SingularWitness,
 from fqpencil.field import embed, make_field
 from fqpencil.lifting import bivar_exact_div, bivariate_irreducible
 from fqpencil.parsing import parse_poly
+from fqpencil.unipoly import UnivariatePoly
 
 
 def rand_bivar(F, rng, max_deg, n_terms=6):
@@ -237,6 +239,153 @@ def test_brute_force_agreement_random_curves():
         oracle = brute_force_singular_search(f, 6)
         assert smooth == (oracle is None), f.format()
         done += 1
+
+
+# ---------------------------------------------------------------------------
+# The certificate gcd(disc_X f, Res_X(f_X, f_T)) against brute force
+
+
+_CERTIFICATE_FIELDS = [(5, 1), (7, 1), (3, 2), (5, 2)]
+
+
+def _assert_singular_at(f, w):
+    """w is a zero of f's closure and of its three partials."""
+    _, form = homogenize_and_degree(f)
+    E = w.field
+    form = HomogeneousForm(E, form.d, {ab: embed(f.field, E, c)
+                                       for ab, c in form.terms.items()})
+    for h in (form, form.partial("T"), form.partial("X"), form.partial("Z")):
+        assert h.evaluate(*w.point) == E.zero, (f.format(), w.as_dict())
+
+
+def _is_smooth_trying_every_factor(f):
+    """is_smooth with G = disc_X: every factor of disc_X is tried, in the
+    same order, as when no resultant certified a factor away."""
+    resultant = bivar.resultant_poly_coeffs
+
+    def zero_r(A, m, B, n, F):  # Res_X(f_X, f_T) is the call with m == n
+        return (UnivariatePoly.zero(F) if m == n
+                else resultant(A, m, B, n, F))
+
+    with mock.patch.object(bivar, "resultant_poly_coeffs", zero_r):
+        return is_smooth(f)
+
+
+def _check_certificate(f, m_max):
+    """is_smooth against brute force: a smooth verdict over F_{q^m} for
+    m <= m_max, a singular one over the witness's field when it has at
+    most 5^5 elements (brute force walks every T in it).  A witness must
+    be singular and equal to the one found by trying every factor."""
+    smooth, w = is_smooth(f)
+    assert (smooth, w) == _is_smooth_trying_every_factor(f)
+    if smooth:
+        assert brute_force_singular_search(f, m_max) is None, f.format()
+    else:
+        _assert_singular_at(f, w)
+        m = w.field.k // f.field.k
+        if f.field.q ** m <= 5 ** 5:
+            assert brute_force_singular_search(f, m) is not None
+
+
+@st.composite
+def _fermat_type(draw):
+    """a x^d + h(t), deg h <= d: disc_X is a constant times h^(d - 1),
+    never squarefree, and every fiber over a root of h is a vertical flex.
+    The curve is singular only at the multiple roots of h, over F_q or
+    F_{q^2}, and at (1:0:0) when deg h < d - 1.  Half the h drawn are
+    g^2 l, with a double root wherever g has a root."""
+    p, k = draw(st.sampled_from(_CERTIFICATE_FIELDS))
+    F = make_field(p, k)
+    d = draw(st.sampled_from([d for d in (3, 4) if d % p]))
+    elem = st.integers(0, F.q - 1)
+    square = draw(st.integers(0, d // 2)) if draw(st.booleans()) else 0
+    g = UnivariatePoly(F, draw(st.lists(elem, min_size=square + 1,
+                                        max_size=square + 1)))
+    l = UnivariatePoly(F, draw(st.lists(elem, min_size=d - 2 * square + 1,
+                                        max_size=d - 2 * square + 1)))
+    h = g * g * l
+    assume(h.degree() >= 1)
+    terms = {(i, 0): c for i, c in enumerate(h.coeffs)}
+    terms[(0, d)] = draw(st.integers(1, F.q - 1))
+    return BivariatePoly(F, terms)
+
+
+@st.composite
+def _node_or_cusp(draw):
+    """A curve of degree d with no term of degree < 2 in t - tau and
+    x - xi, so singular at (tau, xi); a cusp when its quadratic part is a
+    square.  tau is a multiple root of disc_X."""
+    p, k = draw(st.sampled_from(_CERTIFICATE_FIELDS))
+    F = make_field(p, k)
+    d = draw(st.sampled_from([d for d in (3, 4) if d % p]))
+    elem = st.integers(0, F.q - 1)
+    tau, xi = draw(elem), draw(elem)
+    u = BivariatePoly(F, {(1, 0): F.one, (0, 0): F.neg(tau)})
+    v = BivariatePoly(F, {(0, 1): F.one, (0, 0): F.neg(xi)})
+    c = {(i, j): draw(elem) for i in range(d + 1) for j in range(d + 1 - i)
+         if i + j >= 2}
+    c[(0, d)] = draw(st.integers(1, F.q - 1))
+    if draw(st.booleans()):  # a cusp: the quadratic part e (a u + b v)^2
+        a, b, e = draw(elem), draw(elem), draw(elem)
+        c[(2, 0)], c[(1, 1)], c[(0, 2)] = (
+            F.mul(e, F.mul(a, a)), F.mul(e, F.mul(F.from_int(2), F.mul(a, b))),
+            F.mul(e, F.mul(b, b)))
+    f = BivariatePoly(F, {})
+    for (i, j), cij in c.items():
+        term = BivariatePoly(F, {(0, 0): cij})
+        for _ in range(i):
+            term = term * u
+        for _ in range(j):
+            term = term * v
+        f = f + term
+    return f
+
+
+@st.composite
+def _in_t_to_the_p(draw):
+    """f in F_q[t^p, x] of degree d, p not dividing d: f_T = 0, so
+    Res_X(f_X, f_T) = 0 and the certificate is disc_X itself.  Over F_7
+    such a curve has degree 8 or more, so the fields are F_5, F_9, F_25."""
+    p, k = draw(st.sampled_from([(5, 1), (3, 2), (5, 2)]))
+    F = make_field(p, k)
+    d = p + 1
+    elem = st.integers(0, F.q - 1)
+    terms = {(0, j): draw(elem) for j in range(d)}
+    terms[(0, d)] = draw(st.integers(1, F.q - 1))
+    terms[(p, 0)], terms[(p, 1)] = draw(st.tuples(elem, elem).filter(any))
+    return BivariatePoly(F, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fermat_type())
+def test_certificate_on_fermat_type_curves(f):
+    _check_certificate(f, 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_node_or_cusp())
+def test_certificate_on_nodes_and_cusps(f):
+    assert not is_smooth(f)[0]
+    _check_certificate(f, 1)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_in_t_to_the_p())
+def test_certificate_on_curves_in_t_to_the_p(f):
+    _, form = homogenize_and_degree(f)
+    assert form.partial("T").terms == {}
+    _check_certificate(f, 2)
+
+
+def test_witness_over_the_cubic_extension_only():
+    # the norm from F_{5^3} of t + a x + a^2, a a root of y^3 + y + 1: three
+    # conjugate lines, which meet pairwise in three conjugate points
+    F5 = make_field(5, 1)
+    f = parse_poly("4*x^3+t*x^2+t^3+3*t*x+3*t^2+4*x+t+1", F5)
+    assert brute_force_singular_search(f, 2) is None
+    smooth, w = is_smooth(f)
+    assert not smooth and w.field.k == 3
+    _assert_singular_at(f, w)
 
 
 # ---------------------------------------------------------------------------

@@ -220,7 +220,10 @@ def test_threads_below_one_exit_two(threads):
 @pytest.mark.parametrize("q,poly", [(31, "x^5+t^5+t*x+1"),
                                     (13, "x^6+t^6+t*x+1")])
 def test_count_smooth_curve_with_large_discriminant_factor(q, poly):
-    # the smoothness check finds roots over F_{q^k} with q^k past 2^62
+    # disc_X has an irreducible factor whose residue field F_{q^k} is
+    # past 2^62 elements; gcd(disc_X, Res_X(f_X, f_T)) is a constant,
+    # so the smoothness check is certified over F_q, with no root found
+    # over an extension
     code, rep = run_json(["count", "--q", str(q), "--poly", poly])
     assert code == 0
     assert "error" not in rep
@@ -521,6 +524,32 @@ def test_reports_byte_identical():
     argv = ["pencil", "--q", "7", "--poly", "x^2+x-t", "--M", "0,1"]
     runs = [run_json(argv) for _ in range(2)]
     assert strip_timing(runs[0][1]) == strip_timing(runs[1][1])
+
+
+def test_shared_parser_gives_a_fresh_parsers_reports():
+    # build_parser runs once per process; a run, a parse error included,
+    # must leave nothing in it that changes a later report
+    runs = [["pencil", "--q", "7", "--poly", "x^2+x-t", "--poly",
+             "t^3+x^3+1"],
+            ["pencil", "--q", "7", "--poly", "x^2+x-t"],
+            ["count", "--q", "7", "--poly", "x^2+x-t", "--mode", "bogus"],
+            ["count", "--q", "7", "--poly", "x^2+x-t"]]
+
+    def report(argv):
+        with contextlib.redirect_stderr(io.StringIO()):
+            code, text = run_command(argv)
+        return code, text and strip_timing(json.loads(text))
+
+    assert cli.build_parser() is cli.build_parser()
+    shared = [report(argv) for argv in runs]
+    fresh = []
+    for argv in runs:
+        cli.build_parser.cache_clear()
+        fresh.append(report(argv))
+    assert shared == fresh
+    assert [code for code, _ in shared] == [0, 0, 2, 0]
+    assert len(shared[0][1]["pencils"]) == 2
+    assert len(shared[1][1]["pencils"]) == 1
 
 
 def test_thread_count_invariance():

@@ -348,6 +348,39 @@ def test_count_rows_match_per_pair_above_f49(p, k):
         assert tuple(rows[a]) == _per_pair_row(f, E, a), a
 
 
+F11_CUBIC = parse_poly("t^3+x^3+t*x+1", make_field(11, 1))
+F31_CUBIC = parse_poly("t^3+x^3+t*x+1", make_field(31, 1))
+
+
+# At these _BLOCK_DIGITS the rows form several row chunks, each of
+# several cell blocks, and the last block is short: F_31 at D = 1 in
+# chunks of 21 rows, blocks of 3; F_11 at D = 2 in chunks of 6, blocks of
+# 3; the monic quartics over F_7 at D = 3 in chunks of 9, blocks of 3.
+@pytest.mark.parametrize("run, terms, E, D, digits", [
+    (lambda: counting._count_rows(F31_CUBIC, F31_CUBIC.field).tolist(),
+     F31_CUBIC.terms, F31_CUBIC.field, 1, 372),
+    (lambda: verify_conrad(F11_CUBIC, 2), F11_CUBIC.terms, F11_CUBIC.field,
+     2, 231),
+    (lambda: count_monic_irreducibles(make_field(7, 1), 4),
+     {(4, 0): 1, (0, 1): 1}, make_field(7, 1), 3, 105),
+], ids=["count", "conrad", "monic"])
+def test_row_chunks_and_cell_blocks_give_the_default_rows(
+        monkeypatch, run, terms, E, D, digits):
+    expected = run()
+    chunks = []
+    substitute = counting.substitute
+    monkeypatch.setattr(counting, "substitute",
+                        lambda cs, g, E: chunks.append(g.shape[1])
+                        or substitute(cs, g, E))
+    monkeypatch.setattr(counting, "_BLOCK_DIGITS", digits)
+    blocks = [rows.size for rows, _, _ in
+              counting.substitution_rows(terms, E, D)]
+    assert sum(chunks) == sum(blocks) == E.q ** D
+    assert len(chunks) > 1 and chunks[0] % blocks[0] == 0
+    assert chunks[0] // blocks[0] > 1 and blocks[-1] < blocks[0]
+    assert run() == expected
+
+
 def test_count_rejects_bad_characteristic():
     F3 = make_field(3, 1)
     with pytest.raises(HypothesisViolation):

@@ -36,6 +36,9 @@ COMMANDS = [
     ["curve", "--q", "25", "--poly", "x^2-2*t^2"],
     ["curve", "--q", "5", "--poly", "x^3+t*x^2+t^2*x+x+t^3+t"],
     ["curve", "--q", "9", "--poly", "x^4+t^4+2*t^2*x^2"],
+    # singular only over F_{5^3}: three conjugate lines, the norm of
+    # t + a x + a^2 for a root a of y^3 + y + 1
+    ["curve", "--q", "5", "--poly", "4*x^3+t*x^2+t^3+3*t*x+3*t^2+4*x+t+1"],
     ["pencil", "--q", "25", "--poly", "x^2+x-t", "--M", "3,7"],
     ["pencil", "--q", "25", "--poly", "t^3+x^3+1"],
     ["search", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1",
@@ -43,6 +46,7 @@ COMMANDS = [
     ["count", "--q", "25", "--poly", "t^3+x^3+1"],
     ["count", "--q", "49", "--poly", "t^3+x^3+2"],
     ["count", "--q", "7", "--poly", "x^2-t^3-t^2"],
+    ["count", "--q", "13", "--poly", "x^6+t^6+t*x+1"],
     ["conrad", "--q", "3", "--b", "5", "--D", "2"],
     ["bound", "--q", "7919", "--d", "2", "--s", "2", "--N", "2", "--g", "0"],
 ]
