@@ -23,16 +23,26 @@ from .errors import (ConstraintViolation, DegreeOutOfRange, DegreeTooSmall,
 from .field import (_LOG_TABLE_LIMIT, _POWER_TABLE_LIMIT, GridArith,
                     make_field, prime_power)
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
-from .polycore import FrobCtx, substitute, to_array
+from .polycore import (_FROB_TABLE_LIMIT, FrobCtx, degrees, elements,
+                       linear_factors, substitute, to_array)
 from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
 
 # Digits of a cell block of substitution_rows, (N + 1) q k a row, of
 # polycore.substitute's widest array for a row chunk, and of a block of
-# _curve_points, 4 q k a row: root grids of about 2^16 cells.
+# the fibers that _curve_points evaluates, 4 q k a row: root grids of about
+# 2^16 cells.
 _BLOCK_DIGITS = 1 << 18
 # Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
 # moduli of degree n: 2 to 8 MiB, as the integer type goes.
 _RABIN_BATCH = 1 << 20
+# Below this work q^2 (d_x + 1), the digit products of evaluating f on all
+# of E^2, _curve_points evaluates, where the rounds of root finding cost
+# more than they save; from it on it finds each fiber's roots.  On 2 cores
+# (x86_64, numpy 2.4) the two took as long near 2.5e6 for conics, 5.5e6
+# for cubics with split fibers and 8e6 for quartics over prime fields, and
+# below 3e6 over F_{p^k}, k > 1, where each evaluation costs k^2 digit
+# products.
+_FIBER_ROOTS_MIN = 1 << 22
 
 
 # ---------------------------------------------------------------------------
@@ -228,12 +238,13 @@ def substitution_rows(terms, E, D):
     digits a row, (N + 1) k q for the bound N on the values' degrees.
 
     One Horner pass (polycore.substitute) gives each row's coefficients
-    of t^m g_0^e.  A curve point (t0, x0) is a root of the value in cell
-    g_0 = x0 - sum_i g_i t0^i: one GridArith.dot of the rows against the
-    columns of [-t0, .., -t0^D, x0] marks every rooted cell.  Where the
-    top coefficient, of t^2 or t^3, does not depend on g_0 the rootless
-    values are the irreducible ones; the other rows are expanded over g_0
-    by a GridArith.dot and go to _irreducible_mask.
+    of t^m g_0^e.  A curve point (t0, x0), from _curve_points, is a root
+    of the value in cell g_0 = x0 - sum_i g_i t0^i: one GridArith.dot of
+    the rows against the columns of [-t0, .., -t0^D, x0] marks every
+    rooted cell.  Where the top coefficient, of t^2 or t^3, does not
+    depend on g_0 the rootless values are the irreducible ones; the other
+    rows are expanded over g_0 by a GridArith.dot against the power
+    columns, built at the first such row, and go to _irreducible_mask.
 
     The one constant _BLOCK_DIGITS sets two granularities.  The row work,
     substitute and each row's degree, top coefficient and need of the
@@ -259,7 +270,8 @@ def substitution_rows(terms, E, D):
     cs = [np.zeros((n + 1, k, 1), dtype=np.int64) for n in deg_t]
     for (i, j), c in terms.items():  # cs[j][i]: the digits of f_{i, j}
         cs[j][i, :, 0] = E.to_vector(c)
-    t_pts, x_pts, pcols = _curve_points(terms, E, ar)
+    t_pts, x_pts = _curve_points(terms, E, ar)
+    pcols = ()  # power_columns, built once an expansion needs them
     marks = [x_pts]
     power = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
     for _ in range(D):
@@ -307,15 +319,26 @@ def substitution_rows(terms, E, D):
 
 
 def _curve_points(terms, E, ar: GridArith):
-    """All affine points of f = 0 over E as index arrays (t, x), and the
-    power table used: the zeros of sum_j c_j(t) x^j on blocks of t values
-    (see _BLOCK_DIGITS), after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
+    """All affine points of f = 0 over E as index arrays (t, x), in no
+    particular order, after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
     exponents below q.  The zero polynomial, whose values have no degree
-    for a root to settle, gets no points."""
+    for a root to settle, gets no points.
+
+    The fiber at t0 is f(t0, x) = sum_j c_j(t0) x^j, of degree n <= d_x
+    after the reduction; one GridArith.dot gives every c_j(t0).  While
+    the work of evaluating f on all of E^2, q^2 (d_x + 1), is below
+    _FIBER_ROOTS_MIN, f is evaluated on blocks of t values (see
+    _BLOCK_DIGITS).  Past it each fiber is solved: a fiber that is
+    identically zero (a component t = t0, or a reduction such as that of
+    x^q - x) gives every x, a linear one -c_0 / c_1, and those of degree
+    n >= 2 go to polycore.linear_factors, a degree group of _monic_chunks
+    at a time, or are evaluated when n k passes polycore's
+    _FROB_TABLE_LIMIT.  A d_x with (d_x + 1) k q past _POWER_TABLE_LIMIT
+    raises DegreeOutOfRange, in either regime, as power_columns(d_x) does.
+    """
     q = E.q
     if not terms:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), \
-            ar.power_columns(0)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     fc = {}
     for (i, j), c in terms.items():
         key = tuple(e and 1 + (e - 1) % (q - 1) for e in (i, j))
@@ -324,16 +347,53 @@ def _curve_points(terms, E, ar: GridArith):
                   dtype=np.int64)
     for ij, c in fc.items():
         ct[ij] = c
-    pcols = ar.power_columns(max(ct.shape) - 1)
-    ct = ar.dot(ct, pcols[: len(ct)])  # ct[j, t] = c_j(t)
-    rows = max(1, _BLOCK_DIGITS // (4 * q * E.k))
+    I, J = ct.shape
+    if J * E.k * q > _POWER_TABLE_LIMIT:
+        raise DegreeOutOfRange(
+            f"powers up to {J - 1} of every element of F_{q} pass "
+            f"{_POWER_TABLE_LIMIT} digits")
+    evaluate = q * q * J < _FIBER_ROOTS_MIN
+    pcols = ar.power_columns((max(I, J) if evaluate else I) - 1)
+    c = ar.dot(ct, pcols[:I])  # c[j, t] = c_j(t)
+    if evaluate:
+        return _evaluated_points(c, np.arange(q), pcols, ar)
+    deg = degrees((c != 0)[:, None])
+    vertical = np.flatnonzero(deg < 0)  # f(t0, x) = 0 for every x
+    t_out = [np.repeat(vertical, q)]
+    x_out = [np.tile(np.arange(q), vertical.size)]
+    lin = np.flatnonzero(deg == 1)
+    # factors c_0 + c_1 x at t (two empty rows when f has no x)
+    lin_t, lin_c = [lin], [c[:2, lin].reshape(2, -1)]
+    for n, part, g in _monic_chunks(c, deg, True, E, ar):
+        if n * E.k > _FROB_TABLE_LIMIT:
+            ts, xs = _evaluated_points(c[:n + 1, part], part,
+                                       ar.power_columns(n), ar)
+            t_out.append(ts)
+            x_out.append(xs)
+        else:
+            slot, factors = linear_factors(g, E)
+            lin_t.append(part[slot])
+            lin_c.append(elements(factors, E))
+    c0, c1 = np.concatenate(lin_c, axis=1)
+    t_out += lin_t
+    x_out.append(ar.mul(E.p - 1, ar.mul(c0, ar.inv(c1))))
+    return np.concatenate(t_out), np.concatenate(x_out)
+
+
+def _evaluated_points(c, ts, pcols, ar: GridArith):
+    """(t, x) for each x of E with sum_j c[j, i] x^j = 0, t = ts[i]: the
+    fibers with the (n, R) element array c of coefficients evaluated by
+    ar.dot against pcols, the power_columns of at least n - 1, on blocks
+    of rows (see _BLOCK_DIGITS)."""
+    q = ar.q
+    rows = max(1, _BLOCK_DIGITS // (4 * q * ar.k))
     t_out, x_out = [], []
-    for start in range(0, q, rows):
-        zero = ar.dot(ct[:, start:start + rows], pcols[: len(ct)], zero=True)
+    for start in range(0, len(ts), rows):
+        zero = ar.dot(c[:, start:start + rows], pcols[: len(c)], zero=True)
         ti, xi = np.divmod(np.flatnonzero(zero), q)  # faster than nonzero
-        t_out.append(ti + start)
+        t_out.append(ts[start + ti])
         x_out.append(xi)
-    return np.concatenate(t_out), np.concatenate(x_out), pcols
+    return np.concatenate(t_out), np.concatenate(x_out)
 
 
 def _monic_chunks(c, deg, mask, E, ar: GridArith):

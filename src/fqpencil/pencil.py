@@ -352,8 +352,9 @@ def pattern_histogram(pds) -> PatternHistogram:
                        dtype=object if base ** W >= 1 << 63 else np.int64)
     tally = {}  # code -> [joint row of simple-part counts, fibers]
     ramified_patterns = []
-    # fibers a block: 2^16 coefficient digits, as _curve_points takes,
-    # keep the classifier's arrays to a few MiB
+    # fibers a block: 2^16 coefficient digits, as the fiber blocks that
+    # counting._curve_points evaluates take, keep the classifier's arrays
+    # to a few MiB
     step = max(1, _BLOCK_DIGITS // (4 * (max(widths) + 1) * E.k))
     for s0 in range(0, E.q + 1, step):  # slot s is u = s - 1, slot 0 is inf
         s1 = min(s0 + step, E.q + 1)

@@ -19,11 +19,14 @@ degree n, in the narrowest integer type that holds every sum the kernels
 form (_count_dtype): int16, int32, int64, or Python ints (object arrays)
 once a sum could pass int64, so every p is exact.  They refuse n k past
 _FROB_TABLE_LIMIT.  poly_gcd runs Euclid's algorithm across a batch of
-pairs, in the same integer types, with the degree kept per slot.
+pairs, in the same integer types, with the degree kept per slot, and
+linear_factors lists the roots in F_q of a batch of moduli from it and
+a ModCtx.
 """
 
 from __future__ import annotations
 
+import random
 from math import prod
 
 import numpy as np
@@ -38,6 +41,8 @@ from .field import _mod
 _FROB_TABLE_LIMIT = 4096
 # Most powers x^{qj} per reduction call while FrobCtx builds its table.
 _TABLE_BLOCK = 8
+# Digits n k of the moduli of one splitting round of linear_factors.
+_SPLIT_DIGITS = 1 << 12
 
 
 def _count_dtype(field, n):
@@ -419,3 +424,79 @@ class FrobCtx(ModCtx):
     def frobenius(self, a: np.ndarray) -> np.ndarray:
         """a(x)^q mod f for residues a of at most n rows."""
         return self._step(a, self.frob)
+
+
+def linear_factors(g: np.ndarray, field, seed: int = 0x5EED):
+    """The distinct linear factors over F_q of each monic polynomial in the
+    (n + 1, k, B) array g, n >= 2: (slot, lin), where lin is the (2, k, M)
+    array of M factors c_0 + c_1 x, not made monic, and slot[i] is the
+    column of g that factor i divides.  A root is -c_0 / c_1.
+
+    The split part r = gcd(x^q - x, g) is one ModCtx(g).xpow(q) and one
+    poly_gcd.  Cantor-Zassenhaus splitting at degree 1 then lists the roots
+    of r (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14), in
+    rounds on every part of degree >= 2 at once, with a ModCtx on their
+    moduli.  Residues modulo g reduce correctly modulo a part h | g inside
+    the gcd.  For odd q, a = (x + delta)^((q - 1)/2) mod g, and h splits
+    into gcd(a - 1, h), gcd(a + 1, h) and, when -delta is a root,
+    x + delta; the deltas come from random.Random(seed).  For q = 2^k, a
+    is the trace sum_i (y^u x)^(2^i), i < k, and h splits into gcd(a, h)
+    and gcd(a + 1, h); the y^u span F_q, so some u separates any two
+    roots, and the tries take u = 0, 1, .. mod k in turn.  Each round
+    tries every part with the same deltas (or u), as many as keep it
+    within _SPLIT_DIGITS digits and at most 32, and keeps the first split
+    that is not trivial, so the last rounds, on few parts, still split
+    nearly all of them.  The roots of a column do not depend on the other
+    columns.  ModCtx raises DegreeOutOfRange past
+    n k = _FROB_TABLE_LIMIT.
+    """
+    p, k, q = field.p, field.k, field.q
+    n = len(g) - 1
+    x, one = to_array([0, 1], field, n), to_array([1], field, n)
+    parts, deg = poly_gcd(g, ModCtx(g, field).xpow(q) - x, field)
+    slot = np.arange(g.shape[2])
+    rng = random.Random(seed)
+    slots, lins, u = [], [], 0
+    while True:
+        slots.append(slot[deg == 1])
+        lins.append(parts[:2, :, deg == 1])
+        live = deg > 1
+        if not live.any():
+            return np.concatenate(slots), np.concatenate(lins, axis=2)
+        slot, parts, deg = slot[live], parts[:, :, live], deg[live]
+        M = slot.size
+        # past 32 tries a pair of roots stays together with odds 2^-32
+        tries = max(1, min(32, _SPLIT_DIGITS // (M * n * k)))
+        rep = np.repeat(np.arange(M), tries)  # try j of part i: i tries + j
+        ctx = ModCtx(g[:, :, slot[rep]], field)
+        a = np.zeros((n, k, rep.size), dtype=ctx.dtype)
+        if p == 2:
+            a[1, np.tile((u + np.arange(tries)) % k, M),
+              np.arange(rep.size)] = 1
+            u += tries
+            b = a
+            for _ in range(k - 1):
+                b = ctx.mulmod(b, b)
+                a = a + b
+            pair = [a, a + one]
+        else:
+            delta = np.array([rng.randrange(q) for _ in range(tries)])
+            a[0] = np.tile(field.to_vector(delta).T, M)
+            a[1, 0] = 1
+            a = ctx.powmod(a, (q - 1) // 2)
+            pair = [a - one, a + one]
+        h, dh = poly_gcd(np.tile(parts[:, :, rep], (1, 1, 2)),
+                         np.concatenate(pair, axis=2), field)
+        h1, h2 = dh[: rep.size], dh[rep.size :]
+        split = ((h1 < deg[rep]) & (h2 < deg[rep])).reshape(M, tries)
+        pick = np.arange(0, rep.size, tries) + split.argmax(axis=1)
+        if p != 2:  # x + delta takes the degree that neither gcd has
+            rooted = pick[deg - h1[pick] - h2[pick] == 1]
+            lin = np.zeros((2, k, rooted.size), dtype=parts.dtype)
+            lin[0], lin[1, 0] = field.to_vector(delta[rooted % tries]).T, 1
+            slots.append(slot[rooted // tries])
+            lins.append(lin)
+        slot = np.tile(slot, 2)
+        parts = np.concatenate([h[:, :, pick], h[:, :, rep.size + pick]],
+                               axis=2)
+        deg = np.concatenate([h1[pick], h2[pick]])

@@ -152,6 +152,23 @@ def test_conrad_negative_control_exit_one():
     assert rep["result"]["counterexample"] == "t"
 
 
+def test_conrad_large_prime_field_against_euler_criterion():
+    # t^2 + g0^2 + 1 is irreducible over F_p exactly when -(g0^2 + 1) is
+    # not a square mod p (Euler's criterion).  Its 65521 curve points come
+    # from the fibers' roots; the q^2 evaluation took about 19 s.
+    p = 65521
+    irreducible = [g0 for g0 in range(p)
+                   if pow(-(g0 * g0 + 1) % p, (p - 1) // 2, p) == p - 1]
+    assert len(irreducible) == 32760 and irreducible[0] == 4
+    code, rep = run_json(["conrad", "--q", str(p), "--poly", "x^2+t^2+1",
+                          "--D", "0"])
+    assert code == 1
+    assert rep["result"] == {
+        "substitutions": p, "degree_cap": 0, "reducible": p - 32760,
+        "degenerate": 0, "all_reducible": False, "counterexample": "4"}
+    assert rep["timing_seconds"] < 10
+
+
 # ---------------------------------------------------------------------------
 # Errors and exit codes
 

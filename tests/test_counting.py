@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 
 from fqpencil import counting
 from fqpencil.bivar import BivariatePoly
-from fqpencil.field import make_field
+from fqpencil.field import GridArith, make_field
 from fqpencil.parsing import parse_poly
-from fqpencil.reducible import verify_conrad
+from fqpencil.reducible import conrad_polynomial, verify_conrad
 from fqpencil.counting import (
     BoundReport,
     CountReport,
@@ -397,6 +397,86 @@ def test_count_over_a_subfield_of_the_counting_field():
     f = parse_poly("t^3+x^3+t*x+2", F5)
     assert count_irreducible_pairs(f, F25) == \
         count_irreducible_pairs(f.map_to(F25), F25)
+
+
+@st.composite
+def _fiber_curves(draw, E):
+    """Curves whose fibers f(t0, x) lose their lead, vanish identically,
+    reduce to zero under z^q = z, have double roots, split completely or
+    are constants, and the x^(4q) + t^b curves of conrad."""
+    elem = st.integers(0, E.q - 1).map(E.element_at)
+
+    def poly(terms):
+        out = BivariatePoly(E, {})
+        for ij, c in terms.items():
+            out = out + BivariatePoly(E, {ij: c})
+        return out
+
+    def line():  # x - a t - b
+        a, b = draw(elem), draw(elem)
+        return poly({(0, 1): 1, (1, 0): E.neg(a), (0, 0): E.neg(b)})
+
+    def vertical():  # t - c
+        return poly({(1, 0): 1, (0, 0): E.neg(draw(elem))})
+
+    def rest(degree):
+        return poly({(i, j): draw(elem) for i in range(degree + 1)
+                     for j in range(degree + 1 - i)})
+
+    kind = draw(st.sampled_from(
+        ["lead", "vertical", "reduced", "tangent", "split", "no x",
+         "conrad"]))
+    if kind == "lead":  # (t - c) x^n + lower terms
+        n = draw(st.integers(2, 3))
+        return vertical() * poly({(0, n): 1}) + rest(n - 1)
+    if kind == "vertical":
+        return vertical() * (rest(2) + poly({(0, 2): 1}))
+    if kind == "no x":  # every fiber a constant
+        return vertical() * vertical()
+    if kind == "reduced":  # x^q - x and t^q - t vanish on every point
+        q = E.q
+        return poly({(0, q): 1, (0, 1): E.neg(1)}) * rest(1) \
+            + poly({(q, 0): 1, (1, 0): E.neg(1)}) * rest(1) + rest(1)
+    if kind == "tangent":
+        first = line()
+        return first * first * line()
+    if kind == "split":
+        out = line()
+        for _ in range(draw(st.integers(1, 3))):
+            out = out * line()
+        return out
+    return conrad_polynomial(E.q).f
+
+
+# The root finder, the root finder with every fiber of degree >= 2
+# evaluated (as past polycore._FROB_TABLE_LIMIT), and the evaluator give
+# the curve's points, each once.
+@pytest.mark.parametrize("p, k", [
+    (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (5, 1), (7, 1), (11, 1),
+    (3, 2), (5, 2), (3, 3)])
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+def test_curve_points_of_both_regimes_agree(p, k, data):
+    E = make_field(p, k)
+    f = data.draw(_fiber_curves(E))
+    # the zero polynomial gets no points: its values have no degree
+    expected = sorted((t, x) for t in E.elements() for x in E.elements()
+                      if f.evaluate(t, x) == E.zero and not f.is_zero())
+    for work, frob in ((0, 1 << 12), (0, 0), (1 << 62, 1 << 12)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(counting, "_FIBER_ROOTS_MIN", work)
+            mp.setattr(counting, "_FROB_TABLE_LIMIT", frob)
+            t, x = counting._curve_points(f.terms, E, GridArith(E))
+        assert sorted(zip(t.tolist(), x.tolist())) == expected, (work, frob)
+
+
+# x^7 - x vanishes on all of F_7^2: every value f(t, g(t)) = g^7 - g of a
+# g of degree 1 is t^7 - t times a unit, and of a constant g zero.
+@pytest.mark.parametrize("work", [0, 1 << 62])
+def test_conrad_of_x_to_the_q_minus_x(monkeypatch, work):
+    monkeypatch.setattr(counting, "_FIBER_ROOTS_MIN", work)
+    report = verify_conrad(parse_poly("x^7-x", F7), 1)
+    assert (report["degenerate"], report["reducible"]) == (7, 42)
 
 
 def _curve(poly, q):

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from fqpencil import errors, unipoly
 from fqpencil.field import make_field
-from fqpencil.polycore import FrobCtx, elements, from_array, poly_gcd, to_array
+from fqpencil.polycore import (FrobCtx, elements, from_array, linear_factors,
+                               poly_gcd, to_array)
 from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
                               count_monic_irreducibles, discriminant, factor,
                               is_irreducible, resultant, roots_in_field,
@@ -291,6 +292,41 @@ def test_roots_in_field():
     F = make_field(7, 1)
     f = from_ints(F, [-1, 0, 1])     # x^2 - 1
     assert set(roots_in_field(f)) == {F.from_int(1), F.from_int(6)}
+
+
+def _roots_of_factors(slot, lin, F, B):
+    """The roots -c_0 / c_1 of the factors of linear_factors, per column."""
+    roots = [[] for _ in range(B)]
+    for j, c0, c1 in zip(slot.tolist(), *elements(lin, F).tolist()):
+        roots[j].append(F.neg(F.mul(c0, F.inv(c1))))
+    return roots
+
+
+# Batches of monic polynomials of one degree n with 0 to n roots in F_q,
+# some repeated, at odd and even q.
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 3), (2, 4), (3, 1), (7, 1),
+                                 (5, 2), (13, 1), (65521, 1)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_linear_factors_match_roots_in_field(p, k, data):
+    F = make_field(p, k)
+    elem = st.integers(0, F.q - 1)
+    n = data.draw(st.integers(2, 5), label="n")
+    polys = []
+    for _ in range(data.draw(st.integers(1, 8), label="B")):
+        r = data.draw(st.integers(0, n), label="linear factors")
+        f = UnivariatePoly(F, data.draw(
+            st.lists(elem, min_size=n - r, max_size=n - r)) + [1])
+        for c in data.draw(st.lists(elem, min_size=r, max_size=r)):
+            f = f * UnivariatePoly(F, [c, 1])
+        polys.append(f)
+    g = to_array(np.array([f.coeffs for f in polys], dtype=object).T, F)
+    roots = _roots_of_factors(*linear_factors(g, F), F, len(polys))
+    for j, f in enumerate(polys):
+        assert sorted(roots[j]) == roots_in_field(f), j
+        # a column's roots do not depend on the rest of its batch
+        alone = linear_factors(g[:, :, j:j + 1], F)
+        assert sorted(_roots_of_factors(*alone, F, 1)[0]) == sorted(roots[j])
 
 
 # ---------------------------------------------------------------------------
