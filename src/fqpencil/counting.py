@@ -244,7 +244,8 @@ def substitution_rows(terms, E, D):
     rooted cell.  Where the top coefficient, of t^2 or t^3, does not
     depend on g_0 the rootless values are the irreducible ones; the other
     rows are expanded over g_0 by a GridArith.dot against the power
-    columns, built at the first such row, and go to _irreducible_mask.
+    columns, which ar builds at the first such row unless _curve_points
+    built them, and go to _irreducible_mask.
 
     The one constant _BLOCK_DIGITS sets two granularities.  The row work,
     substitute and each row's degree, top coefficient and need of the
@@ -271,7 +272,6 @@ def substitution_rows(terms, E, D):
     for (i, j), c in terms.items():  # cs[j][i]: the digits of f_{i, j}
         cs[j][i, :, 0] = E.to_vector(c)
     t_pts, x_pts = _curve_points(terms, E, ar)
-    pcols = ()  # power_columns, built once an expansion needs them
     marks = [x_pts]
     power = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
     for _ in range(D):
@@ -307,10 +307,8 @@ def substitution_rows(terms, E, D):
                 # twice the minor page faults on a quartic over F_1999.
                 part = coef[: n[b][r].max() + 1, :, b].compress(r, axis=2)
                 z = 1 + np.flatnonzero(part.any(axis=(0, 2))).max(initial=0)
-                if z > len(pcols):
-                    pcols = ar.power_columns(z - 1)
                 c = ar.dot(part[:, :z].transpose(1, 0, 2).reshape(z, -1),
-                           pcols[:z]).reshape(len(part), -1)
+                           ar.power_columns(z - 1)).reshape(len(part), -1)
                 deg_r, irr_r = _irreducible_mask(
                     c, has_root[r].reshape(-1), E, ar)
                 deg = np.repeat(deg, q, axis=1)

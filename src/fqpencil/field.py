@@ -485,6 +485,7 @@ class GridArith:
             self.exp = np.array(E._exp, dtype=np.int64)
             self.zech = np.array(E._zech, dtype=np.int64)
         self.places = E._places
+        self._powers = ()  # the largest power_columns table built
 
     @cached_property
     def digits(self):
@@ -527,7 +528,10 @@ class GridArith:
 
     def power_columns(self, n):
         """columns() of the powers z^e, e <= n, of every element z; raises
-        DegreeOutOfRange past _POWER_TABLE_LIMIT digits."""
+        DegreeOutOfRange past _POWER_TABLE_LIMIT digits.  The largest table
+        built is kept, and a call for fewer powers returns its first rows."""
+        if n < len(self._powers):
+            return self._powers[: n + 1]
         if (n + 1) * self.k * self.q > _POWER_TABLE_LIMIT:
             raise DegreeOutOfRange(
                 f"powers up to {n} of every element of F_{self.q} pass "
@@ -536,7 +540,8 @@ class GridArith:
         powers = [np.ones(self.q, dtype=np.int64)]  # index 1 is the element 1
         for _ in range(n):
             powers.append(self.mul(powers[-1], elems))
-        return self.columns(np.array(powers))
+        self._powers = self.columns(np.array(powers))
+        return self._powers
 
     def columns(self, X):
         """The right-hand side of dot for the (n, Q) element array X: an
