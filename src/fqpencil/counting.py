@@ -328,9 +328,11 @@ def _curve_points(terms, E, ar: GridArith):
     _FIBER_ROOTS_MIN, f is evaluated on blocks of t values (see
     _BLOCK_DIGITS).  Past it each fiber is solved: a fiber that is
     identically zero (a component t = t0, or a reduction such as that of
-    x^q - x) gives every x, a linear one -c_0 / c_1, and those of degree
-    n >= 2 go to polycore.linear_factors, a degree group of _monic_chunks
-    at a time, or are evaluated when n k passes polycore's
+    x^q - x) gives every x, and _small_roots solves a linear one and, for
+    odd q, a quadratic one.  Those of higher degree go to
+    polycore.linear_factors, a degree group of _monic_chunks at a time,
+    which splits them into parts of degree at most 2 (1 for q = 2^k) for
+    _small_roots, or are evaluated when n k passes polycore's
     _FROB_TABLE_LIMIT.  A d_x with (d_x + 1) k q past _POWER_TABLE_LIMIT
     raises DegreeOutOfRange, in either regime, as power_columns(d_x) does.
     """
@@ -359,23 +361,49 @@ def _curve_points(terms, E, ar: GridArith):
     vertical = np.flatnonzero(deg < 0)  # f(t0, x) = 0 for every x
     t_out = [np.repeat(vertical, q)]
     x_out = [np.tile(np.arange(q), vertical.size)]
-    lin = np.flatnonzero(deg == 1)
-    # factors c_0 + c_1 x at t (two empty rows when f has no x)
-    lin_t, lin_c = [lin], [c[:2, lin].reshape(2, -1)]
-    for n, part, g in _monic_chunks(c, deg, True, E, ar):
+    top = 2 if E.p > 2 else 1  # the degrees that _small_roots solves
+    small = np.flatnonzero((deg >= 1) & (deg <= top))
+    parts = np.zeros((3, small.size), dtype=np.int64)  # c_0, c_1, c_2
+    parts[: len(c)] = c[:3, small]
+    part_t, part_c = [small], [parts]
+    for n, part, g in _monic_chunks(c, deg, deg > top, E, ar):
         if n * E.k > _FROB_TABLE_LIMIT:
             ts, xs = _evaluated_points(c[:n + 1, part], part,
                                        ar.power_columns(n), ar)
             t_out.append(ts)
             x_out.append(xs)
         else:
-            slot, factors = linear_factors(g, E)
-            lin_t.append(part[slot])
-            lin_c.append(elements(factors, E))
-    c0, c1 = np.concatenate(lin_c, axis=1)
-    t_out += lin_t
-    x_out.append(ar.mul(E.p - 1, ar.mul(c0, ar.inv(c1))))
+            slot, factors = linear_factors(g, E, top)
+            parts = np.zeros((3, slot.size), dtype=np.int64)
+            parts[: top + 1] = elements(factors, E)
+            part_t.append(part[slot])
+            part_c.append(parts)
+    i, xs = _small_roots(np.concatenate(part_c, axis=1), ar)
+    t_out.append(np.concatenate(part_t)[i])
+    x_out.append(xs)
     return np.concatenate(t_out), np.concatenate(x_out)
+
+
+def _small_roots(c, ar: GridArith):
+    """(i, x) for each root x in E of the polynomial c_0 + c_1 x + c_2 x^2
+    in column i of the (3, M) element array c, each of degree 1 or 2, the
+    quadratic ones only for odd q: -c_0 / c_1, and (-c_1 +- s) / (2 c_2)
+    for s^2 = c_1^2 - 4 c_0 c_2 (one root where s = 0, none where the
+    discriminant is no square)."""
+    p = ar.p
+    c0, c1, c2 = c
+    i = np.flatnonzero(c2 == 0)
+    x = ar.mul(p - 1, ar.mul(c0[i], ar.inv(c1[i])))  # p - 1 is -1
+    quad = np.flatnonzero(c2)
+    s = ar.sqrt(ar.add(ar.mul(c1[quad], c1[quad]),
+                       ar.mul(-4 % p, ar.mul(c0[quad], c2[quad]))))
+    quad, s = quad[s >= 0], s[s >= 0]
+    half = ar.inv(ar.mul(2, c2[quad]))  # 1 / (2 c_2)
+    b = ar.mul(p - 1, c1[quad])
+    two = s != 0
+    return np.concatenate([i, quad, quad[two]]), np.concatenate([
+        x, ar.mul(ar.add(b, s), half),
+        ar.mul(ar.add(b[two], ar.mul(p - 1, s[two])), half[two])])
 
 
 def _evaluated_points(c, ts, pcols, ar: GridArith):

@@ -494,6 +494,20 @@ class GridArith:
         return np.stack([np.arange(self.q) // p_l % self.p
                          for p_l in self.places]).astype(np.float64)
 
+    @cached_property
+    def _roots(self):
+        """_roots[a]: an element whose square is a, -1 where a is no
+        square; one entry per element of the field.  Built at the first
+        sqrt."""
+        z = np.arange(self.q)
+        roots = np.full(self.q, -1, dtype=np.int64)
+        roots[self.mul(z, z)] = z
+        return roots
+
+    def sqrt(self, x):
+        """A square root of each element of x, -1 where it has none."""
+        return self._roots[x]
+
     def _digits(self, X):
         """digits[:, X]: a new first axis of length k.  For k = 1 an element
         is its own digit, so no table of size q is built."""

@@ -426,29 +426,32 @@ class FrobCtx(ModCtx):
         return self._step(a, self.frob)
 
 
-def linear_factors(g: np.ndarray, field, seed: int = 0x5EED):
-    """The distinct linear factors over F_q of each monic polynomial in the
-    (n + 1, k, B) array g, n >= 2: (slot, lin), where lin is the (2, k, M)
-    array of M factors c_0 + c_1 x, not made monic, and slot[i] is the
-    column of g that factor i divides.  A root is -c_0 / c_1.
+def linear_factors(g: np.ndarray, field, at_most: int = 1,
+                   seed: int = 0x5EED):
+    """Products of distinct linear factors over F_q, of degree 1 to at_most,
+    that together hold every root in F_q of each monic polynomial in the
+    (n + 1, k, B) array g, n >= 2: (slot, parts), where parts is the
+    (at_most + 1, k, M) array of M such products, not made monic, and
+    slot[i] is the column of g that part i divides.  With at_most = 1 they
+    are the linear factors c_0 + c_1 x, whose roots are -c_0 / c_1; with
+    at_most = 2 the parts of degree 2 are left for the quadratic formula.
 
     The split part r = gcd(x^q - x, g) is one ModCtx(g).xpow(q) and one
-    poly_gcd.  Cantor-Zassenhaus splitting at degree 1 then lists the roots
-    of r (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14), in
-    rounds on every part of degree >= 2 at once, with a ModCtx on their
-    moduli.  Residues modulo g reduce correctly modulo a part h | g inside
-    the gcd.  For odd q, a = (x + delta)^((q - 1)/2) mod g, and h splits
-    into gcd(a - 1, h), gcd(a + 1, h) and, when -delta is a root,
-    x + delta; the deltas come from random.Random(seed).  For q = 2^k, a
-    is the trace sum_i (y^u x)^(2^i), i < k, and h splits into gcd(a, h)
-    and gcd(a + 1, h); the y^u span F_q, so some u separates any two
-    roots, and the tries take u = 0, 1, .. mod k in turn.  Each round
-    tries every part with the same deltas (or u), as many as keep it
-    within _SPLIT_DIGITS digits and at most 32, and keeps the first split
-    that is not trivial, so the last rounds, on few parts, still split
-    nearly all of them.  The roots of a column do not depend on the other
-    columns.  ModCtx raises DegreeOutOfRange past
-    n k = _FROB_TABLE_LIMIT.
+    poly_gcd.  Cantor-Zassenhaus splitting at degree 1 then splits r (von
+    zur Gathen & Gerhard, Modern Computer Algebra, ch. 14), in rounds on
+    every part of degree > at_most at once, with a ModCtx on their moduli.
+    Residues modulo g reduce correctly modulo a part h | g inside the gcd.
+    For odd q, a = (x + delta)^((q - 1)/2) mod g, and h splits into
+    gcd(a - 1, h), gcd(a + 1, h) and, when -delta is a root, x + delta;
+    the deltas come from random.Random(seed).  For q = 2^k, a is the trace
+    sum_i (y^u x)^(2^i), i < k, and h splits into gcd(a, h) and
+    gcd(a + 1, h); the y^u span F_q, so some u separates any two roots,
+    and the tries take u = 0, 1, .. mod k in turn.  Each round tries every
+    part with the same deltas (or u), as many as keep it within
+    _SPLIT_DIGITS digits and at most 32, and keeps the first split that is
+    not trivial, so the last rounds, on few parts, still split nearly all
+    of them.  The roots of a column do not depend on the other columns.
+    ModCtx raises DegreeOutOfRange past n k = _FROB_TABLE_LIMIT.
     """
     p, k, q = field.p, field.k, field.q
     n = len(g) - 1
@@ -456,13 +459,14 @@ def linear_factors(g: np.ndarray, field, seed: int = 0x5EED):
     parts, deg = poly_gcd(g, ModCtx(g, field).xpow(q) - x, field)
     slot = np.arange(g.shape[2])
     rng = random.Random(seed)
-    slots, lins, u = [], [], 0
+    slots, found, u = [], [], 0
     while True:
-        slots.append(slot[deg == 1])
-        lins.append(parts[:2, :, deg == 1])
-        live = deg > 1
+        done = (deg >= 1) & (deg <= at_most)
+        slots.append(slot[done])
+        found.append(parts[: at_most + 1, :, done])
+        live = deg > at_most
         if not live.any():
-            return np.concatenate(slots), np.concatenate(lins, axis=2)
+            return np.concatenate(slots), np.concatenate(found, axis=2)
         slot, parts, deg = slot[live], parts[:, :, live], deg[live]
         M = slot.size
         # past 32 tries a pair of roots stays together with odds 2^-32
@@ -492,10 +496,10 @@ def linear_factors(g: np.ndarray, field, seed: int = 0x5EED):
         pick = np.arange(0, rep.size, tries) + split.argmax(axis=1)
         if p != 2:  # x + delta takes the degree that neither gcd has
             rooted = pick[deg - h1[pick] - h2[pick] == 1]
-            lin = np.zeros((2, k, rooted.size), dtype=parts.dtype)
+            lin = np.zeros((at_most + 1, k, rooted.size), dtype=parts.dtype)
             lin[0], lin[1, 0] = field.to_vector(delta[rooted % tries]).T, 1
             slots.append(slot[rooted // tries])
-            lins.append(lin)
+            found.append(lin)
         slot = np.tile(slot, 2)
         parts = np.concatenate([h[:, :, pick], h[:, :, rep.size + pick]],
                                axis=2)

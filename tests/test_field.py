@@ -92,6 +92,15 @@ def test_is_square():
         assert F.is_square(e) == (e in squares)
 
 
+@pytest.mark.parametrize("p, k", [(2, 3), (3, 1), (7, 1), (3, 2), (5, 3)])
+def test_grid_square_roots(p, k):
+    F = make_field(p, k)
+    roots = GridArith(F).sqrt(np.arange(F.q)).tolist()
+    for e, r in zip(F.elements(), roots):
+        assert (r >= 0) == F.is_square(e), e
+        assert r < 0 or F.mul(r, r) == e, e
+
+
 def test_inverse_of_zero_raises():
     for p, k in [(5, 1), (3, 2)]:
         F = make_field(p, k)

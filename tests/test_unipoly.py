@@ -322,8 +322,14 @@ def test_linear_factors_match_roots_in_field(p, k, data):
         polys.append(f)
     g = to_array(np.array([f.coeffs for f in polys], dtype=object).T, F)
     roots = _roots_of_factors(*linear_factors(g, F), F, len(polys))
+    # parts of degree 1 or 2 that hold the same roots, each once
+    slot, parts = linear_factors(g, F, 2)
+    quadratic = [[] for _ in polys]
+    for j, col in zip(slot.tolist(), elements(parts, F).T.tolist()):
+        quadratic[j] += roots_in_field(UnivariatePoly(F, col))
     for j, f in enumerate(polys):
         assert sorted(roots[j]) == roots_in_field(f), j
+        assert sorted(quadratic[j]) == sorted(roots[j]), j
         # a column's roots do not depend on the rest of its batch
         alone = linear_factors(g[:, :, j:j + 1], F)
         assert sorted(_roots_of_factors(*alone, F, 1)[0]) == sorted(roots[j])
