@@ -36,12 +36,11 @@ _BLOCK_DIGITS = 1 << 18
 # moduli of degree n: 2 to 8 MiB, as the integer type goes.
 _RABIN_BATCH = 1 << 20
 # Below this work q^2 (d_x + 1), the digit products of evaluating f on all
-# of E^2, _curve_points evaluates, where the rounds of root finding cost
-# more than they save; from it on it finds each fiber's roots.  On 2 cores
-# (x86_64, numpy 2.4) the two took as long near 2.5e6 for conics, 5.5e6
-# for cubics with split fibers and 8e6 for quartics over prime fields, and
-# below 3e6 over F_{p^k}, k > 1, where each evaluation costs k^2 digit
-# products.
+# of E^2, _curve_points evaluates; from it on it finds each fiber's roots.
+# On 2 cores (x86_64, numpy 2.4) the two took as long over prime fields
+# near 1.2e5 for conics, whose fibers the quadratic formula solves, and
+# near 1.8e6 for cubics with split fibers and 5e6 for quartics, whose
+# fibers take rounds of splitting first; 2^22 lies between the last two.
 _FIBER_ROOTS_MIN = 1 << 22
 
 

@@ -14,7 +14,7 @@ or 3 are expanded over g_0 and classified by counting._irreducible_mask.
 Over a large field the curve points are the roots of the fibers
 f(t0, x), found in batches (polycore.linear_factors), not the zeros of f
 among all q^2 points: at q = 65521 and D = 0 the values of x^2 + t^2 + 1
-take a fraction of a second.
+take a few hundredths of a second.
 """
 
 from __future__ import annotations
