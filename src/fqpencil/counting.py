@@ -322,18 +322,19 @@ def _curve_points(terms, E, ar: GridArith):
     for a root to settle, gets no points.
 
     The fiber at t0 is f(t0, x) = sum_j c_j(t0) x^j, of degree n <= d_x
-    after the reduction; one GridArith.dot gives every c_j(t0).  While
-    the work of evaluating f on all of E^2, q^2 (d_x + 1), is below
+    after the reduction; one GridArith.dot gives every c_j(t0).  While the
+    work of evaluating f on all of E^2, q^2 (d_x + 1), is below
     _FIBER_ROOTS_MIN, f is evaluated on blocks of t values (see
-    _BLOCK_DIGITS).  Past it each fiber is solved: a fiber that is
-    identically zero (a component t = t0, or a reduction such as that of
-    x^q - x) gives every x, and _small_roots solves a linear one and, for
-    odd q, a quadratic one.  Those of higher degree go to
-    polycore.linear_factors, a degree group of _monic_chunks at a time,
-    which splits them into parts of degree at most 2 (1 for q = 2^k) for
-    _small_roots, or are evaluated when n k passes polycore's
-    _FROB_TABLE_LIMIT.  A d_x with (d_x + 1) k q past _POWER_TABLE_LIMIT
-    raises DegreeOutOfRange, in either regime, as power_columns(d_x) does.
+    _BLOCK_DIGITS), and also once d_x k passes polycore's
+    _FROB_TABLE_LIMIT, where a ModCtx on the fibers of degree d_x would be
+    refused.  Otherwise each fiber is solved: a fiber that is identically
+    zero (a component t = t0, or a reduction such as that of x^q - x) gives
+    every x, and _small_roots solves a linear one and, for odd q, a
+    quadratic one.  Those of higher degree go to polycore.linear_factors, a
+    degree group of _monic_chunks at a time, which splits them into parts
+    of degree at most 2 (1 for q = 2^k) for _small_roots.  A d_x with
+    (d_x + 1) k q past _POWER_TABLE_LIMIT raises DegreeOutOfRange, in
+    either regime, as power_columns(d_x) does.
     """
     q = E.q
     if not terms:
@@ -351,11 +352,12 @@ def _curve_points(terms, E, ar: GridArith):
         raise DegreeOutOfRange(
             f"powers up to {J - 1} of every element of F_{q} pass "
             f"{_POWER_TABLE_LIMIT} digits")
-    evaluate = q * q * J < _FIBER_ROOTS_MIN
+    evaluate = (q * q * J < _FIBER_ROOTS_MIN
+                or (J - 1) * E.k > _FROB_TABLE_LIMIT)
     pcols = ar.power_columns((max(I, J) if evaluate else I) - 1)
     c = ar.dot(ct, pcols[:I])  # c[j, t] = c_j(t)
     if evaluate:
-        return _evaluated_points(c, np.arange(q), pcols, ar)
+        return _evaluated_points(c, pcols, ar)
     deg = degrees((c != 0)[:, None])
     vertical = np.flatnonzero(deg < 0)  # f(t0, x) = 0 for every x
     t_out = [np.repeat(vertical, q)]
@@ -365,18 +367,12 @@ def _curve_points(terms, E, ar: GridArith):
     parts = np.zeros((3, small.size), dtype=np.int64)  # c_0, c_1, c_2
     parts[: len(c)] = c[:3, small]
     part_t, part_c = [small], [parts]
-    for n, part, g in _monic_chunks(c, deg, deg > top, E, ar):
-        if n * E.k > _FROB_TABLE_LIMIT:
-            ts, xs = _evaluated_points(c[:n + 1, part], part,
-                                       ar.power_columns(n), ar)
-            t_out.append(ts)
-            x_out.append(xs)
-        else:
-            slot, factors = linear_factors(g, E, top)
-            parts = np.zeros((3, slot.size), dtype=np.int64)
-            parts[: top + 1] = elements(factors, E)
-            part_t.append(part[slot])
-            part_c.append(parts)
+    for _, part, g in _monic_chunks(c, deg, deg > top, E, ar):
+        slot, factors = linear_factors(g, E)
+        parts = np.zeros((3, slot.size), dtype=np.int64)
+        parts[: len(factors)] = elements(factors, E)
+        part_t.append(part[slot])
+        part_c.append(parts)
     i, xs = _small_roots(np.concatenate(part_c, axis=1), ar)
     t_out.append(np.concatenate(part_t)[i])
     x_out.append(xs)
@@ -405,18 +401,18 @@ def _small_roots(c, ar: GridArith):
         ar.mul(ar.add(b[two], ar.mul(p - 1, s[two])), half[two])])
 
 
-def _evaluated_points(c, ts, pcols, ar: GridArith):
-    """(t, x) for each x of E with sum_j c[j, i] x^j = 0, t = ts[i]: the
-    fibers with the (n, R) element array c of coefficients evaluated by
-    ar.dot against pcols, the power_columns of at least n - 1, on blocks
-    of rows (see _BLOCK_DIGITS)."""
+def _evaluated_points(c, pcols, ar: GridArith):
+    """(t, x) for each x of E with sum_j c[j, t] x^j = 0: the fibers with
+    the (n, q) element array c of coefficients evaluated by ar.dot against
+    pcols, the power_columns of at least n - 1, on blocks of rows (see
+    _BLOCK_DIGITS)."""
     q = ar.q
     rows = max(1, _BLOCK_DIGITS // (4 * q * ar.k))
     t_out, x_out = [], []
-    for start in range(0, len(ts), rows):
+    for start in range(0, q, rows):
         zero = ar.dot(c[:, start:start + rows], pcols[: len(c)], zero=True)
         ti, xi = np.divmod(np.flatnonzero(zero), q)  # faster than nonzero
-        t_out.append(ts[start + ti])
+        t_out.append(ti + start)
         x_out.append(xi)
     return np.concatenate(t_out), np.concatenate(x_out)
 

@@ -41,7 +41,11 @@ from .field import _mod
 _FROB_TABLE_LIMIT = 4096
 # Most powers x^{qj} per reduction call while FrobCtx builds its table.
 _TABLE_BLOCK = 8
-# Digits n k of the moduli of one splitting round of linear_factors.
+# Digits n k of the moduli of one splitting round of linear_factors, all
+# tries of all its parts.  On 2 cores (x86_64, numpy 2.4), the curve points
+# of eight cubics over F_3001 .. F_3511, of t^3 + x^3 + 1 over F_{11^4}
+# and of a quintic over F_{2^12} took 16% longer with one try a part and
+# round, and 4-5% longer at 2^11 or 2^13 digits a round, than at 2^12.
 _SPLIT_DIGITS = 1 << 12
 
 
@@ -426,51 +430,50 @@ class FrobCtx(ModCtx):
         return self._step(a, self.frob)
 
 
-def linear_factors(g: np.ndarray, field, at_most: int = 1,
-                   seed: int = 0x5EED):
-    """Products of distinct linear factors over F_q, of degree 1 to at_most,
-    that together hold every root in F_q of each monic polynomial in the
-    (n + 1, k, B) array g, n >= 2: (slot, parts), where parts is the
-    (at_most + 1, k, M) array of M such products, not made monic, and
-    slot[i] is the column of g that part i divides.  With at_most = 1 they
-    are the linear factors c_0 + c_1 x, whose roots are -c_0 / c_1; with
-    at_most = 2 the parts of degree 2 are left for the quadratic formula.
+def linear_factors(g: np.ndarray, field):
+    """Products of distinct linear factors over F_q, of degree 1 or 2 (1
+    for q = 2^k), that together hold every root in F_q of each monic
+    polynomial in the (n + 1, k, B) array g, n >= 2: (slot, parts), where
+    parts is the (3, k, M) array (2 for q = 2^k) of M such products, not
+    made monic, and slot[i] is the column of g that part i divides.  The
+    parts of degree 2 are left for the quadratic formula, which q = 2^k
+    does not have.
 
     The split part r = gcd(x^q - x, g) is one ModCtx(g).xpow(q) and one
     poly_gcd.  Cantor-Zassenhaus splitting at degree 1 then splits r (von
     zur Gathen & Gerhard, Modern Computer Algebra, ch. 14), in rounds on
-    every part of degree > at_most at once, with a ModCtx on their moduli.
+    every part of higher degree at once, with a ModCtx on their moduli.
     Residues modulo g reduce correctly modulo a part h | g inside the gcd.
     For odd q, a = (x + delta)^((q - 1)/2) mod g, and h splits into
     gcd(a - 1, h), gcd(a + 1, h) and, when -delta is a root, x + delta;
-    the deltas come from random.Random(seed).  For q = 2^k, a is the trace
-    sum_i (y^u x)^(2^i), i < k, and h splits into gcd(a, h) and
-    gcd(a + 1, h); the y^u span F_q, so some u separates any two roots,
-    and the tries take u = 0, 1, .. mod k in turn.  Each round tries every
-    part with the same deltas (or u), as many as keep it within
-    _SPLIT_DIGITS digits and at most 32, and keeps the first split that is
-    not trivial, so the last rounds, on few parts, still split nearly all
-    of them.  The roots of a column do not depend on the other columns.
+    the deltas come from one fixed random.Random sequence.  For q = 2^k, a
+    is the trace sum_i (y^u x)^(2^i), i < k, and h splits into gcd(a, h)
+    and gcd(a + 1, h); the y^u span F_q, so some u separates any two
+    roots, and the tries take u = 0, 1, .. mod k in turn.  Each round
+    tries every part with the same deltas (or u), as many as keep it
+    within _SPLIT_DIGITS digits, and keeps the first split that is not
+    trivial, so the last rounds, on few parts, still split nearly all of
+    them.  The roots of a column do not depend on the other columns.
     ModCtx raises DegreeOutOfRange past n k = _FROB_TABLE_LIMIT.
     """
     p, k, q = field.p, field.k, field.q
     n = len(g) - 1
+    top = 2 if p > 2 else 1  # the highest degree of a part
     x, one = to_array([0, 1], field, n), to_array([1], field, n)
     parts, deg = poly_gcd(g, ModCtx(g, field).xpow(q) - x, field)
     slot = np.arange(g.shape[2])
-    rng = random.Random(seed)
+    rng = random.Random(0x5EED)
     slots, found, u = [], [], 0
     while True:
-        done = (deg >= 1) & (deg <= at_most)
+        done = (deg >= 1) & (deg <= top)
         slots.append(slot[done])
-        found.append(parts[: at_most + 1, :, done])
-        live = deg > at_most
+        found.append(parts[: top + 1, :, done])
+        live = deg > top
         if not live.any():
             return np.concatenate(slots), np.concatenate(found, axis=2)
         slot, parts, deg = slot[live], parts[:, :, live], deg[live]
         M = slot.size
-        # past 32 tries a pair of roots stays together with odds 2^-32
-        tries = max(1, min(32, _SPLIT_DIGITS // (M * n * k)))
+        tries = max(1, _SPLIT_DIGITS // (M * n * k))
         rep = np.repeat(np.arange(M), tries)  # try j of part i: i tries + j
         ctx = ModCtx(g[:, :, slot[rep]], field)
         a = np.zeros((n, k, rep.size), dtype=ctx.dtype)
@@ -496,7 +499,7 @@ def linear_factors(g: np.ndarray, field, at_most: int = 1,
         pick = np.arange(0, rep.size, tries) + split.argmax(axis=1)
         if p != 2:  # x + delta takes the degree that neither gcd has
             rooted = pick[deg - h1[pick] - h2[pick] == 1]
-            lin = np.zeros((at_most + 1, k, rooted.size), dtype=parts.dtype)
+            lin = np.zeros((top + 1, k, rooted.size), dtype=parts.dtype)
             lin[0], lin[1, 0] = field.to_vector(delta[rooted % tries]).T, 1
             slots.append(slot[rooted // tries])
             found.append(lin)

@@ -448,9 +448,8 @@ def _fiber_curves(draw, E):
     return conrad_polynomial(E.q).f
 
 
-# The root finder, the root finder with every fiber of degree >= 2
-# evaluated (as past polycore._FROB_TABLE_LIMIT), and the evaluator give
-# the curve's points, each once.
+# The root finder, the evaluator chosen by the work and the evaluator
+# chosen by polycore._FROB_TABLE_LIMIT give the curve's points, each once.
 @pytest.mark.parametrize("p, k", [
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (5, 1), (7, 1), (11, 1),
     (3, 2), (5, 2), (3, 3)])

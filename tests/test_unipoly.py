@@ -294,11 +294,14 @@ def test_roots_in_field():
     assert set(roots_in_field(f)) == {F.from_int(1), F.from_int(6)}
 
 
-def _roots_of_factors(slot, lin, F, B):
-    """The roots -c_0 / c_1 of the factors of linear_factors, per column."""
+def _roots_of_parts(slot, parts, F, B):
+    """The roots in F of the parts of linear_factors, per column, after
+    checking each part's degree: 1 or 2, and 1 for q = 2^k."""
     roots = [[] for _ in range(B)]
-    for j, c0, c1 in zip(slot.tolist(), *elements(lin, F).tolist()):
-        roots[j].append(F.neg(F.mul(c0, F.inv(c1))))
+    for j, col in zip(slot.tolist(), elements(parts, F).T.tolist()):
+        part = UnivariatePoly(F, col)
+        assert 1 <= part.degree() <= (2 if F.p > 2 else 1), col
+        roots[j] += roots_in_field(part)
     return roots
 
 
@@ -321,18 +324,13 @@ def test_linear_factors_match_roots_in_field(p, k, data):
             f = f * UnivariatePoly(F, [c, 1])
         polys.append(f)
     g = to_array(np.array([f.coeffs for f in polys], dtype=object).T, F)
-    roots = _roots_of_factors(*linear_factors(g, F), F, len(polys))
-    # parts of degree 1 or 2 that hold the same roots, each once
-    slot, parts = linear_factors(g, F, 2)
-    quadratic = [[] for _ in polys]
-    for j, col in zip(slot.tolist(), elements(parts, F).T.tolist()):
-        quadratic[j] += roots_in_field(UnivariatePoly(F, col))
+    # parts of degree 1 or 2 that hold the roots, each once
+    roots = _roots_of_parts(*linear_factors(g, F), F, len(polys))
     for j, f in enumerate(polys):
         assert sorted(roots[j]) == roots_in_field(f), j
-        assert sorted(quadratic[j]) == sorted(roots[j]), j
         # a column's roots do not depend on the rest of its batch
         alone = linear_factors(g[:, :, j:j + 1], F)
-        assert sorted(_roots_of_factors(*alone, F, 1)[0]) == sorted(roots[j])
+        assert sorted(_roots_of_parts(*alone, F, 1)[0]) == sorted(roots[j])
 
 
 # ---------------------------------------------------------------------------
