@@ -44,8 +44,8 @@ _TABLE_BLOCK = 8
 # Digits n k of the moduli of one splitting round of linear_factors, all
 # tries of all its parts.  On 2 cores (x86_64, numpy 2.4), the curve points
 # of eight cubics over F_3001 .. F_3511, of t^3 + x^3 + 1 over F_{11^4}
-# and of a quintic over F_{2^12} took 16% longer with one try a part and
-# round, and 4-5% longer at 2^11 or 2^13 digits a round, than at 2^12.
+# and of a quintic over F_{2^12} took 17% longer with one try a part and
+# round, and 2-3% longer at 2^11 or 2^13 digits a round, than at 2^12.
 _SPLIT_DIGITS = 1 << 12
 
 

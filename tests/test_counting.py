@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fqpencil import counting
+from fqpencil import counting, polycore
 from fqpencil.bivar import BivariatePoly
 from fqpencil.field import GridArith, make_field
 from fqpencil.parsing import parse_poly
@@ -449,7 +449,8 @@ def _fiber_curves(draw, E):
 
 
 # The root finder, the evaluator chosen by the work and the evaluator
-# chosen by polycore._FROB_TABLE_LIMIT give the curve's points, each once.
+# chosen by polycore._FROB_TABLE_LIMIT, where ModCtx refuses every fiber,
+# give the curve's points, each once.
 @pytest.mark.parametrize("p, k", [
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (5, 1), (7, 1), (11, 1),
     (3, 2), (5, 2), (3, 3)])
@@ -465,6 +466,7 @@ def test_curve_points_of_both_regimes_agree(p, k, data):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "_FIBER_ROOTS_MIN", work)
             mp.setattr(counting, "_FROB_TABLE_LIMIT", frob)
+            mp.setattr(polycore, "_FROB_TABLE_LIMIT", frob)
             t, x = counting._curve_points(f.terms, E, GridArith(E))
         assert sorted(zip(t.tolist(), x.tolist())) == expected, (work, frob)
 
