@@ -29,8 +29,9 @@ from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
 
 # Digits of a cell block of substitution_rows, (N + 1) q k a row, of
 # polycore.substitute's widest array for a row chunk, and of a block of
-# the fibers that _curve_points evaluates, 4 q k a row: root grids of about
-# 2^16 cells.
+# the fibers that _curve_points evaluates, 4 q k a row.  For a cubic over
+# F_p a cell block is about 2^16 cells, and its root marks take a
+# (R, 2 p) grid of 128 KiB and an index table of R int64 a curve point.
 _BLOCK_DIGITS = 1 << 18
 # Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
 # moduli of degree n: 2 to 8 MiB, as the integer type goes.
@@ -212,14 +213,15 @@ def count_irreducible_pairs(f: BivariatePoly, E,
 
 
 def _count_rows(f: BivariatePoly, E):
-    """Per-a (full, inclusive) counts over every b, a (q, 2) array with a
-    in canonical order: substitution_rows at D = 1, a row per a."""
+    """Per-a (full, inclusive) counts over every b, a (q, 2) int32 array
+    with a in canonical order: substitution_rows at D = 1, a row per a.
+    A boolean sum into int32 counts a row faster than count_nonzero."""
     d = f.total_degree()
     full, incl = [], []
     for _, deg, irr in substitution_rows(f.terms, E, 1):
-        incl.append(np.count_nonzero(irr, axis=1))
+        incl.append(irr.sum(axis=1, dtype=np.int32))
         full.append(incl[-1] * (deg[:, 0] == d) if deg.shape[1] == 1
-                    else np.count_nonzero(irr & (deg == d), axis=1))
+                    else (irr & (deg == d)).sum(axis=1, dtype=np.int32))
     return np.stack([np.concatenate(full), np.concatenate(incl)], axis=1)
 
 
@@ -238,9 +240,11 @@ def substitution_rows(terms, E, D):
 
     One Horner pass (polycore.substitute) gives each row's coefficients
     of t^m g_0^e.  A curve point (t0, x0), from _curve_points, is a root
-    of the value in cell g_0 = x0 - sum_i g_i t0^i: one GridArith.dot of
-    the rows against the columns of [-t0, .., -t0^D, x0] marks every
-    rooted cell.  Where the top coefficient, of t^2 or t^3, does not
+    of the value in cell g_0 = x0 - sum_i g_i t0^i, and a vertical fiber
+    of every value; _root_marker marks the rooted cells of a block, by
+    integer row offsets over a prime field and by one GridArith.dot of the
+    rows against the columns of [-t0, .., -t0^D, x0] over an extension
+    field.  Where the top coefficient, of t^2 or t^3, does not
     depend on g_0 the rootless values are the irreducible ones; the other
     rows are expanded over g_0 by a GridArith.dot against the power
     columns, which ar builds at the first such row unless _curve_points
@@ -270,14 +274,8 @@ def substitution_rows(terms, E, D):
     cs = [np.zeros((n + 1, k, 1), dtype=np.int64) for n in deg_t]
     for (i, j), c in terms.items():  # cs[j][i]: the digits of f_{i, j}
         cs[j][i, :, 0] = E.to_vector(c)
-    t_pts, x_pts = _curve_points(terms, E, ar)
-    marks = [x_pts]
-    power = ar.mul(E.p - 1, t_pts)  # E.p - 1 is the index of -1
-    for _ in range(D):
-        marks.insert(-1, power)
-        power = ar.mul(power, t_pts)
-    marks = ar.columns(np.stack(marks))
     block = max(1, _BLOCK_DIGITS // ((N + 1) * q * k))
+    mark = _root_marker(terms, E, ar, D, block)
     Z = min(len(cs), q)
     chunk = block * max(1, _BLOCK_DIGITS // ((N + 1) * (2 * k - 1) * Z
                                              * block))
@@ -293,11 +291,7 @@ def substitution_rows(terms, E, D):
         rest = ((n != 2) & (n != 3)) | top[:, 1:].any(axis=1)
         for s in range(0, rows.size, block):
             b = slice(s, s + block)
-            cells = ar.dot(g[:, b], marks)
-            R = len(cells)
-            cells += np.arange(0, R * q, q)[:, None]
-            has_root = np.zeros((R, q), dtype=bool)
-            has_root.reshape(-1)[cells] = True  # a flat scatter: faster
+            has_root = mark(g[:, b])
             deg, irr, r = n[b, None], ~has_root, rest[b]
             if r.any():
                 # compress keeps C order, unlike coef[..., r]: faster sums.
@@ -315,11 +309,99 @@ def substitution_rows(terms, E, D):
             yield rows[b], deg, irr
 
 
+def _root_marker(terms, E, ar: GridArith, D, block):
+    """mark(g) for the cell blocks of substitution_rows: the (R, q) mask of
+    the cells whose value has a root in E, for the (D + 1, R) digit array
+    g of R <= block consecutive rows, g_1 .. g_D over a last row of ones.
+
+    A curve point (t0, x0) is a root of the value in the cell g_0 = x0 -
+    sum_i g_i t0^i.  A vertical fiber, f(t0, x) = 0 for every x, roots
+    every value, which t - t0 divides, so then every cell is marked.  Over
+    a prime field the cells come from integer row offsets (_prime_marker),
+    over an extension field from one GridArith.dot (_dot_marker).
+    """
+    t0, x0, vertical = _curve_points(terms, E, ar)
+    if vertical.size:
+        return lambda g: np.ones((g.shape[1], E.q), dtype=bool)
+    if E.k == 1:
+        return _prime_marker(t0, x0, D, E.p, block)
+    return _dot_marker(t0, x0, D, ar)
+
+
+def _dot_marker(t0, x0, D, ar: GridArith):
+    """mark(g) of _root_marker by one GridArith.dot of the rows against the
+    columns of [-t0, .., -t0^D, x0], which gives every rooted cell, and a
+    scatter into a new (R, q) grid.  Element indices of F_{p^k}, k > 1, do
+    not add as integers, so extension fields take this product."""
+    q = ar.q
+    marks = [x0]
+    power = ar.mul(ar.p - 1, t0)  # p - 1 is the index of -1
+    for _ in range(D):
+        marks.insert(-1, power)
+        power = ar.mul(power, t0)
+    marks = ar.columns(np.stack(marks))
+
+    def mark(g):
+        cells = ar.dot(g, marks)
+        R = len(cells)
+        cells += np.arange(0, R * q, q)[:, None]
+        has_root = np.zeros((R, q), dtype=bool)
+        has_root.reshape(-1)[cells] = True  # a flat scatter: faster
+        return has_root
+    return mark
+
+
+def _prime_marker(t0, x0, D, p, block):
+    """mark(g) of _root_marker over F_p, with no product: g_1 t0 = r t0 +
+    (g_1 - r) t0 for the row at offset r of the block, so the cell of the
+    point (t0, x0) in that row is base - r t0 mod p, where base = x0 -
+    (g_1 - r) t0 - sum_{i >= 2} g_i t0^i is fixed until g_1 wraps to 0 (at
+    D <= 1 it never does, and base is x0 - (g_1 - r) t0).
+
+    A table off[r] = 2 p r + p - (r t0 mod p), built once, makes each
+    block one integer add of the base into a reused index buffer: off[r] +
+    base lies in row r of a (R, 2 p) grid, in the right half at the cell
+    when base >= r t0 mod p and in the left half at the cell otherwise, so
+    the halves OR-ed are the marks, with no mod p.  Every product stays
+    below 2^36, since the kernel refuses p > 2^18.
+    """
+    r = np.arange(min(block, p ** D))[:, None]
+    off = 2 * p * r + p - r * t0 % p
+    powers = np.zeros((D, t0.size), dtype=np.int64)  # t0^i, i = 1 .. D
+    power = t0
+    for i in range(D):
+        powers[i] = power
+        power = power * t0 % p
+    idx = np.empty_like(off)
+    grid = np.empty((len(off), 2 * p), dtype=bool)
+
+    def mark(g):
+        R = g.shape[1]
+        # the rows where g_1 wraps to 0, and the block's first row, start
+        # a part of one base (g[0] is the row of ones at D = 0, one row)
+        first = np.flatnonzero(g[0] == 0)
+        first = np.concatenate([[0], first[first > 0]])
+        a = g[:D, first]
+        a[:1] -= first  # g_1 - r
+        base = x0 - sum(a[i, :, None] * powers[i] for i in range(D))
+        base %= p
+        if len(first) > 1:  # one base row per row of the block
+            base = np.repeat(base, np.diff(first, append=R), axis=0)
+        np.add(off[:R], base, out=idx[:R])
+        grid[:R] = False
+        grid[:R].reshape(-1)[idx[:R]] = True
+        return grid[:R, :p] | grid[:R, p:]
+    return mark
+
+
 def _curve_points(terms, E, ar: GridArith):
-    """All affine points of f = 0 over E as index arrays (t, x), in no
-    particular order, after z^e = z^(1 + (e - 1) mod (q - 1)) takes the
-    exponents below q.  The zero polynomial, whose values have no degree
-    for a root to settle, gets no points.
+    """The affine points of f = 0 over E as index arrays (t, x, vertical),
+    in no particular order, after z^e = z^(1 + (e - 1) mod (q - 1)) takes
+    the exponents below q.  vertical holds each t0 whose fiber f(t0, x)
+    vanishes at every x (a component t = t0, or a reduction such as that
+    of x^q - x); (t, x) lists the points of the other fibers only, not the
+    q points of each vertical one.  The zero polynomial, whose values have
+    no degree for a root to settle, gets no points and no vertical fiber.
 
     The fiber at t0 is f(t0, x) = sum_j c_j(t0) x^j, of degree n <= d_x
     after the reduction; one GridArith.dot gives every c_j(t0).  While the
@@ -327,9 +409,8 @@ def _curve_points(terms, E, ar: GridArith):
     _FIBER_ROOTS_MIN, f is evaluated on blocks of t values (see
     _BLOCK_DIGITS), and also once d_x k passes polycore's
     _FROB_TABLE_LIMIT, where a ModCtx on the fibers of degree d_x would be
-    refused.  Otherwise each fiber is solved: a fiber that is identically
-    zero (a component t = t0, or a reduction such as that of x^q - x) gives
-    every x, and _small_roots solves a linear one and, for odd q, a
+    refused.  Otherwise each fiber is solved: one that is identically zero
+    is vertical, and _small_roots solves a linear one and, for odd q, a
     quadratic one.  Those of higher degree go to polycore.linear_factors, a
     degree group of _monic_chunks at a time, which splits them into parts
     of degree at most 2 (1 for q = 2^k) for _small_roots.  A d_x with
@@ -338,7 +419,7 @@ def _curve_points(terms, E, ar: GridArith):
     """
     q = E.q
     if not terms:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+        return (np.zeros(0, dtype=np.int64),) * 3
     fc = {}
     for (i, j), c in terms.items():
         key = tuple(e and 1 + (e - 1) % (q - 1) for e in (i, j))
@@ -359,9 +440,6 @@ def _curve_points(terms, E, ar: GridArith):
     if evaluate:
         return _evaluated_points(c, pcols, ar)
     deg = degrees((c != 0)[:, None])
-    vertical = np.flatnonzero(deg < 0)  # f(t0, x) = 0 for every x
-    t_out = [np.repeat(vertical, q)]
-    x_out = [np.tile(np.arange(q), vertical.size)]
     top = 2 if E.p > 2 else 1  # the degrees that _small_roots solves
     small = np.flatnonzero((deg >= 1) & (deg <= top))
     parts = np.zeros((3, small.size), dtype=np.int64)  # c_0, c_1, c_2
@@ -374,9 +452,7 @@ def _curve_points(terms, E, ar: GridArith):
         part_t.append(part[slot])
         part_c.append(parts)
     i, xs = _small_roots(np.concatenate(part_c, axis=1), ar)
-    t_out.append(np.concatenate(part_t)[i])
-    x_out.append(xs)
-    return np.concatenate(t_out), np.concatenate(x_out)
+    return np.concatenate(part_t)[i], xs, np.flatnonzero(deg < 0)
 
 
 def _small_roots(c, ar: GridArith):
@@ -402,19 +478,22 @@ def _small_roots(c, ar: GridArith):
 
 
 def _evaluated_points(c, pcols, ar: GridArith):
-    """(t, x) for each x of E with sum_j c[j, t] x^j = 0: the fibers with
-    the (n, q) element array c of coefficients evaluated by ar.dot against
-    pcols, the power_columns of at least n - 1, on blocks of rows (see
-    _BLOCK_DIGITS)."""
+    """(t, x, vertical) of _curve_points: the fibers with the (n, q)
+    element array c of coefficients evaluated by ar.dot against pcols, the
+    power_columns of at least n - 1, on blocks of rows (see _BLOCK_DIGITS).
+    A fiber zero at every x is vertical, and its points are not listed."""
     q = ar.q
     rows = max(1, _BLOCK_DIGITS // (4 * q * ar.k))
-    t_out, x_out = [], []
+    t_out, x_out, vertical = [], [], []
     for start in range(0, q, rows):
         zero = ar.dot(c[:, start:start + rows], pcols[: len(c)], zero=True)
+        whole = zero.all(axis=1)
+        zero[whole] = False
+        vertical.append(start + np.flatnonzero(whole))
         ti, xi = np.divmod(np.flatnonzero(zero), q)  # faster than nonzero
         t_out.append(ti + start)
         x_out.append(xi)
-    return np.concatenate(t_out), np.concatenate(x_out)
+    return tuple(map(np.concatenate, (t_out, x_out, vertical)))
 
 
 def _monic_chunks(c, deg, mask, E, ar: GridArith):

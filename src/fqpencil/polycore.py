@@ -235,16 +235,17 @@ def substitute(cs, g, field) -> np.ndarray:
     elements, so z^q = z.  Returns an (n, Z, B) element array,
     Z = min(len(cs), q), entry [m, e, b] the coefficient of t^m z^e for
     column b."""
-    p, k, B = field.p, field.k, g.shape[1]
+    (D, B), p, k = g.shape, field.p, field.k
     Z = min(len(cs), field.q)
     g = np.tile(to_array(g, field), (1, 1, Z))  # g / t, once per z^e
     h = np.zeros((len(cs[-1]), k, Z, B), dtype=np.int64)
     h[:, :, 0] = cs[-1]
     for c in reversed(cs[:-1]):
         n = len(h)
-        new = np.zeros((max(n + len(g), len(c)), k, Z, B), dtype=np.int64)
-        new[1 : n + len(g)] = _product(  # h g, one row up
-            g, h.reshape(n, k, Z * B), field).reshape(-1, k, Z, B)
+        new = np.zeros((max(n + D, len(c)), k, Z, B), dtype=np.int64)
+        if D:  # g = 0 for D = 0: h g is zero and does not widen h
+            new[1 : n + D] = _product(  # h g, one row up
+                g, h.reshape(n, k, Z * B), field).reshape(-1, k, Z, B)
         new[:n, :, 1:] += h[:, :, :-1]  # h z
         if Z == field.q:
             new[:n, :, 1] += h[:, :, -1]  # z^q = z

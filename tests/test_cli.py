@@ -169,6 +169,25 @@ def test_conrad_large_prime_field_against_euler_criterion():
     assert rep["timing_seconds"] < 10
 
 
+def test_conrad_of_a_curve_vanishing_on_the_plane():
+    # x^q - x vanishes on all of F_q^2: every fiber is vertical, so the
+    # kernel marks every cell instead of listing q^2 points, and the
+    # Horner pass at D = 0 does not widen the values.  The report is the
+    # one the q^2 points gave, in about 6 s.
+    start = time.perf_counter()
+    code, rep = run_json(["conrad", "--q", "1031", "--poly", "x^1031-x",
+                          "--D", "0"])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert strip_timing(rep) == {
+        "command": "conrad",
+        "inputs": {"D": 0, "poly": "x^1031-x", "q": 1031},
+        "result": {"all_reducible": True, "counterexample": None,
+                   "degenerate": 1031, "degree_cap": 0, "reducible": 0,
+                   "substitutions": 1031},
+        "seed": 0}
+
+
 # ---------------------------------------------------------------------------
 # Errors and exit codes
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 from math import sqrt
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil import counting, polycore
 from fqpencil.bivar import BivariatePoly
-from fqpencil.field import GridArith, make_field
+from fqpencil.field import GridArith, make_field, prime_power
 from fqpencil.parsing import parse_poly
 from fqpencil.reducible import conrad_polynomial, verify_conrad
 from fqpencil.counting import (
@@ -35,7 +36,8 @@ from fqpencil.intervals import (
     q_pow_quarter_bounds,
     sqrt_bounds,
 )
-from fqpencil.unipoly import count_monic_irreducibles, factor, is_irreducible
+from fqpencil.unipoly import (UnivariatePoly, count_monic_irreducibles,
+                              factor, is_irreducible)
 
 
 F5 = make_field(5, 1)
@@ -448,9 +450,25 @@ def _fiber_curves(draw, E):
     return conrad_polynomial(E.q).f
 
 
+def _points_oracle(f, E):
+    """(points, vertical) of _curve_points by evaluating f on all of E^2:
+    the zeros off the vertical fibers, and the t0 whose fiber vanishes at
+    every x.  The zero polynomial gets neither: its values have no
+    degree."""
+    if f.is_zero():
+        return [], []
+    zeros = {t: [x for x in E.elements() if f.evaluate(t, x) == E.zero]
+             for t in E.elements()}
+    vertical = sorted(t for t, xs in zeros.items() if len(xs) == E.q)
+    points = sorted((t, x) for t, xs in zeros.items() if len(xs) < E.q
+                    for x in xs)
+    return points, vertical
+
+
 # The root finder, the evaluator chosen by the work and the evaluator
 # chosen by polycore._FROB_TABLE_LIMIT, where ModCtx refuses every fiber,
-# give the curve's points, each once.
+# give the curve's points, each once, and its vertical fibers instead of
+# their q points each.
 @pytest.mark.parametrize("p, k", [
     (2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (5, 1), (7, 1), (11, 1),
     (3, 2), (5, 2), (3, 3)])
@@ -459,16 +477,15 @@ def _fiber_curves(draw, E):
 def test_curve_points_of_both_regimes_agree(p, k, data):
     E = make_field(p, k)
     f = data.draw(_fiber_curves(E))
-    # the zero polynomial gets no points: its values have no degree
-    expected = sorted((t, x) for t in E.elements() for x in E.elements()
-                      if f.evaluate(t, x) == E.zero and not f.is_zero())
+    expected = _points_oracle(f, E)
     for work, frob in ((0, 1 << 12), (0, 0), (1 << 62, 1 << 12)):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(counting, "_FIBER_ROOTS_MIN", work)
             mp.setattr(counting, "_FROB_TABLE_LIMIT", frob)
             mp.setattr(polycore, "_FROB_TABLE_LIMIT", frob)
-            t, x = counting._curve_points(f.terms, E, GridArith(E))
-        assert sorted(zip(t.tolist(), x.tolist())) == expected, (work, frob)
+            t, x, vertical = counting._curve_points(f.terms, E, GridArith(E))
+        assert (sorted(zip(t.tolist(), x.tolist())),
+                sorted(vertical.tolist())) == expected, (work, frob)
 
 
 # x^7 - x vanishes on all of F_7^2: every value f(t, g(t)) = g^7 - g of a
@@ -478,6 +495,135 @@ def test_conrad_of_x_to_the_q_minus_x(monkeypatch, work):
     monkeypatch.setattr(counting, "_FIBER_ROOTS_MIN", work)
     report = verify_conrad(parse_poly("x^7-x", F7), 1)
     assert (report["degenerate"], report["reducible"]) == (7, 42)
+
+
+def _marks_oracle(points, p, D, rows):
+    """The root marks of the rows by scalar arithmetic: each point (t0, x0)
+    roots the cell g_0 = x0 - sum_i g_i t0^i of every row."""
+    out = np.zeros((len(rows), p), dtype=bool)
+    for i, row in enumerate(rows):
+        g = [row // p ** e % p for e in range(D)]  # g_1 .. g_D
+        for t0, x0 in points:
+            out[i, (x0 - sum(gi * t0 ** (e + 1)
+                             for e, gi in enumerate(g))) % p] = True
+    return out
+
+
+def _row_digits(rows, p, D):
+    """substitution_rows' digit block of the rows: g_1 .. g_D, then ones."""
+    g = np.asarray(rows) // p ** np.arange(D + 1)[:, None] % p
+    g[D] = 1
+    return g
+
+
+# Over F_p the marks come from integer row offsets, not from a product:
+# blocks of one row, blocks that cross a multiple of p (where g_1 wraps to
+# 0 and the higher digits change), a short last block, points at t0 = 0
+# and fibers with several roots.
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("D", [0, 1, 2, 3])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_prime_marks_match_scalar_marks(p, D, data):
+    pair = st.tuples(st.integers(0, p - 1), st.integers(0, p - 1))
+    points = data.draw(st.lists(pair, max_size=3 * p)) + [(0, 1)] \
+        + [(1, x) for x in range(data.draw(st.integers(0, p)))]
+    t0, x0 = (np.array(c, dtype=np.int64) for c in zip(*points))
+    total = p ** D
+    for block in (1, 2, p + 1, total):
+        mark = counting._prime_marker(t0, x0, D, p, block)
+        for start in range(0, total, block):
+            rows = range(start, min(start + block, total))
+            assert (mark(_row_digits(rows, p, D))
+                    == _marks_oracle(points, p, D, rows)).all(), block
+
+
+def _value_oracle(f, E, g):
+    """(deg, irr) of the value f(t, g(t)) for the coefficient list g, low
+    degree first: deg 0 for constants and zero, as the kernel's."""
+    h = f.substitute_x(UnivariatePoly(E, g))
+    n = h.degree()
+    return max(n, 0), n >= 1 and is_irreducible(h)
+
+
+# The kernel's blocks at D = 0, 1 and 2 over F_2, F_3 and F_5 against the
+# values classified one by one, at _BLOCK_DIGITS of one-row blocks and of
+# blocks of p + 1 rows, which cross every multiple of p at D = 2 and end
+# on a short block; its root marks against the scalar marks of the curve
+# points, in both _curve_points regimes.
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("D", [0, 1, 2])
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_prime_kernel_blocks_match_per_cell_oracle(p, D, data):
+    E = make_field(p, 1)
+    f = data.draw(_fiber_curves(E))
+    N = max((i + j * D for i, j in f.terms), default=0)
+    for block in (1, p + 1):
+        for work in (0, 1 << 62):
+            marks = []
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(counting, "_BLOCK_DIGITS", block * (N + 1) * p)
+                mp.setattr(counting, "_FIBER_ROOTS_MIN", work)
+                points = counting._curve_points(f.terms, E, GridArith(E))
+                marker = counting._root_marker
+
+                def spy(*args):
+                    mark = marker(*args)
+                    return lambda g: marks.append((g.copy(), mark(g))) \
+                        or marks[-1][1]
+                mp.setattr(counting, "_root_marker", spy)
+                blocks = list(counting.substitution_rows(f.terms, E, D))
+            assert [rows.size for rows, _, _ in blocks[:-1]] == \
+                [min(block, p ** D)] * (len(blocks) - 1)
+            t, x, vertical = points
+            for (rows, deg, irr), (g, has_root) in zip(blocks, marks):
+                assert (g == _row_digits(rows, p, D)).all()
+                expected = np.ones_like(has_root) if vertical.size else \
+                    _marks_oracle(list(zip(t.tolist(), x.tolist())), p, D,
+                                  rows.tolist())
+                assert (has_root == expected).all()
+                deg = np.broadcast_to(deg, irr.shape)
+                for i, row in enumerate(rows.tolist()):
+                    g_rest = [row // p ** e % p for e in range(D)]
+                    for g0 in range(p):
+                        assert (deg[i, g0], irr[i, g0]) == \
+                            _value_oracle(f, E, [g0] + g_rest), (row, g0)
+
+
+# Every dot of the kernel at D = 1 on x^2 + t^3 + 1, whose values all have
+# degree 3 and top coefficient 1, so that no row is expanded: none over a
+# prime field once the curve points are known, one a block over F_49.
+@pytest.mark.parametrize("p, k", [(7, 1), (3457, 1), (7, 2)])
+def test_prime_fields_mark_roots_without_a_dot(monkeypatch, p, k):
+    E = make_field(p, k)
+    terms = parse_poly("x^2+t^3+1", E).terms
+    points = counting._curve_points(terms, E, GridArith(E))
+    monkeypatch.setattr(counting, "_curve_points", lambda *args: points)
+    calls = []
+    dot = GridArith.dot
+    monkeypatch.setattr(GridArith, "dot", lambda self, *args, **kw:
+                        calls.append(args) or dot(self, *args, **kw))
+    blocks = list(counting.substitution_rows(terms, E, 1))
+    assert len(calls) == (0 if k == 1 else len(blocks))
+
+
+# A component t = t0 roots every value: _curve_points reports the
+# vertical fiber, and the kernel marks every cell, in both regimes.
+@pytest.mark.parametrize("text, q", [
+    ("x^2+x+t", 5), ("x^2+t*x+1", 7), ("x+t+1", 3), ("x^2+x+t", 25),
+    ("x+t+1", 9)])
+@pytest.mark.parametrize("work", [0, 1 << 62])
+def test_vertical_fibers_root_every_value(monkeypatch, text, q, work):
+    monkeypatch.setattr(counting, "_FIBER_ROOTS_MIN", work)
+    E = make_field(*prime_power(q))
+    c = E.element_at(q // 2)
+    f = (parse_poly("t", E) + BivariatePoly(E, {(0, 0): E.neg(c)})) \
+        * parse_poly(text, E)
+    _, _, vertical = counting._curve_points(f.terms, E, GridArith(E))
+    assert vertical.tolist() == [c]
+    rep = count_irreducible_pairs(f, E)
+    assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
 
 
 def _curve(poly, q):
