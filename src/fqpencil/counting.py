@@ -355,8 +355,8 @@ def _prime_marker(t0, x0, D, p, block):
     """mark(g) of _root_marker over F_p, with no product: g_1 t0 = r t0 +
     (g_1 - r) t0 for the row at offset r of the block, so the cell of the
     point (t0, x0) in that row is base - r t0 mod p, where base = x0 -
-    (g_1 - r) t0 - sum_{i >= 2} g_i t0^i is fixed until g_1 wraps to 0 (at
-    D <= 1 it never does, and base is x0 - (g_1 - r) t0).
+    (g_1 - r) t0 - sum_{i >= 2} g_i t0^i is fixed until g_1 wraps to 0,
+    which at D <= 1 it never does.
 
     A table off[r] = 2 p r + p - (r t0 mod p), built once, makes each
     block one integer add of the base into a reused index buffer: off[r] +
