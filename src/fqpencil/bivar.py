@@ -8,17 +8,20 @@ curve to (0:1:0), over the least extension of F_q that has one): the
 singular T-coordinates are roots of gcd(disc_X f, Res_X(f_X, f_T)), so a
 constant gcd certifies a smooth curve over F_q, and otherwise only the
 factors of disc_X dividing it have their repeated-root loci inspected, in
-their residue fields.
+their residue fields.  Resultants over F_q[t] are interpolated from
+unipoly.resultant at points of F_q or of an extension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count, islice
 
 from .errors import (CharacteristicDividesDegree, DegreeTooSmall,
                      ZeroOrConstant)
 from .field import embed, make_field
-from .unipoly import UnivariatePoly, factor, roots_in_field
+from .unipoly import (UnivariatePoly, discriminant, factor, resultant,
+                      roots_in_field)
 
 
 class BivariatePoly:
@@ -266,67 +269,73 @@ def homogenize_and_degree(f: BivariatePoly):
 
 
 # ---------------------------------------------------------------------------
-# Determinants and resultants with polynomial entries
-
-
-def bareiss_determinant(matrix, field):
-    """Fraction-free determinant of a square matrix of UnivariatePoly."""
-    n = len(matrix)
-    M = [row[:] for row in matrix]
-    one = UnivariatePoly.one(field)
-    zero = UnivariatePoly.zero(field)
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if M[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not M[r][k].is_zero():
-                    M[k], M[r] = M[r], M[k]
-                    sign = -sign
-                    break
-            else:
-                return zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
-                M[i][j] = num.exact_div(prev)
-            M[i][k] = zero
-        prev = M[k][k]
-    det = M[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det
+# Resultants over F_q[t], from unipoly.resultant at points
 
 
 def resultant_poly_coeffs(A, m, B, n, field):
-    """Res of A (formal degree m) and B (formal degree n), coefficient lists
-    of UnivariatePoly low-to-high, via the Sylvester matrix."""
+    """Res_{m,n}(A, B) of coefficient lists of UnivariatePoly in t, low to
+    high, at formal degrees m and n, A_m nonzero.  Each term of the
+    Sylvester determinant takes an entry from each of its n rows of A and m
+    rows of B, so its degree is at most n max deg A_i + m max deg B_j."""
     zero = UnivariatePoly.zero(field)
-    size = m + n
-    if size == 0:
-        return UnivariatePoly.one(field)
-    Arow = [(A[m - c] if m - c < len(A) else zero) for c in range(m + 1)]
-    Brow = [(B[n - c] if n - c < len(B) else zero) for c in range(n + 1)]
-    M = []
-    for r in range(n):
-        M.append([zero] * r + Arow + [zero] * (size - m - 1 - r))
-    for r in range(m):
-        M.append([zero] * r + Brow + [zero] * (size - n - 1 - r))
-    return bareiss_determinant(M, field)
+    A = [A[i] if i < len(A) else zero for i in range(m + 1)]
+    B = [B[j] if j < len(B) else zero for j in range(n + 1)]
+
+    def value(a, b):
+        # expanding along the first column while b's formal top is zero
+        # gives lc(a)^(n - deg b) Res(a, b); Res_{0,n}(a_0, 0) = a_0^n
+        E = a.field
+        r = resultant(a, b) if m or not b.is_zero() else E.one
+        return E.mul(E.pow(a.leading(), n - max(b.degree(), 0)), r)
+    bound = n * max(a.degree() for a in A) + m * max(b.degree() for b in B)
+    return _interpolate(max(bound, 0), value, field, A, B)
 
 
 def discriminant_poly_coeffs(A, d, field):
-    """disc of A (formal degree d, coefficients UnivariatePoly): the binary
-    form discriminant (-1)^{d(d-1)/2} Res(A, A') / a_d, exact division."""
-    zero = UnivariatePoly.zero(field)
-    A = list(A) + [zero] * (d + 1 - len(A))
-    Ad = [UnivariatePoly(field, [field.scalar(i, c) for c in A[i].coeffs])
-          for i in range(1, d + 1)]
-    res = resultant_poly_coeffs(A, d, Ad, d - 1, field)
-    disc = res.exact_div(A[d])
-    if (d * (d - 1) // 2) % 2 == 1:
-        disc = -disc
-    return disc
+    """disc(A) of A (formal degree d, p not dividing d, coefficients
+    UnivariatePoly in t), a form of degree 2d - 2 in the A_i, isobaric of
+    weight d(d - 1): if deg A_i <= c + w i for every nonzero A_i, its degree
+    is at most (2d - 2) c + w d(d - 1).  The least bound at w = -1, 0, 1 is
+    d(d - 1) for the pencil discriminant (deg A_i <= i) and for disc_X of a
+    form with a constant X^d coefficient (deg A_i <= d - i)."""
+    if d % field.p == 0:
+        raise CharacteristicDividesDegree(f"p = {field.p} divides d = {d}")
+    A = (list(A) + [UnivariatePoly.zero(field)] * (d + 1))[:d + 1]
+    bound = min((2 * d - 2) * max(a.degree() - w * i for i, a in enumerate(A)
+                                  if not a.is_zero()) + w * d * (d - 1)
+                for w in (-1, 0, 1))
+    return _interpolate(max(bound, 0), discriminant, field, A)
+
+
+def _interpolate(bound, value_at, F, *coeffs):
+    """The polynomial over F of degree at most bound that is value_at(a,
+    ...) at every t = tau where coeffs[0][-1](tau) != 0, for a, ... the
+    polynomials with the coefficient lists coeffs at tau: Newton
+    interpolation (von zur Gathen & Gerhard, Modern Computer Algebra, ch. 5)
+    at the first bound + 1 such tau of the least F_{q^s} that has them."""
+    if coeffs[0][-1].is_zero():
+        raise ZeroDivisionError("the top coefficient is zero")
+    for s in count(1):
+        E = F if s == 1 else make_field(F.p, F.k * s)
+        C = [[c.map_coeffs(lambda v: embed(F, E, v), E) for c in cs]
+             for cs in coeffs]
+        xs = list(islice((x for x in E.elements() if C[0][-1].evaluate(x)),
+                         bound + 1))
+        if len(xs) > bound:
+            break
+    ys = [value_at(*(UnivariatePoly(E, [c.evaluate(x) for c in cs])
+                     for cs in C)) for x in xs]
+    for j in range(1, len(xs)):  # divided differences
+        for i in range(len(xs) - 1, j - 1, -1):
+            ys[i] = E.mul(E.sub(ys[i], ys[i - 1]),
+                          E.inv(E.sub(xs[i], xs[i - j])))
+    out = UnivariatePoly.zero(E)
+    for y, x in zip(reversed(ys), reversed(xs)):  # the Newton form
+        out = out * UnivariatePoly(E, [E.neg(x), 1]) + UnivariatePoly(E, [y])
+    if E is F:
+        return out
+    back = {embed(F, E, c): c for c in F.elements()}  # coefficients in F
+    return out.map_coeffs(back.__getitem__, F)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,14 @@ import functools
 import json
 import sys
 import time
+from itertools import combinations
 
 from .bivar import curve_invariants
-from .counting import (application_bound, count_irreducible_pairs,
-                       find_specialization, geyer_jarden_rhs,
-                       verify_application)
-from .errors import (ConstraintViolation, FqPencilError, NotFoundWithinBudget,
-                     ParseError)
+from .counting import (_proportional, application_bound,
+                       count_irreducible_pairs, find_specialization,
+                       geyer_jarden_rhs, verify_application)
+from .errors import (ConstraintViolation, FqPencilError, HypothesisViolation,
+                     NotFoundWithinBudget, ParseError)
 from .field import GridArith, field_of_order, make_field, prime_power
 from .parsing import parse_poly, parse_univariate
 from .pencil import _generic_points, pattern_histogram, pencil_discriminant
@@ -230,6 +231,10 @@ def _dispatch(args, report) -> int:
                     f"0..{E.q - 1}, got {args.M!r}")
             pds = [pencil_discriminant(f, tuple(idx), E) for f in fs]
         else:
+            # proportional curves share every branch locus: no point is found
+            if any(_proportional(f, g) for f, g in combinations(fs, 2)):
+                raise HypothesisViolation(
+                    "curves must be pairwise non-proportional")
             # the descriptors the base-point search built for its point
             _, pds = next(_generic_points(fs, E, args.trial_budget,
                                           args.seed))

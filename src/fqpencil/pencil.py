@@ -14,14 +14,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, islice
-from math import comb
 
 import numpy as np
 
-from .bivar import BivariatePoly, discriminant_poly_coeffs
+from .bivar import (BivariatePoly, discriminant_poly_coeffs,
+                    homogenize_and_degree)
 from .counting import _BLOCK_DIGITS, _monic_chunks
 from .errors import (BasePointOnCurve, CharacteristicObstruction,
-                     ConstraintViolation, GenericPointNotFound)
+                     ConstraintViolation, DegreeTooSmall, GenericPointNotFound)
 from .field import GridArith
 from .polycore import FrobCtx, ModCtx, degrees, poly_gcd, to_array
 from .unipoly import UnivariatePoly, factor
@@ -82,6 +82,8 @@ def pencil_discriminant(f: BivariatePoly, M, E) -> PencilDescriptor:
     if f.field != E:
         f = f.map_to(E)
     d = f.total_degree()
+    if d < 2:
+        raise DegreeTooSmall("a pencil needs a curve of total degree >= 2")
     if (d * (d - 1)) % E.p == 0:
         raise CharacteristicObstruction(
             f"characteristic {E.p} divides d(d-1) = {d * (d - 1)}")
@@ -102,27 +104,12 @@ def pencil_discriminant(f: BivariatePoly, M, E) -> PencilDescriptor:
 
 
 def _line_restriction(f: BivariatePoly, t0, x0):
-    """Coefficients A_m(u) of s^m in f(t0 + s, x0 + s*u), m = 0..d."""
-    E = f.field
-    d = f.total_degree()
-    tp = [E.one]
-    for _ in range(max(f.deg_t(), 0)):
-        tp.append(E.mul(tp[-1], t0))
-    xp = [E.one]
-    for _ in range(max(f.deg_x(), 0)):
-        xp.append(E.mul(xp[-1], x0))
-    grid = [[E.zero] * (m + 1) for m in range(d + 1)]  # [m][l] of s^m u^l
-    for (i, j), c in f.terms.items():
-        for mm in range(i + 1):
-            ci = E.mul(c, E.scalar(comb(i, mm), tp[i - mm]))
-            if ci == E.zero:
-                continue
-            for l in range(j + 1):
-                v = E.mul(ci, E.scalar(comb(j, l), xp[j - l]))
-                if v != E.zero:
-                    m = mm + l
-                    grid[m][l] = E.add(grid[m][l], v)
-    return [UnivariatePoly(E, row) for row in grid]
+    """Coefficients A_m(u) of s^m in f(t0 + s, x0 + s*u), m = 0..d: the
+    parts of degree m of f(t0 + T, x0 + X), at (T, X) = (1, u)."""
+    d, form = homogenize_and_degree(f)
+    g = form.swap("X", "Z").shear("T", t0).shear("Z", x0).swap("X", "Z")
+    return [UnivariatePoly(f.field, [g.coeff(m - b, b) for b in range(m + 1)])
+            for m in range(d + 1)]
 
 
 def is_generic_point(f: BivariatePoly, M, E) -> bool:
@@ -164,6 +151,8 @@ def _generic_points(fs, E, trial_budget, seed):
     if isinstance(fs, BivariatePoly):
         fs = [fs]
     fs = [f.map_to(E) if f.field != E else f for f in fs]
+    if any(f.total_degree() < 2 for f in fs):
+        raise DegreeTooSmall("a pencil needs curves of total degree >= 2")
     q2 = E.q * E.q
     if trial_budget is None:
         trial_budget = q2

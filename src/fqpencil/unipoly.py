@@ -504,26 +504,21 @@ def roots_in_field(f: UnivariatePoly):
 
 
 def resultant(f: UnivariatePoly, g: UnivariatePoly):
-    """Res(f, g) via the Euclidean polynomial remainder sequence."""
+    """Res(f, g) by the Euclidean remainder sequence: for r = a mod b,
+    Res(a, b) = (-1)^{deg a deg b} lc(b)^{deg a - deg r} Res(b, r)."""
     F = f.field
     if f.is_zero() or g.is_zero():
         return F.zero
-    res = F.one
-    a, b = f, g
+    res, a, b = F.one, f, g
     while b.degree() > 0:
         r = a % b
-        da, db = a.degree(), b.degree()
-        lc = b.leading()
-        dr = r.degree() if not r.is_zero() else -1
-        # Res(a,b) = (-1)^{da*db} lc(b)^{da-dr} Res(b, r)
-        sign = F.one if (da * db) % 2 == 0 else F.neg(F.one)
-        res = F.mul(res, F.mul(sign, F.pow(lc, da - max(dr, 0))))
         if r.is_zero():
             return F.zero
+        res = F.mul(res, F.pow(b.leading(), a.degree() - r.degree()))
+        if a.degree() * b.degree() % 2:
+            res = F.neg(res)
         a, b = b, r
-    # b is a nonzero constant
-    res = F.mul(res, F.pow(b.coeffs[0], a.degree()))
-    return res
+    return F.mul(res, F.pow(b.coeffs[0], a.degree()))  # Res(a, c) = c^deg a
 
 
 def discriminant(f: UnivariatePoly):
@@ -535,11 +530,8 @@ def discriminant(f: UnivariatePoly):
     df = f.derivative()
     if df.is_zero():
         raise InseparableInput("derivative vanishes identically")
-    r = resultant(f, df)
-    r = F.mul(r, F.inv(f.leading()))
-    if (d * (d - 1) // 2) % 2 == 1:
-        r = F.neg(r)
-    return r
+    r = F.mul(resultant(f, df), F.inv(f.leading()))
+    return F.neg(r) if d * (d - 1) // 2 % 2 else r
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import random
 from unittest import mock
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -386,6 +387,162 @@ def test_witness_over_the_cubic_extension_only():
     smooth, w = is_smooth(f)
     assert not smooth and w.field.k == 3
     _assert_singular_at(f, w)
+
+
+# ---------------------------------------------------------------------------
+# Resultants over F_q[t] against the Sylvester determinant by Bareiss
+
+
+def bareiss_determinant(matrix, field):
+    """Fraction-free determinant of a square matrix of UnivariatePoly."""
+    n = len(matrix)
+    M = [row[:] for row in matrix]
+    zero = UnivariatePoly.zero(field)
+    sign = 1
+    prev = UnivariatePoly.one(field)
+    for k in range(n - 1):
+        if M[k][k].is_zero():
+            for r in range(k + 1, n):
+                if not M[r][k].is_zero():
+                    M[k], M[r] = M[r], M[k]
+                    sign = -sign
+                    break
+            else:
+                return zero
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                num = M[k][k] * M[i][j] - M[i][k] * M[k][j]
+                M[i][j] = num.exact_div(prev)
+            M[i][k] = zero
+        prev = M[k][k]
+    det = M[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def sylvester_resultant(A, m, B, n, field):
+    """Res_{m,n}(A, B) as the determinant of the Sylvester matrix."""
+    zero = UnivariatePoly.zero(field)
+    size = m + n
+    if size == 0:
+        return UnivariatePoly.one(field)
+    Arow = [(A[m - c] if m - c < len(A) else zero) for c in range(m + 1)]
+    Brow = [(B[n - c] if n - c < len(B) else zero) for c in range(n + 1)]
+    M = [[zero] * r + Arow + [zero] * (size - m - 1 - r) for r in range(n)]
+    M += [[zero] * r + Brow + [zero] * (size - n - 1 - r) for r in range(m)]
+    return bareiss_determinant(M, field)
+
+
+def sylvester_discriminant(A, d, field):
+    """(-1)^{d(d-1)/2} Res_{d,d-1}(A, A') / A_d by the Sylvester matrix."""
+    A = list(A) + [UnivariatePoly.zero(field)] * (d + 1 - len(A))
+    dA = [UnivariatePoly(field, [field.scalar(i, c) for c in A[i].coeffs])
+          for i in range(1, d + 1)]
+    disc = sylvester_resultant(A, d, dA, d - 1, field).exact_div(A[d])
+    return -disc if d * (d - 1) // 2 % 2 else disc
+
+
+def _sympy_mod_p(expr_of, F):
+    """The polynomial in t that sympy computes over Z from the integer
+    lifts of the coefficients, reduced mod p."""
+    t, x = sympy.symbols("t x")
+
+    def lift(C):
+        return sum(sympy.Poly(c.coeffs[::-1], t).as_expr() * x ** j
+                   for j, c in enumerate(C))
+    res = sympy.Poly(expr_of(lift, x), t)
+    return UnivariatePoly(F, [int(c) % F.p for c in res.all_coeffs()[::-1]])
+
+
+# F_2, F_3, F_7, F_8 and F_9 need an extension field for most bounds
+RESULTANT_FIELDS = [(2, 1), (3, 1), (7, 1), (3, 2), (2, 3), (101, 1)]
+
+
+@st.composite
+def _t_polys(draw, F, caps, top="any"):
+    """UnivariatePoly in t over F of degrees at most caps; the last one is
+    drawn as given (any), identically zero, or with a root in F."""
+    coeff = st.integers(0, F.q - 1)
+    polys = [UnivariatePoly(F, draw(st.lists(coeff, max_size=c + 1)))
+             for c in caps]
+    if top == "zero":
+        polys[-1] = UnivariatePoly.zero(F)
+    elif top == "root":
+        lin = UnivariatePoly(F, [F.neg(draw(coeff)), 1])
+        polys[-1] = lin * (UnivariatePoly.one(F) if polys[-1].is_zero()
+                           else polys[-1])
+    return polys
+
+
+@settings(max_examples=150)
+@given(st.data())
+def test_resultant_matches_sylvester_determinant(data):
+    # m or n = 0, B's top coefficient zero or vanishing at a point, A's
+    # vanishing at a point, and fields too small for the bound are drawn
+    F = make_field(*data.draw(st.sampled_from(RESULTANT_FIELDS)))
+    m, n = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4))
+    A = data.draw(_t_polys(F, [3] * (m + 1),
+                           data.draw(st.sampled_from(["any", "root"]))))
+    assume(not A[m].is_zero())
+    B = data.draw(_t_polys(F, [3] * (n + 1),
+                           data.draw(st.sampled_from(["any", "zero",
+                                                      "root"]))))
+    res = bivar.resultant_poly_coeffs(A, m, B, n, F)
+    assert res == sylvester_resultant(A, m, B, n, F)
+    if F.k == 1 and not B[n].is_zero():
+        def sympy_res(lift, x):
+            # sympy 1.14 returns Res(g, f) for deg f < deg g, so the larger
+            # degree goes first: Res(A, B) = (-1)^{mn} Res(B, A)
+            if m >= n:
+                return sympy.resultant(lift(A), lift(B), x)
+            return (-1) ** (m * n) * sympy.resultant(lift(B), lift(A), x)
+        assert res == _sympy_mod_p(sympy_res, F)
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_discriminant_matches_sylvester_determinant(data):
+    # degrees of any shape, and the isobaric shapes deg A_i <= i (pencil
+    # discriminants) and deg A_i <= d - i (disc_X of a moved form), whose
+    # bound d(d - 1) is below the one from the largest degree
+    F = make_field(*data.draw(st.sampled_from(RESULTANT_FIELDS)))
+    d = data.draw(st.sampled_from([d for d in range(1, 6) if d % F.p]))
+    shape = data.draw(st.sampled_from(["any", "up", "down"]))
+    caps = [{"any": 3, "up": i, "down": d - i}[shape] for i in range(d + 1)]
+    A = data.draw(_t_polys(F, caps, data.draw(st.sampled_from(["any",
+                                                               "root"]))))
+    assume(not A[d].is_zero())
+    disc = bivar.discriminant_poly_coeffs(A, d, F)
+    assert disc == sylvester_discriminant(A, d, F)
+    if F.k == 1:
+        assert disc == _sympy_mod_p(
+            lambda lift, x: sympy.discriminant(lift(A), x), F)
+
+
+def test_resultant_over_an_extension_field():
+    # the bound 2 * 2 + 2 * 2 = 8 needs 9 points where A_2 = t is nonzero:
+    # F_2 has 1, F_4 3, F_8 7 and F_16 15
+    F = make_field(2, 1)
+    A = [UnivariatePoly(F, c) for c in ([1, 1], [0, 0, 1], [0, 1])]
+    B = [UnivariatePoly(F, c) for c in ([1, 0, 1], [1], [1, 1])]
+    with mock.patch.object(bivar, "make_field",
+                           wraps=bivar.make_field) as built:
+        res = bivar.resultant_poly_coeffs(A, 2, B, 2, F)
+    assert [c.args for c in built.call_args_list] == [(2, 2), (2, 3), (2, 4)]
+    assert res == sylvester_resultant(A, 2, B, 2, F)
+    assert res.field is F
+
+
+def test_refusals_of_the_interpolated_resultants():
+    # p dividing d would drop the formal degree of A'; a zero top
+    # coefficient leaves no point to evaluate at
+    F = make_field(3, 1)
+    one, zero = UnivariatePoly.one(F), UnivariatePoly.zero(F)
+    with pytest.raises(errors.CharacteristicDividesDegree):
+        bivar.discriminant_poly_coeffs([one] * 4, 3, F)
+    with pytest.raises(ZeroDivisionError):
+        bivar.discriminant_poly_coeffs([one, one, zero], 2, F)
+    with pytest.raises(ZeroDivisionError):
+        bivar.resultant_poly_coeffs([one, zero], 1, [one, one], 1, F)
 
 
 # ---------------------------------------------------------------------------

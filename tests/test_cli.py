@@ -341,6 +341,16 @@ SEMIPRIME = "30000000000000000000000000096400000000000000000000000002233"
     (["pencil", "--q", "7", "--poly", "x^2*-t"], "ParseError"),
     (["factor", "--q", "7", "--poly", "3*x*-2"], "ParseError"),
     (["count", "--q", "7", "--poly", "2*"], "ParseError"),
+    # a pencil needs total degree >= 2, checked before the characteristic
+    # and before the base-point walk
+    (["pencil", "--q", "7", "--poly", "0"], "DegreeTooSmall"),
+    (["pencil", "--q", "7", "--poly", "3"], "DegreeTooSmall"),
+    (["pencil", "--q", "7", "--poly", "x+t"], "DegreeTooSmall"),
+    (["pencil", "--q", "7", "--poly", "x+t", "--M", "1,1"],
+     "DegreeTooSmall"),
+    # proportional curves share every branch locus: refused before the walk
+    (["pencil", "--q", "101", "--poly", "x^3+t^3+1", "--poly",
+      "2*x^3+2*t^3+2"], "HypothesisViolation"),
 ])
 def test_bad_input_exit_two(argv, error):
     code, rep = run_json(argv)

@@ -1,12 +1,15 @@
 """Tests for pencil discriminants, fiber patterns, and histograms."""
 
+import time
+
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqpencil.bivar import BivariatePoly, homogenize_and_degree
 from fqpencil import counting, pencil
-from fqpencil.field import field_of_order, make_field
+from fqpencil.field import GridArith, field_of_order, make_field
 from fqpencil.parsing import parse_poly
 from fqpencil.pencil import (
     INFINITY,
@@ -23,6 +26,7 @@ from fqpencil.pencil import (
 from fqpencil.errors import (
     BasePointOnCurve,
     CharacteristicObstruction,
+    DegreeTooSmall,
     GenericPointNotFound,
 )
 from fqpencil.unipoly import (UnivariatePoly, _root_part, discriminant,
@@ -82,6 +86,27 @@ def test_base_point_on_curve_raises():
     # 2^2 + 2 - 6 = 0 in F_7, so (6, 2) lies on the conic.
     with pytest.raises(BasePointOnCurve):
         pencil_discriminant(conic(F7), (6, 2), F7)
+
+
+@pytest.mark.parametrize("poly", ["0", "3", "x+t", "2*t"])
+def test_degree_below_two_is_refused(poly):
+    # before the characteristic check and the base-point walk
+    f = parse_poly(poly, F7)
+    with pytest.raises(DegreeTooSmall):
+        pencil_discriminant(f, (1, 1), F7)
+    with pytest.raises(DegreeTooSmall):
+        find_generic_point(f, F7)
+
+
+def test_pencil_discriminant_of_degree_twelve_within_a_second():
+    # d(d - 1) + 1 = 133 values of the field discriminant and one
+    # interpolation; a quadratic-per-entry elimination took 3.3 s here
+    E = make_field(101, 1)
+    f = parse_poly("x^12+t^12+t*x+3*t+1", E)
+    started = time.perf_counter()
+    pd = pencil_discriminant(f, (1, 2), E)
+    assert time.perf_counter() - started < 1.0
+    assert pd.delta.degree() == 132
 
 
 def test_characteristic_obstruction():
@@ -464,3 +489,22 @@ def test_stickelberger_parity(q, poly):
         assert ((pd.d - len(pat.parts)) % 2 == 0) == E.is_square(disc)
         checked += 1
     assert checked > q // 2
+
+
+@settings(max_examples=100)
+@given(pencils())
+def test_stickelberger_parity_of_delta(pds):
+    # Swan 1962 on Delta_M itself: on every unramified finite fiber of full
+    # degree, Delta_M(u) is a square exactly when d - r(u) is even, with
+    # r(u) the number of irreducible factors from the distinct-degree counts
+    pd = pds[0]
+    E = pd.field
+    ar = GridArith(E)
+    us = np.arange(E.q).astype(ar.dtype)
+    counts, ramified = pencil._classify(*pencil._fibers(pd, ar, us, False),
+                                        pd.d, E, ar)
+    for u in range(E.q):
+        if u in ramified or pd.coeff_polys[pd.d].evaluate(u) == E.zero:
+            continue
+        r = int(counts[u].sum())
+        assert ((pd.d - r) % 2 == 0) == E.is_square(pd.delta.evaluate(u))
