@@ -578,12 +578,6 @@ def _brute_force_singular(form: HomogeneousForm, m_max: int):
     return None
 
 
-def brute_force_singular_search(f: BivariatePoly, m_max: int):
-    """Independent smoothness oracle: exhaustive search over F_{q^m}, m <= m_max."""
-    _, form = homogenize_and_degree(f)
-    return _brute_force_singular(form, m_max)
-
-
 # ---------------------------------------------------------------------------
 # Curve invariants
 

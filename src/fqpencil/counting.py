@@ -25,7 +25,8 @@ from .field import (_LOG_TABLE_LIMIT, _POWER_TABLE_LIMIT, GridArith,
 from .intervals import mul_bounds, q_pow_half_bounds, q_pow_quarter_bounds, sqrt_bounds
 from .polycore import (_FROB_TABLE_LIMIT, FrobCtx, degrees, elements,
                        linear_factors, substitute, to_array)
-from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
+from .unipoly import (_RABIN_BATCH, UnivariatePoly, _rabin_batch, factor,
+                      is_irreducible)
 
 # Digits of a cell block of substitution_rows, (N + 1) q k a row, of
 # polycore.substitute's widest array for a row chunk, and of a block of
@@ -33,9 +34,6 @@ from .unipoly import UnivariatePoly, _rabin_batch, factor, is_irreducible
 # F_p a cell block is about 2^16 cells, and its root marks take a
 # (R, 2 p) grid of 128 KiB and an index table of R int64 a curve point.
 _BLOCK_DIGITS = 1 << 18
-# Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
-# moduli of degree n: 2 to 8 MiB, as the integer type goes.
-_RABIN_BATCH = 1 << 20
 # Below this work q^2 (d_x + 1), the digit products of evaluating f on all
 # of E^2, _curve_points evaluates; from it on it finds each fiber's roots.
 # On 2 cores (x86_64, numpy 2.4) the two took as long over prime fields

@@ -11,8 +11,14 @@ step can succeed: a reducible f without content is g h with g and h of
 positive degree in both variables, so every full-degree specialization is
 reducible, and lifting returns only divisors of f.  The F_q scan certifies
 most curves, so it goes first; lifting goes before the extension scans,
-which walk q^2 and q^3 points.  Lifting uses base-field points only: a
-factor over an extension witnesses nothing over F_q.
+which may test all q^2 and q^3 values.  Lifting uses base-field points
+only: a factor over an extension witnesses nothing over F_q.
+
+A scan tests the values a in index order, t before x.  The first ones go
+one at a time through is_irreducible, the rest in chunks that double in
+size: a chunk's specializations f(a, x) are one digit array, tested by one
+root check and Rabin test across the batch (unipoly._irreducible_batch).
+The first hit is the witness, the value a test per value would find.
 
 Lifting runs to precision P = 2 deg_t f + 1.  A true factor h gives the
 candidate (lc_f / lc_h) h, of t-degree at most 2 deg_t f < P.  A candidate
@@ -36,8 +42,14 @@ import numpy as np
 from .bivar import BivariatePoly
 from .errors import ZeroOrConstant
 from .field import _mod, make_field
-from .polycore import poly_mul
-from .unipoly import UnivariatePoly, factor, is_irreducible
+from .polycore import _count_dtype, poly_mul, to_array
+from .unipoly import (_RABIN_BATCH, UnivariatePoly, _irreducible_batch, factor,
+                      is_irreducible)
+
+# Values of a scan's first batched chunk.  On 2 cores (x86_64, numpy 2.4)
+# a chunk took about as long at 4, 8 and 16 values: 3 times is_irreducible
+# at n = 4 and 5, and 8 to 13 times at n = 2 and 3.
+_FIRST_CHUNK = 16
 
 
 @dataclass
@@ -91,21 +103,82 @@ def bivariate_irreducible(f: BivariatePoly) -> IrreducibilityCertificate:
 
 def _scan(f: BivariatePoly, m):
     """A full-degree irreducible specialization of either variable over
-    F_{q^m}, as a certificate, or None."""
+    F_{q^m}, as a certificate, or None: the first value a in E's order,
+    t before x."""
     F = f.field
     E = make_field(F.p, F.k * m)
     fE = f.map_to(E)
     for transposed in (False, True):
         g = fE.transpose() if transposed else fE
-        dmain = g.deg_x()
-        for a in range(E.q):
+        a = _first_irreducible(g, E)
+        if a is not None:
             spec = g.specialize_t(a)
-            if spec.degree() == dmain and is_irreducible(spec):
-                return IrreducibilityCertificate("irreducible", witness={
-                    "kind": "specialization",
-                    "variable": "x" if transposed else "t", "extension": m,
-                    "value": E.to_vector(a), "specialized": spec.format()})
+            return IrreducibilityCertificate("irreducible", witness={
+                "kind": "specialization",
+                "variable": "x" if transposed else "t", "extension": m,
+                "value": E.to_vector(a), "specialized": spec.format()})
     return None
+
+
+def _first_irreducible(g: BivariatePoly, E):
+    """The first a of E, in index order, with g(a, x) irreducible of full
+    degree n in x, or None.
+
+    The first values go one at a time through is_irreducible: a = 0 from
+    n = 4 on, where is_irreducible builds a FrobCtx and a batch of 16
+    costs about three of them, and the first _FIRST_CHUNK values below
+    n = 4, where it builds no table and a batch costs about ten.  Then
+    chunks of _FIRST_CHUNK values, twice that, and so on up to the
+    _RABIN_BATCH budget of (n k)^2 table entries a value (one at a time
+    where that budget is below _FIRST_CHUNK), are each tested by
+    _specializations_irreducible.
+    """
+    n = g.deg_x()
+    cap = _RABIN_BATCH // (n * E.k) ** 2
+    alone = 1 if n >= 4 else _FIRST_CHUNK
+    a, size = 0, _FIRST_CHUNK
+    while a < E.q:
+        if a < alone or cap < _FIRST_CHUNK:
+            spec = g.specialize_t(a)
+            if spec.degree() == n and is_irreducible(spec):
+                return a
+            a += 1
+            continue
+        values = range(a, min(a + size, E.q))
+        hit = np.flatnonzero(_specializations_irreducible(g, values, E))
+        if hit.size:
+            return a + int(hit[0])
+        a, size = values.stop, min(2 * size, cap)
+    return None
+
+
+def _specializations_irreducible(g: BivariatePoly, values, E) -> np.ndarray:
+    """Whether g(a, x) is irreducible of full degree n in x for each a in
+    values, by one unipoly._irreducible_batch.
+
+    The specializations are Horner steps in t on one (n + 1, k, B) array.
+    Each is made monic without an inverse: with c its top coefficient,
+    c^(n-1) h(x / c) has coefficients h_i c^(n-1-i), and it is irreducible
+    exactly when h is.
+    """
+    p, n = E.p, g.deg_x()
+    dtype = _count_dtype(E, 1)  # holds the sums of one product of elements
+    rows = [[E.zero] * (n + 1) for _ in range(g.deg_t() + 1)]
+    for (i, j), c in g.terms.items():
+        rows[i][j] = c
+    av = to_array([values], E).astype(dtype)
+    h = np.zeros((n + 1, E.k, av.shape[2]), dtype=dtype)
+    for row in reversed(rows):  # the x-polynomials of t^i, from the top
+        h = _mod(poly_mul(av, h, E) + to_array(row, E).astype(dtype), p)
+    lead = h[n:]
+    power = lead
+    for i in range(n - 2, -1, -1):
+        h[i] = poly_mul(h[i : i + 1], power, E)[0]
+        power = poly_mul(power, lead, E)
+    full = lead.any(axis=(0, 1))
+    h[n] = 0
+    h[n, 0] = 1
+    return full & _irreducible_batch(h, E)
 
 
 def _lift(f: BivariatePoly):

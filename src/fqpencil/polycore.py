@@ -13,7 +13,10 @@ inner forms, chosen by B alone: for B = 1 one convolution of the
 Kronecker-packed operands (component u of coefficient i at digit
 (2k-1) i + u, so no two component products collide) and one product with
 a reduction matrix; for B > 1 one row operation per term, across the
-batch.  The fold of y^k .. y^{2k-2} and the Frobenius step are one einsum
+batch.  The B = 1 convolution runs in float64, where numpy vectorizes it,
+once it forms _FLOAT_CONVOLVE_MIN digit products and no sum can reach
+2^53, as the reduction matrix product does; else in the operands' integer
+type.  The fold of y^k .. y^{2k-2} and the Frobenius step are one einsum
 each for every B.  ModCtx and FrobCtx hold a batch of monic moduli of one
 degree n, in the narrowest integer type that holds every sum the kernels
 form (_count_dtype): int16, int32, int64, or Python ints (object arrays)
@@ -47,6 +50,12 @@ _TABLE_BLOCK = 8
 # and of a quintic over F_{2^12} took 17% longer with one try a part and
 # round, and 2-3% longer at 2^11 or 2^13 digits a round, than at 2^12.
 _SPLIT_DIGITS = 1 << 12
+# Digit products of a packed B = 1 product from which it converts to
+# float64, where numpy's convolution is vectorized; its integer one is not,
+# but needs no conversions.  On 2 cores (x86_64, numpy 2.4) the two took
+# as long near 64 x 64 digits, and float64 took a quarter of the time at
+# 630 x 630.
+_FLOAT_CONVOLVE_MIN = 1 << 12
 
 
 def _count_dtype(field, n):
@@ -155,13 +164,24 @@ def _product(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     shape (m + l - 1, k, B), not reduced mod p.
 
     For B = 1 it is one convolution of the packed operands, for B > 1 one
-    row operation per component of each term of a.
+    row operation per component of each term of a.  The convolution runs
+    in float64 when every sum provably stays below 2^53, so it is exact: a
+    digit sums at most min(m, l) k products of residues, and the sums in
+    int16 or int32 operands are below 2^31 (_count_dtype).
     """
     k, w = field.k, 2 * field.k - 1
     m, l, B = a.shape[0], b.shape[0], b.shape[2]
     if B == 1:
-        wide = np.convolve(_spread(a, w), _spread(b, w))[: (m + l - 1) * w]
-        wide = wide.reshape(m + l - 1, w, 1)
+        sa, sb = _spread(a, w), _spread(b, w)
+        dtype = np.result_type(sa, sb)
+        if (sa.size * sb.size >= _FLOAT_CONVOLVE_MIN and dtype != object
+                and (dtype.itemsize < 8
+                     or (field.p - 1) ** 2 * min(m, l) * k < 1 << 53)):
+            wide = np.convolve(sa.astype(np.float64),
+                               sb.astype(np.float64)).astype(dtype)
+        else:
+            wide = np.convolve(sa, sb)
+        wide = wide[: (m + l - 1) * w].reshape(m + l - 1, w, 1)
     else:
         wide = np.zeros((m + l - 1, w, B), dtype=np.result_type(a, b))
         for i in range(m):

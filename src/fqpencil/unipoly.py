@@ -14,7 +14,11 @@ import numpy as np
 
 from .errors import DegreeOutOfRange, InseparableInput, ZeroOrConstant
 from .field import prime_factors
-from .polycore import FrobCtx, ModCtx, from_array, to_array
+from .polycore import FrobCtx, ModCtx, from_array, poly_gcd, to_array
+
+# Entries (n k)^2 B of the Frobenius tables of one _rabin_batch call on B
+# moduli of degree n: 2 to 8 MiB, as the integer type goes.
+_RABIN_BATCH = 1 << 20
 
 
 class UnivariatePoly:
@@ -600,4 +604,22 @@ def _rabin_batch(ctx: FrobCtx):
             good[j] = all(
                 _gcd_array((h[:, :, j:j + 1] - x) % F.p, f).is_constant()
                 for h in images)
+    return good
+
+
+def _irreducible_batch(g: np.ndarray, field) -> np.ndarray:
+    """Whether each monic polynomial in the (n + 1, k, B) array g is
+    irreducible, n >= 1, as is_irreducible decides it for one: a linear
+    polynomial is; from n = 2 on a column needs deg gcd(x^q - x, g) = 0,
+    with x^q from a ModCtx for n <= 3 and the FrobCtx table for n >= 4, and
+    from n = 4 on it must also pass _rabin_batch on that table."""
+    n, B = len(g) - 1, g.shape[2]
+    if n == 1:
+        return np.ones(B, dtype=bool)
+    ctx = ModCtx(g, field) if n <= 3 else FrobCtx(g, field)
+    xq = ctx.xpow(field.q) if n <= 3 else ctx.xq
+    _, deg = poly_gcd(g, xq - to_array([0, 1], field, n), field)
+    good = deg == 0
+    if n >= 4 and good.any():
+        good &= _rabin_batch(ctx)
     return good

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from fqpencil import counting
-from fqpencil.bivar import (
-    BivariatePoly,
-    brute_force_singular_search,
-    is_smooth,
-)
+from fqpencil.bivar import BivariatePoly, is_smooth
 from fqpencil.cli import run_command
 from fqpencil.counting import (
     application_bound,
@@ -43,6 +39,7 @@ from fqpencil.unipoly import (
     factor,
     is_irreducible,
 )
+from oracles import brute_force_singular_search
 
 
 class Criterion:

@@ -6,18 +6,18 @@ from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from fqpencil import bivar, errors
+from fqpencil import bivar, errors, lifting
 from fqpencil.bivar import (BivariatePoly, HomogeneousForm, SingularWitness,
                             _moved_form, _points_to_try, _unshear,
-                            brute_force_singular_search, curve_invariants,
-                            homogenize_and_degree, is_smooth)
-from fqpencil.field import embed, make_field
+                            curve_invariants, homogenize_and_degree, is_smooth)
+from fqpencil.field import embed, field_of_order, make_field
 from fqpencil.lifting import bivar_exact_div, bivariate_irreducible
 from fqpencil.parsing import parse_poly
-from fqpencil.unipoly import UnivariatePoly
+from fqpencil.unipoly import UnivariatePoly, is_irreducible
+from oracles import brute_force_singular_search
 
 
 def rand_bivar(F, rng, max_deg, n_terms=6):
@@ -627,3 +627,103 @@ def test_exact_division_matches_product(pair):
     if g.total_degree() > 0:
         one = BivariatePoly(g.field, {(0, 0): g.field.one})
         assert bivar_exact_div(g * h + one, g) is None
+
+
+# ---------------------------------------------------------------------------
+# The specialization scan: batched chunks against one value at a time
+
+
+def _scan_per_value(f, m):
+    """The certificate of lifting._scan, one is_irreducible a value: the
+    first a of F_{q^m} in index order, t before x, with f(a, x) of full
+    degree and irreducible."""
+    F = f.field
+    E = make_field(F.p, F.k * m)
+    fE = f.map_to(E)
+    for transposed in (False, True):
+        g = fE.transpose() if transposed else fE
+        for a in range(E.q):
+            spec = g.specialize_t(a)
+            if spec.degree() == g.deg_x() and is_irreducible(spec):
+                return lifting.IrreducibilityCertificate(
+                    "irreducible", witness={
+                        "kind": "specialization",
+                        "variable": "x" if transposed else "t",
+                        "extension": m, "value": E.to_vector(a),
+                        "specialized": spec.format()})
+    return None
+
+
+@st.composite
+def _scan_case(draw):
+    """(f, m): f over F_q of degree 1 to 6 in x and at least 1 in t, whose
+    top x-coefficient may vanish at some t; or, with no full-degree
+    irreducible specialization, a product of two such polynomials, with
+    q^m <= 125 as the loop then walks every value twice."""
+    q = draw(st.sampled_from([3, 4, 5, 7, 8, 9]))
+    F = field_of_order(q)
+    elem = st.integers(1, q - 1).map(F.element_at)
+
+    def part(n):
+        terms = draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(0, n)), elem,
+            max_size=4))
+        terms[draw(st.integers(0, 2)), n] = draw(elem)
+        terms[draw(st.integers(1, 3)), draw(st.integers(0, n))] = draw(elem)
+        return BivariatePoly(F, terms)
+
+    if draw(st.booleans(), label="product"):
+        f = part(draw(st.integers(1, 3))) * part(draw(st.integers(1, 3)))
+        top = 125
+    else:
+        f = part(draw(st.integers(1, 6)))
+        top = 729
+    m = draw(st.sampled_from([m for m in (1, 2, 3) if q ** m <= top]))
+    return f, m
+
+
+# (q, m, f, the first witness value over F_{q^m}, in t): at the first
+# value, in the chunk 49..112 at n = 5, in the chunk 32..63 at n = 3, and
+# none for the square (x^2 + t^2)^2
+_SCAN_PINNED = [(3001, 1, "x^5+t^4+t*x+2", 0),
+                (7, 3, "x^5+2*t^4*x^3+5*t", 58),
+                (7, 3, "x^3+6*t^4*x+3*t^3", 60),
+                (9, 2, "x^4+t^4+2*t^2*x^2", None)]
+
+
+def _pinned_case(i):
+    q, m, poly, _ = _SCAN_PINNED[i]
+    return parse_poly(poly, field_of_order(q)), m
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_scan_case(), cap=st.sampled_from([None, 1, 20]))
+@example(case=_pinned_case(0), cap=None)
+@example(case=_pinned_case(1), cap=None)
+@example(case=_pinned_case(1), cap=20)
+@example(case=_pinned_case(2), cap=None)
+@example(case=_pinned_case(2), cap=1)
+@example(case=_pinned_case(3), cap=None)
+def test_batched_scan_matches_per_value_loop(case, cap):
+    # cap values a chunk, where given: one at a time below _FIRST_CHUNK,
+    # else chunks of _FIRST_CHUNK, then of 20
+    f, m = case
+    budget = (lifting._RABIN_BATCH if cap is None
+              else cap * (f.deg_x() * f.field.k * m) ** 2)
+    with mock.patch.object(lifting, "_RABIN_BATCH", budget):
+        got = lifting._scan(f, m)
+    want = _scan_per_value(f, m)
+    assert (got and got.as_dict()) == (want and want.as_dict()), f.format()
+
+
+@pytest.mark.parametrize("i", range(len(_SCAN_PINNED)))
+def test_pinned_scan_witnesses(i):
+    f, m = _pinned_case(i)
+    value = _SCAN_PINNED[i][3]
+    cert = _scan_per_value(f, m)
+    if value is None:
+        assert cert is None
+    else:
+        E = make_field(f.field.p, f.field.k * m)
+        assert cert.witness["variable"] == "t"
+        assert cert.witness["value"] == E.to_vector(value)

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from fqpencil import errors, unipoly
 from fqpencil.field import make_field
-from fqpencil.polycore import (FrobCtx, elements, from_array, linear_factors,
-                               poly_gcd, to_array)
-from fqpencil.unipoly import (UnivariatePoly, _rabin_batch,
+from fqpencil.polycore import (FrobCtx, ModCtx, _count_dtype, elements,
+                               from_array, linear_factors, poly_gcd, poly_mul,
+                               to_array)
+from fqpencil.unipoly import (UnivariatePoly, _irreducible_batch, _rabin_batch,
                               count_monic_irreducibles, discriminant, factor,
                               is_irreducible, resultant, roots_in_field,
                               squarefree_decomposition, squarefree_part)
@@ -439,6 +440,25 @@ def test_rabin_batch_matches_factor(p, k):
             assert got[-1]
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (7, 1), (2, 2), (3, 2),
+                                 (2, 3)])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_irreducible_batch_matches_is_irreducible(p, k, data):
+    # column by column, at every degree the scans reach and at the
+    # composite degrees 10 and 12, where _rabin_batch also takes gcds
+    F = make_field(p, k)
+    n = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6, 7, 8, 10, 12]),
+                  label="n")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    polys = [rand_poly(F, rng, n, monic=True) for _ in range(24)]
+    polys.append(_random_irreducible(F, rng, n))
+    got = _irreducible_batch(
+        to_array(np.array([f.coeffs for f in polys]).T, F), F)
+    assert got.tolist() == [is_irreducible(f) for f in polys]
+    assert got[-1]
+
+
 # ---------------------------------------------------------------------------
 # The batched polynomial kernel: one batch of moduli against one at a time
 
@@ -527,3 +547,41 @@ def test_poly_gcd_matches_unipoly(p, k, data):
         ref = a.gcd(b)
         assert deg[j] == ref.degree()
         assert UnivariatePoly(F, got[:, j].tolist()).monic() == ref
+
+
+# ---------------------------------------------------------------------------
+# The packed B = 1 product in float64
+
+
+@pytest.mark.parametrize("p,k,n,dtype,in_float", [
+    (13, 1, 64, np.int16, True),        # the last int16 prime at n = 64
+    (17, 1, 64, np.int32, True),
+    (4093, 1, 64, np.int32, True),      # the last int32 prime
+    (4099, 1, 64, np.int64, True),      # int64, sums below 2^53
+    (67108859, 1, 64, np.int64, False),  # int64, sums past 2^53
+    (3, 11, 30, np.int16, True),        # 630 digits an operand
+])
+def test_packed_product_matches_python_ints(p, k, n, dtype, in_float,
+                                            monkeypatch):
+    """poly_mul and ModCtx.mulmod at B = 1 against the same product of
+    Python ints, on operands whose every digit is p - 1, so every digit
+    sum is as large as it can be.  The convolution runs in float64 exactly
+    when every sum stays below 2^53."""
+    F = make_field(p, k)
+    assert _count_dtype(F, n) is dtype
+    top = F.q - 1  # every digit p - 1
+    a = to_array([top] * n, F).astype(dtype)
+    modulus = to_array([top] * n + [1], F)
+    ctx = ModCtx(modulus, F)
+    seen = []
+    convolve = np.convolve
+    monkeypatch.setattr(np, "convolve",
+                        lambda u, v: seen.append(u.dtype) or convolve(u, v))
+    got, got_mod = poly_mul(a, a, F), ctx.mulmod(a, a)
+    assert seen == [np.float64 if in_float else dtype] * 2
+    want = poly_mul(a.astype(object), a.astype(object), F)
+    assert seen[-1] == object
+    assert (got == want).all()
+    assert (got_mod == ctx.reduce(want.astype(ctx.dtype))).all()
+    f, g = (UnivariatePoly(F, from_array(arr, F)) for arr in (modulus, a))
+    assert from_array(got_mod, F) == ((g * g) % f).coeffs
