@@ -124,31 +124,34 @@ def _first_irreducible(g: BivariatePoly, E):
     """The first a of E, in index order, with g(a, x) irreducible of full
     degree n in x, or None.
 
-    The first values go one at a time through is_irreducible: a = 0 from
-    n = 4 on, where is_irreducible builds a FrobCtx and a batch of 16
-    costs about three of them, and the first _FIRST_CHUNK values below
-    n = 4, where it builds no table and a batch costs about ten.  Then
-    chunks of _FIRST_CHUNK values, twice that, and so on up to the
-    _RABIN_BATCH budget of (n k)^2 table entries a value (one at a time
-    where that budget is below _FIRST_CHUNK), are each tested by
-    _specializations_irreducible.
+    A value goes alone through is_irreducible while a < 1 from n = 4 on,
+    where is_irreducible builds a FrobCtx and a batch costs about three of
+    them, and while a < _FIRST_CHUNK below n = 4, where it builds no table
+    and a batch costs about ten; also when fewer than three values are
+    left, or the _RABIN_BATCH budget of (n k)^2 table entries a value
+    holds fewer than _FIRST_CHUNK values.  The others go in chunks of
+    _FIRST_CHUNK values, twice that, and so on up to the budget, tested
+    by _specializations_irreducible; a chunk takes the rest where the next
+    one could.
     """
     n = g.deg_x()
     cap = _RABIN_BATCH // (n * E.k) ** 2
     alone = 1 if n >= 4 else _FIRST_CHUNK
     a, size = 0, _FIRST_CHUNK
     while a < E.q:
-        if a < alone or cap < _FIRST_CHUNK:
+        left = E.q - a
+        if a < alone or left < 3 or cap < _FIRST_CHUNK:
             spec = g.specialize_t(a)
             if spec.degree() == n and is_irreducible(spec):
                 return a
             a += 1
             continue
-        values = range(a, min(a + size, E.q))
-        hit = np.flatnonzero(_specializations_irreducible(g, values, E))
+        stop = E.q if left <= min(2 * size, cap) else a + size
+        hit = np.flatnonzero(
+            _specializations_irreducible(g, range(a, stop), E))
         if hit.size:
             return a + int(hit[0])
-        a, size = values.stop, min(2 * size, cap)
+        a, size = stop, min(2 * size, cap)
     return None
 
 

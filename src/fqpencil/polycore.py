@@ -173,14 +173,15 @@ def _product(a: np.ndarray, b: np.ndarray, field) -> np.ndarray:
     m, l, B = a.shape[0], b.shape[0], b.shape[2]
     if B == 1:
         sa, sb = _spread(a, w), _spread(b, w)
-        dtype = np.result_type(sa, sb)
-        if (sa.size * sb.size >= _FLOAT_CONVOLVE_MIN and dtype != object
-                and (dtype.itemsize < 8
-                     or (field.p - 1) ** 2 * min(m, l) * k < 1 << 53)):
-            wide = np.convolve(sa.astype(np.float64),
-                               sb.astype(np.float64)).astype(dtype)
-        else:
-            wide = np.convolve(sa, sb)
+        in_float = sa.size * sb.size >= _FLOAT_CONVOLVE_MIN
+        if in_float:
+            dtype = np.result_type(sa, sb)
+            in_float = dtype != object and (
+                dtype.itemsize < 8
+                or (field.p - 1) ** 2 * min(m, l) * k < 1 << 53)
+        wide = (np.convolve(sa.astype(np.float64),
+                            sb.astype(np.float64)).astype(dtype)
+                if in_float else np.convolve(sa, sb))
         wide = wide[: (m + l - 1) * w].reshape(m + l - 1, w, 1)
     else:
         wide = np.zeros((m + l - 1, w, B), dtype=np.result_type(a, b))

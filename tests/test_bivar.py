@@ -684,11 +684,13 @@ def _scan_case(draw):
 
 # (q, m, f, the first witness value over F_{q^m}, in t): at the first
 # value, in the chunk 49..112 at n = 5, in the chunk 32..63 at n = 3, and
-# none for the square (x^2 + t^2)^2
+# none for the square (x^2 + t^2)^2 and for a smooth quintic, whose one
+# chunk over F_27 takes the rest
 _SCAN_PINNED = [(3001, 1, "x^5+t^4+t*x+2", 0),
                 (7, 3, "x^5+2*t^4*x^3+5*t", 58),
                 (7, 3, "x^3+6*t^4*x+3*t^3", 60),
-                (9, 2, "x^4+t^4+2*t^2*x^2", None)]
+                (9, 2, "x^4+t^4+2*t^2*x^2", None),
+                (3, 3, "x^5+t^5+1", None)]
 
 
 def _pinned_case(i):
@@ -704,6 +706,7 @@ def _pinned_case(i):
 @example(case=_pinned_case(2), cap=None)
 @example(case=_pinned_case(2), cap=1)
 @example(case=_pinned_case(3), cap=None)
+@example(case=_pinned_case(4), cap=None)
 def test_batched_scan_matches_per_value_loop(case, cap):
     # cap values a chunk, where given: one at a time below _FIRST_CHUNK,
     # else chunks of _FIRST_CHUNK, then of 20
