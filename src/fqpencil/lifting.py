@@ -124,15 +124,16 @@ def _first_irreducible(g: BivariatePoly, E):
     """The first a of E, in index order, with g(a, x) irreducible of full
     degree n in x, or None.
 
-    A value goes alone through is_irreducible while a < 1 from n = 4 on,
-    where is_irreducible builds a FrobCtx and a batch costs about three of
-    them, and while a < _FIRST_CHUNK below n = 4, where it builds no table
-    and a batch costs about ten; also when fewer than three values are
-    left, or the _RABIN_BATCH budget of (n k)^2 table entries a value
-    holds fewer than _FIRST_CHUNK values.  The others go in chunks of
-    _FIRST_CHUNK values, twice that, and so on up to the budget, tested
-    by _specializations_irreducible; a chunk takes the rest where the next
-    one could.
+    Values go one at a time through is_irreducible where a batch would
+    cost more: the first value from n = 4 on, where is_irreducible builds
+    a FrobCtx and a batch costs about three of them; the first
+    _FIRST_CHUNK values below n = 4, where it builds no table and a batch
+    costs about ten; the last two values; and every value when the
+    _RABIN_BATCH budget of (n k)^2 table entries a value holds fewer than
+    _FIRST_CHUNK.  The rest go in chunks of _FIRST_CHUNK values, twice
+    that, and so on up to the budget, each tested by
+    _specializations_irreducible; a chunk also takes what is left when the
+    next chunk could hold it.
     """
     n = g.deg_x()
     cap = _RABIN_BATCH // (n * E.k) ** 2
