@@ -43,6 +43,12 @@ COMMANDS = [
     ["pencil", "--q", "25", "--poly", "t^3+x^3+1"],
     ["search", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1",
      "--smax", "3"],
+    # certificate scans: all of F_1999 in batches before the witness, an
+    # F_{7^2} scan, a degree-6 scan and a scan over F_3
+    ["curve", "--q", "1999", "--poly", "x^4+t^4+t+3"],
+    ["curve", "--q", "49", "--poly", "x^4+t^4+3"],
+    ["curve", "--q", "13", "--poly", "x^6+t^6+t*x+1"],
+    ["curve", "--q", "3", "--poly", "x^4+t^4+t*x+1"],
     ["count", "--q", "25", "--poly", "t^3+x^3+1"],
     ["count", "--q", "49", "--poly", "t^3+x^3+2"],
     ["count", "--q", "7", "--poly", "x^2-t^3-t^2"],
