@@ -514,10 +514,10 @@ def _irreducible_mask(c, has_root, E, ar: GridArith):
     deg is 0 for constants and for zero, and irr marks the irreducible
     ones.  A linear polynomial is irreducible; one of degree n >= 2 with a
     root is not, and a rootless one of degree 2 or 3 is.  The rootless
-    ones of degree n >= 4 are tested with _rabin_batch, one FrobCtx a
-    chunk of _monic_chunks.  Past n k = polycore._FROB_TABLE_LIMIT the
-    first chunk's FrobCtx raises DegreeOutOfRange before any table is
-    allocated.
+    ones of degree n >= 4 are decided by _rabin_batch (see its docstring),
+    one FrobCtx a chunk of _monic_chunks.  Past n k =
+    polycore._FROB_TABLE_LIMIT the first chunk's FrobCtx raises
+    DegreeOutOfRange before any table is allocated.
     """
     nonzero = c != 0
     deg = (c.shape[0] - 1 - np.argmax(nonzero[::-1], axis=0)) * nonzero.any(0)

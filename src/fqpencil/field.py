@@ -407,14 +407,7 @@ class Field:
         n = self.q - 1
         if self._log is not None:
             return self._exp[self._log[a] * e % n]
-        e %= n
-        result = 1
-        while e:
-            if e & 1:
-                result = self.mul(result, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return result
+        return self._pow_raw(a, e % n)
 
     def is_square(self, a: int) -> bool:
         """Whether a is a square (zero counts as a square)."""

@@ -16,8 +16,8 @@ only: a factor over an extension witnesses nothing over F_q.
 
 A scan tests the values a in index order, t before x.  The first ones go
 one at a time through is_irreducible, the rest in chunks that double in
-size: a chunk's specializations f(a, x) are one digit array, tested by one
-root check and Rabin test across the batch (unipoly._irreducible_batch).
+size: a chunk's specializations f(a, x) are one digit array, tested by
+one unipoly._irreducible_batch, Rabin's test across the batch.
 The first hit is the witness, the value a test per value would find.
 
 Lifting runs to precision P = 2 deg_t f + 1.  A true factor h gives the
@@ -47,8 +47,9 @@ from .unipoly import (_RABIN_BATCH, UnivariatePoly, _irreducible_batch, factor,
                       is_irreducible)
 
 # Values of a scan's first batched chunk.  On 2 cores (x86_64, numpy 2.4)
-# a chunk took about as long at 4, 8 and 16 values: 3 times is_irreducible
-# at n = 4 and 5, and 8 to 13 times at n = 2 and 3.
+# a chunk took about as long at 4, 8 and 16 values.  A chunk of 16 over
+# F_1999 took 2 to 2.5 times is_irreducible at n = 4 and 5, 3 to 6 times
+# at n = 2 and 3, and 4.5 times at n = 6.
 _FIRST_CHUNK = 16
 
 
@@ -126,9 +127,9 @@ def _first_irreducible(g: BivariatePoly, E):
 
     Values go one at a time through is_irreducible where a batch would
     cost more: the first value from n = 4 on, where is_irreducible builds
-    a FrobCtx and a batch costs about three of them; the first
+    a FrobCtx and a batch costs about two to five of them; the first
     _FIRST_CHUNK values below n = 4, where it builds no table and a batch
-    costs about ten; the last two values; and every value when the
+    costs three to six; the last two values; and every value when the
     _RABIN_BATCH budget of (n k)^2 table entries a value holds fewer than
     _FIRST_CHUNK.  The rest go in chunks of _FIRST_CHUNK values, twice
     that, and so on up to the budget, each tested by

@@ -10,8 +10,12 @@ a '*' must be followed by a factor.
 from __future__ import annotations
 
 from .bivar import BivariatePoly
-from .errors import ParseError, UnknownVariable
+from .errors import DegreeOutOfRange, ParseError, UnknownVariable
 from .unipoly import UnivariatePoly
+
+# A term of larger total degree raises DegreeOutOfRange before any dense
+# coefficient list is built.
+MAX_TERM_DEGREE = 1 << 24
 
 
 class _Parser:
@@ -56,18 +60,18 @@ class _Parser:
             self.i += 1
         return BivariatePoly(F, terms)
 
-    def _integer(self) -> int:
+    def _digits(self) -> str:
         start = self.i
         while self.i < self.n and self.text[self.i].isdigit():
             self.i += 1
-        return int(self.text[start:self.i])
+        return self.text[start:self.i]
 
     def _term(self):
         self._skip()
         coeff = 1
         saw = star = False
         if self._peek().isdigit():
-            coeff = self._integer()
+            coeff = int(self._digits())
             saw = True
             self._skip()
             star = self._peek() == "*"
@@ -86,13 +90,17 @@ class _Parser:
                     if not self._peek().isdigit():
                         raise ParseError("expected a positive integer "
                                          "exponent after '^'", self.i)
-                    e = self._integer()
-                    if e <= 0:
+                    digits = self._digits().lstrip("0")
+                    if not digits:
                         raise ParseError("exponent must be positive", self.i)
+                    e = int(digits[:10])  # past the bound from 9 digits
                 if ch == "t":
                     et += e
                 else:
                     ex += e
+                if et + ex > MAX_TERM_DEGREE:
+                    raise DegreeOutOfRange(
+                        f"a term of degree above {MAX_TERM_DEGREE}")
                 saw = True
                 self._skip()
                 star = self._peek() == "*"

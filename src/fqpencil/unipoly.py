@@ -245,7 +245,7 @@ def _reduce(a, b, F, quot=None):
 
 def is_irreducible(f: UnivariatePoly) -> bool:
     """A root check, which decides degrees 2 and 3, then from degree 4 on
-    Rabin's test (_rabin_batch, exact without a root) on one FrobCtx."""
+    Rabin's test on one FrobCtx (_rabin_batch, exact with no root)."""
     F = f.field
     n = f.degree()
     if n <= 0:
@@ -548,14 +548,10 @@ def count_monic_irreducibles(field, n: int) -> int:
     The monic polynomials of degree n are the values t^n + g(t) of the
     curve x + t^n at every g of degree < n, so this is the count kernel,
     counting.substitution_rows, at D = n - 1.  For n <= 6 its
-    classification is exact: a rootless survivor f satisfies x^{q^n} = x
-    mod f exactly when all its factor degrees divide n, and the only such
-    factorizations besides the irreducible one use a single repeated
-    degree n/l (any mixed combination of part sizes needs a linear part),
-    so the remaining gcd conditions reduce to _rabin_batch's equality
-    tests x^{q^{n/l}} != x mod f.  n < 1 and n > 6 raise
-    DegreeOutOfRange; the kernel raises ConstraintViolation past
-    q = 2^18 and DegreeOutOfRange past (n + 1) k q = 2^24 digits.
+    classification is exact: it marks the values with a root, and
+    _rabin_batch decides the rootless ones (see its docstring).  n < 1 and
+    n > 6 raise DegreeOutOfRange; the kernel raises ConstraintViolation
+    past q = 2^18 and DegreeOutOfRange past (n + 1) k q = 2^24 digits.
     """
     from .counting import substitution_rows
     q = field.q
@@ -572,16 +568,17 @@ def count_monic_irreducibles(field, n: int) -> int:
 
 def _rabin_batch(ctx: FrobCtx):
     """Rabin's test on the batch of monic moduli f of degree n >= 2 held by
-    ctx, exact for moduli without a root in the field.
+    ctx, one bool per modulus: exact but for rooted f at n = 6.
 
-    The Frobenius images x^{q^m} mod f are steps of ctx.  A modulus passes
-    the equality tests when x^{q^n} == x mod f and x^{q^{n/l}} != x mod f
-    for every prime l | n.  They decide irreducibility when n is a prime
-    power, and for rootless f when n <= 6 (count_monic_irreducibles).  At
-    a larger n with two prime factors, rootless factor degrees such as
-    {6, 4, 2} at n = 12 pass them too, so the survivors are also checked
-    for gcd(x^{q^{n/l}} - x, f) = 1 on the same images.  The steps stop
-    once no modulus is left.  Returns one bool per modulus.
+    The Frobenius images x^{q^m} mod f are steps of ctx.  x^{q^n} == x mod
+    f holds when f is squarefree with every factor degree dividing n, and
+    then x^{q^{n/l}} != x mod f, for a prime l | n, when some factor degree
+    holds the full power of l in n.  These equality tests pass only an
+    irreducible f when n is a prime power, and up to n = 6 only factor
+    degrees {1, 2, 3} besides, which have a root.  At a larger n with two
+    prime factors, rootless degrees such as {6, 4, 2} at n = 12 pass them
+    too, so the survivors are also checked for gcd(x^{q^{n/l}} - x, f) = 1
+    on the same images.  The steps stop once no modulus is left.
     """
     F, n = ctx.field, ctx.n
     ells = prime_factors(n)
@@ -609,17 +606,17 @@ def _rabin_batch(ctx: FrobCtx):
 
 def _irreducible_batch(g: np.ndarray, field) -> np.ndarray:
     """Whether each monic polynomial in the (n + 1, k, B) array g is
-    irreducible, n >= 1, as is_irreducible decides it for one: a linear
-    polynomial is; from n = 2 on a column needs deg gcd(x^q - x, g) = 0,
-    with x^q from a ModCtx for n <= 3 and the FrobCtx table for n >= 4, and
-    from n = 4 on it must also pass _rabin_batch on that table."""
+    irreducible, n >= 1: a linear one is, and otherwise _rabin_batch
+    decides, with deg gcd(x^q - x, g) = 0 required at n = 6 (see its
+    docstring)."""
     n, B = len(g) - 1, g.shape[2]
     if n == 1:
         return np.ones(B, dtype=bool)
-    ctx = ModCtx(g, field) if n <= 3 else FrobCtx(g, field)
-    xq = ctx.xpow(field.q) if n <= 3 else ctx.xq
-    _, deg = poly_gcd(g, xq - to_array([0, 1], field, n), field)
-    good = deg == 0
-    if n >= 4 and good.any():
-        good &= _rabin_batch(ctx)
+    ctx = FrobCtx(g, field)
+    good = _rabin_batch(ctx)
+    if n == 6 and good.any():
+        live = np.flatnonzero(good)
+        _, deg = poly_gcd(g[:, :, live], ctx.xq[:, :, live]
+                          - to_array([0, 1], field, n), field)
+        good[live] = deg == 0
     return good

@@ -48,6 +48,10 @@ def test_factor_command():
     assert code == 0
     assert rep["unit"] == [1]
     assert sorted(rep["factors"]) == [["x+1", 1], ["x+6", 1]]
+    # a large exponent inside parsing.MAX_TERM_DEGREE: x^(7^5), a p-th power
+    code, rep = run_json(["factor", "--q", "7", "--poly", "x^16807"])
+    assert code == 0
+    assert rep["factors"] == [["x", 16807]]
 
 
 def test_curve_command():
@@ -345,6 +349,10 @@ SEMIPRIME = "30000000000000000000000000096400000000000000000000000002233"
      "ConstraintViolation"),
     (["conrad", "--q", "3", "--D", "1", "--poly", "x^2+1", "--poly",
       "x^2+x-t"], "ConstraintViolation"),
+    # a term degree past parsing.MAX_TERM_DEGREE, refused before any dense
+    # coefficient list is built
+    (["factor", "--q", "7", "--poly", "x^999999999"], "DegreeOutOfRange"),
+    (["curve", "--q", "7", "--poly", "x^999999999+t"], "DegreeOutOfRange"),
     # the same table limit where residue sums pass int64
     (["factor", "--q", "2147483647", "--poly", "x^5000+x+1"],
      "DegreeOutOfRange"),

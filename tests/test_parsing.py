@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fqpencil.bivar import BivariatePoly
-from fqpencil.errors import ParseError
+from fqpencil.errors import DegreeOutOfRange, ParseError
 from fqpencil.field import make_field
-from fqpencil.parsing import parse_poly, parse_univariate
+from fqpencil.parsing import MAX_TERM_DEGREE, parse_poly, parse_univariate
 from fqpencil.unipoly import UnivariatePoly
 
 
@@ -45,3 +45,18 @@ def test_star_needs_a_factor_after_it(text, offset):
 def test_star_between_factors():
     F = make_field(7, 1)
     assert parse_poly("3 * t * x^2", F) == parse_poly("3t x^2", F)
+
+
+@pytest.mark.parametrize("text", [
+    f"x^{MAX_TERM_DEGREE + 1}", f"t^{MAX_TERM_DEGREE // 2 + 1}*x^"
+    f"{MAX_TERM_DEGREE // 2}", "x^999999999+t", "x^" + "9" * 5000])
+def test_term_degree_past_the_bound(text):
+    # refused before any dense coefficient list exists
+    with pytest.raises(DegreeOutOfRange):
+        parse_poly(text, make_field(7, 1))
+
+
+def test_term_degree_at_the_bound():
+    F = make_field(7, 1)
+    f = parse_poly(f"t*x^{MAX_TERM_DEGREE - 1}+x^000003", F)
+    assert f == BivariatePoly(F, {(1, MAX_TERM_DEGREE - 1): 1, (0, 3): 1})

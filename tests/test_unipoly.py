@@ -459,6 +459,35 @@ def test_irreducible_batch_matches_is_irreducible(p, k, data):
     assert got[-1]
 
 
+@pytest.mark.parametrize("p,k,modulus", [(2, 1, None), (3, 1, None),
+                                         (2, 2, None), (5, 1, None),
+                                         (7, 1, None), (3, 2, None),
+                                         (2, 3, (1, 0, 1, 1))])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_irreducible_batch_matches_factor(p, k, modulus, data):
+    """_irreducible_batch against irreducibility read off factor, at every
+    degree 1 to 13, F_8 on y^3 + y^2 + 1 rather than its canonical
+    modulus.  The rooted sextics with factor degrees 1, 2 and 3 pass
+    Rabin's equality tests, so only the batch's root check at n = 6
+    rejects them."""
+    F = make_field(p, k, modulus)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
+    for n in range(1, 14):
+        polys = [rand_poly(F, rng, n, monic=True) for _ in range(8)]
+        polys.append(_random_irreducible(F, rng, n))
+        if n == 6:
+            sextics = [rand_poly(F, rng, 1, monic=True)
+                       * _random_irreducible(F, rng, 2)
+                       * _random_irreducible(F, rng, 3) for _ in range(3)]
+            arr = to_array(np.array([f.coeffs for f in sextics]).T, F)
+            assert _rabin_batch(FrobCtx(arr, F)).all()
+            polys += sextics
+        got = _irreducible_batch(
+            to_array(np.array([f.coeffs for f in polys]).T, F), F)
+        assert got.tolist() == [factor(f)[1] == [(f, 1)] for f in polys], n
+
+
 # ---------------------------------------------------------------------------
 # The batched polynomial kernel: one batch of moduli against one at a time
 
