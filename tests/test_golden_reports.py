@@ -41,6 +41,15 @@ COMMANDS = [
     ["curve", "--q", "5", "--poly", "4*x^3+t*x^2+t^3+3*t*x+3*t^2+4*x+t+1"],
     ["pencil", "--q", "25", "--poly", "x^2+x-t", "--M", "3,7"],
     ["pencil", "--q", "25", "--poly", "t^3+x^3+1"],
+    # pencil classifier paths over prime fields: a cubic, a quartic with
+    # fibers of degree 3 and q = 3 mod 4, a quintic, a conic, and two
+    # cubics over a field of about 1.6e5 elements
+    ["pencil", "--q", "1009", "--poly", "t^3+x^3+t+1"],
+    ["pencil", "--q", "1999", "--poly", "x^4+t^4+t+3"],
+    ["pencil", "--q", "6007", "--poly", "x^5+t^5+t+2"],
+    ["pencil", "--q", "72139", "--poly", "x^2+t^2+t+3"],
+    ["pencil", "--q", "160709", "--poly", "t^3+x^3+1", "--poly",
+     "t^3+2*x^3+t+1"],
     ["search", "--q", "7", "--poly", "x^2+x-t", "--poly", "t^3+x^3+1",
      "--smax", "3"],
     # certificate scans: all of F_1999 in batches before the witness, an
