@@ -526,7 +526,21 @@ class GridArith:
         """Inverse of nonzero x: x^(p-2) for k = 1, exp[-log x] for k > 1."""
         if self.k > 1:
             return self.exp[self.q - 1 - self.log[x]]
-        out, e = np.ones_like(x), self.p - 2
+        return self._pow(x, self.p - 2)
+
+    def is_square(self, x):
+        """Whether each element of x is a square, zero included, as
+        Field.is_square: an even logarithm for k > 1, Euler's criterion
+        x^((p-1)/2) = 1 for k = 1."""
+        if self.p == 2:
+            return np.ones(np.shape(x), dtype=bool)
+        if self.k > 1:
+            return (x == 0) | (self.log[x] % 2 == 0)
+        return (x == 0) | (self._pow(x, (self.p - 1) // 2) == 1)
+
+    def _pow(self, x, e):
+        """x^e for k = 1, by square and multiply."""
+        out = np.ones_like(x)
         while e:
             if e & 1:
                 out = _mod(out * x, self.p)

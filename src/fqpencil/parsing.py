@@ -16,6 +16,9 @@ from .unipoly import UnivariatePoly
 # A term of larger total degree raises DegreeOutOfRange before any dense
 # coefficient list is built.
 MAX_TERM_DEGREE = 1 << 24
+# Digits of a coefficient converted by one int() call: int() refuses
+# strings of more than 4,300 digits (sys.get_int_max_str_digits).
+_COEFF_CHUNK = 4000
 
 
 class _Parser:
@@ -66,12 +69,21 @@ class _Parser:
             self.i += 1
         return self.text[start:self.i]
 
+    def _coefficient(self) -> int:
+        """The integer at the cursor, mod p: chunks of at most _COEFF_CHUNK
+        digits folded in by Horner's rule, exact at any length."""
+        digits, p, out = self._digits(), self.F.p, 0
+        for at in range(0, len(digits), _COEFF_CHUNK):
+            chunk = digits[at:at + _COEFF_CHUNK]
+            out = (out * pow(10, len(chunk), p) + int(chunk)) % p
+        return out
+
     def _term(self):
         self._skip()
         coeff = 1
         saw = star = False
         if self._peek().isdigit():
-            coeff = int(self._digits())
+            coeff = self._coefficient()
             saw = True
             self._skip()
             star = self._peek() == "*"

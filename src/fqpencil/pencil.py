@@ -188,19 +188,16 @@ def _generic_points(fs, E, trial_budget, seed):
 # Fiber patterns
 #
 # The fibers are classified in batches, a column per fiber.  A fiber of
-# degree dA < d meets the line's infinity in the part (1, d - dA).  It is
-# ramified exactly when its binary d-form has a repeated root, that is when
-# Delta_M(u) = 0, or deficit >= 1 at u = infinity; only those fibers go to
+# degree dA < d meets the line's infinity in the part (1, d - dA).  Each
+# fiber comes with the value Delta of the binary form Delta_M at its
+# parameter: the coefficient of u^(d(d-1)) at u = infinity, zero exactly
+# when deficit >= 1.  The fiber is ramified exactly when its binary d-form
+# has a repeated root, that is when Delta = 0; only those fibers go to
 # factor, and a generic pencil has at most deg Delta_M + 1 of them.  The
-# finite part g of any other fiber, made monic, is squarefree, so
-# c_i = deg gcd(x^(q^i) - x, g) = sum over e | i of e N_e for the number
-# N_e of its irreducible factors of degree e: Moebius inversion of c_i,
-# i <= n/2, gives every N_e for e <= n/2, and the degree left over is at
-# most one factor, of degree above n/2 (distinct-degree factorization,
-# von zur Gathen & Gerhard, Modern Computer Algebra, ch. 14).  The images
-# x^(q^i) mod g are one ModCtx.xpow(q) and Frobenius steps, and the gcds one
-# polycore.poly_gcd over the batch.  An unramified pattern is a row of
-# N_1..N_d.
+# finite part g of any other fiber is squarefree of degree d or d - 1, and
+# disc g has the square class of Delta.  Its pattern comes from that parity
+# and a few distinct-degree counts, by the rule in _distinct_degree_counts.
+# An unramified pattern is a row of N_1..N_d.
 
 
 def fiber_pattern(pd: PencilDescriptor, u) -> FiberPattern:
@@ -214,9 +211,9 @@ def fiber_pattern(pd: PencilDescriptor, u) -> FiberPattern:
 
 def _fibers(pd: PencilDescriptor, ar: GridArith, us, vertical: bool):
     """The fibers at the parameters us, after the one at u = infinity when
-    vertical: their (d + 1, B) element array of coefficients, and whether
-    each one ramifies.  Horner steps in u evaluate every A_m and Delta_M at
-    once."""
+    vertical: their (d + 1, B) element array of coefficients, and the value
+    of the binary form Delta_M at each.  Horner steps in u evaluate every
+    A_m and Delta_M at once."""
     polys = pd.coeff_polys + [pd.delta]
     C = np.zeros((max(len(a.coeffs) for a in polys), len(polys)),
                  dtype=ar.dtype)  # C[j, m]: of u^j in A_m, m = d + 1: Delta_M
@@ -225,28 +222,36 @@ def _fibers(pd: PencilDescriptor, ar: GridArith, us, vertical: bool):
     acc = np.broadcast_to(C[-1][:, None], (len(polys), len(us)))
     for row in C[-2::-1]:
         acc = ar.add(ar.mul(acc, us), row[:, None])
-    c, ram = acc[:-1], acc[-1] == 0
+    c, delta = acc[:-1], acc[-1]
     if vertical:
         col = np.zeros((pd.d + 1, 1), dtype=ar.dtype)
         coeffs = pd.curve.specialize_t(pd.M[0]).coeffs
         col[: len(coeffs), 0] = coeffs
         c = np.concatenate([col, c], axis=1)
-        ram = np.concatenate([[pd.deficit >= 1], ram])
-    return c, ram
+        top = pd.delta.coeffs[pd.d * (pd.d - 1)] if pd.deficit == 0 else 0
+        delta = np.concatenate([np.array([top], dtype=ar.dtype), delta])
+    return c, delta
 
 
-def _classify(c, ram, d: int, E, ar: GridArith):
+def _classify(c, delta, d: int, E, ar: GridArith):
     """Patterns of the fibers with the (d + 1, B) element array c of
-    coefficients, formal degree d, where ram marks the ramified ones: an
+    coefficients, formal degree d, and the values delta of Delta_M: an
     (B, d) array of the number of simple parts of each degree 1..d, read
     for the unramified fibers, and a dict from column to the FiberPattern
-    of each ramified fiber."""
+    of each ramified fiber, those with delta = 0.  The others take the
+    parity of their number of factors from the square class of delta, by
+    the rule in _distinct_degree_counts."""
     deg = degrees((c != 0)[:, None])
+    ram, odd = delta == 0, ~ar.is_square(delta)
     counts = np.zeros((c.shape[1], d), dtype=np.int64)
     # a linear fiber, and a simple point at the line's infinity
     counts[:, 0] = (deg == 1).astype(np.int64) + (deg == d - 1)
-    for n, part, g in _monic_chunks(c, deg, ~ram, E, ar):
-        counts[part, :n] += _distinct_degree_counts(g, E)[1:].T
+    # parity alone: (2) or (1, 1), and (1, 2) for a cubic with odd set
+    quad, cubic = ~ram & (deg == 2), ~ram & (deg == 3) & odd
+    counts[:, 0] += 2 * (quad & ~odd) + cubic
+    counts[:, 1] += quad & odd | cubic
+    for n, part, g in _monic_chunks(c, deg, ~ram & ~quad & ~cubic, E, ar):
+        counts[part, :n] += _distinct_degree_counts(g, odd[part], E)[1:].T
     ramified = {}
     for j in np.flatnonzero(ram).tolist():
         dA = int(deg[j])
@@ -258,28 +263,54 @@ def _classify(c, ram, d: int, E, ar: GridArith):
     return counts, ramified
 
 
-def _distinct_degree_counts(g, E):
+def _distinct_degree_counts(g, odd, E):
     """The number N[e, b] of irreducible factors of degree e of each
-    squarefree monic polynomial g_b of degree n >= 2 in the (n + 1, k, B)
-    array g."""
+    squarefree monic polynomial g_b of degree n >= 3 in the (n + 1, k, B)
+    array g over F_q, q odd, where odd[b] marks a discriminant of g_b that
+    is not a square.
+
+    By Stickelberger's theorem, disc g is a square exactly when n - r is
+    even, for the number r of irreducible factors of g (R. G. Swan,
+    Pacific J. Math. 12, 1962).  c_i = deg gcd(x^(q^i) - x, g) is the sum
+    over e | i of e N_e, so Moebius inversion of c_1..c_j gives N_1..N_j
+    (distinct-degree factorization, von zur Gathen & Gerhard, Modern
+    Computer Algebra, ch. 14).  The rule: after c_1..c_j, what is left of
+    g, of degree R, has no factor of degree <= j.
+    - For n >= 4, j = floor(n/2) - 1.  Since 3 floor(n/2) > n, the rest has
+      at most two factors; the parity says whether it has one or two, and
+      two must have the degrees (j + 1, R - j - 1).
+    - A quadratic needs j = 0: the parity alone gives (2) or (1, 1).
+    - A cubic with odd set is (1, 2), also with j = 0.  A cubic with a
+      square discriminant keeps c_1 (j = 1), which separates (3) from
+      (1, 1, 1).
+    The pencil classifier reads the parity from Delta_M and applies the
+    cases j = 0 itself, so they never come here.  The images x^(q^i) mod g
+    are one ModCtx.xpow(q), or from j = 2 on a FrobCtx and its Frobenius
+    steps, and the gcds one polycore.poly_gcd over the batch.
+    """
     n, B = len(g) - 1, g.shape[2]
-    if n > 3:
+    j = max(n // 2 - 1, 1)
+    if j > 1:
         ctx = FrobCtx(g, E)
         images = [ctx.xq]
-        for _ in range(2, n // 2 + 1):
+        for _ in range(2, j + 1):
             images.append(ctx.frobenius(images[-1]))
     else:
         images = [ModCtx(g, E).xpow(E.q)]
     x = to_array([0, 1], E, n)
-    _, c = poly_gcd(np.tile(g, (1, 1, len(images))),
+    _, c = poly_gcd(np.tile(g, (1, 1, j)),
                     np.concatenate([r - x for r in images], axis=2), E)
-    c = c.reshape(len(images), B)  # c[i - 1]: deg gcd(x^(q^i) - x, g)
+    c = c.reshape(j, B)  # c[i - 1]: deg gcd(x^(q^i) - x, g)
     N = np.zeros((n + 1, B), dtype=np.int64)
-    for e in range(1, len(images) + 1):
-        N[e] = (c[e - 1] - sum(j * N[j] for j in range(1, e) if e % j == 0)) \
+    for e in range(1, j + 1):
+        N[e] = (c[e - 1] - sum(i * N[i] for i in range(1, e) if e % i == 0)) \
             // e
-    rest = n - np.arange(n + 1) @ N  # one factor, of degree above n/2
-    N[rest, np.arange(B)] += rest > 0
+    rest = n - np.arange(n + 1) @ N
+    # the rest has r - N_1 - .. - N_j factors, and r = n - odd mod 2
+    two = (rest > 0) & ((n - N.sum(axis=0) + odd) % 2 == 0)
+    cols = np.arange(B)
+    N[rest - two * (j + 1), cols] += rest > 0
+    N[j + 1, cols] += two
     return N
 
 

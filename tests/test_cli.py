@@ -54,6 +54,16 @@ def test_factor_command():
     assert rep["factors"] == [["x", 16807]]
 
 
+def test_long_coefficient_reduces():
+    # a 5,000-digit coefficient is past what int() converts; it reduces
+    # mod 7 to 4, (10^5000 - 1)/9 with 10^6 = 1 mod 7
+    code, rep = run_json(["factor", "--q", "7", "--poly", "1" * 5000 + "*x+1"])
+    _, same = run_json(["factor", "--q", "7", "--poly", "4*x+1"])
+    assert code == 0
+    assert (rep["unit"], rep["factors"]) == (same["unit"], same["factors"])
+    assert same["unit"] == [4]
+
+
 def test_curve_command():
     for q, poly, d, smooth, status, factor in [
         ("7", "x^2+x-t", 2, True, "irreducible", None),

@@ -101,6 +101,24 @@ def test_grid_square_roots(p, k):
         assert r < 0 or F.mul(r, r) == e, e
 
 
+# p = 2^32 + 15 and 2^64 + 13: products of residues pass int64, so the
+# element arrays hold Python ints
+@pytest.mark.parametrize("p, k", [(2, 1), (2, 3), (3, 1), (7, 1), (3, 2),
+                                  (5, 2), (3, 5), (1999, 1), (2 ** 32 + 15, 1),
+                                  (2 ** 64 + 13, 1)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_grid_is_square_matches_field(p, k, data):
+    F = make_field(p, k)
+    ar = GridArith(F)
+    elem = st.one_of(st.sampled_from([0, 1, p - 1, F.q - 1]),
+                     st.integers(0, F.q - 1))
+    xs = data.draw(st.lists(elem, min_size=1, max_size=40)) + [0]
+    got = ar.is_square(np.array(xs, dtype=ar.dtype))
+    assert got.dtype == bool
+    assert got.tolist() == [F.is_square(x) for x in xs]
+
+
 def test_inverse_of_zero_raises():
     for p, k in [(5, 1), (3, 2)]:
         F = make_field(p, k)

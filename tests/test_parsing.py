@@ -60,3 +60,18 @@ def test_term_degree_at_the_bound():
     F = make_field(7, 1)
     f = parse_poly(f"t*x^{MAX_TERM_DEGREE - 1}+x^000003", F)
     assert f == BivariatePoly(F, {(1, MAX_TERM_DEGREE - 1): 1, (0, 3): 1})
+
+
+@pytest.mark.parametrize("p,k", [(7, 1), (1999, 1), (2 ** 61 - 1, 1),
+                                 (3, 4)])
+def test_long_coefficient_reduces(p, k):
+    # past the 4,300 digits int() converts: the same polynomial as with
+    # the coefficient written mod p, here reduced digit by digit
+    F = make_field(p, k)
+    digits = "0" + "".join(str(i * i % 10) for i in range(5000))
+    c = 0
+    for ch in digits:
+        c = (10 * c + int(ch)) % p
+    for text in (f"{digits}*x+1", f"t-{digits}x^2", f"{digits}"):
+        assert parse_poly(text, F) == parse_poly(
+            text.replace(digits, str(c)), F)

@@ -423,6 +423,26 @@ def test_histogram_in_small_blocks_and_chunks(monkeypatch, q, poly):
     assert hist.ramified_patterns == oracle.ramified_patterns
 
 
+def test_conic_pencil_needs_no_frobenius(monkeypatch):
+    # a conic's fibers are quadratics, whose patterns the square class of
+    # Delta_M gives alone: no Frobenius image and no gcd; the ramified
+    # fibers go to unipoly.factor
+    def refuse(*args, **kwargs):
+        raise AssertionError("a conic pencil formed a Frobenius image")
+
+    for name in ("ModCtx", "FrobCtx", "poly_gcd"):
+        monkeypatch.setattr(pencil, name, refuse)
+    E = make_field(3, 4)
+    fs = [parse_poly(poly, E) for poly in ("x^2+x-t", "x^2+t^2+t+2")]
+    M = find_generic_point(fs, E)
+    pds = [pencil_discriminant(f, M, E) for f in fs]
+    for group in ([pds[0]], [pds[1]], pds):
+        hist, oracle = pattern_histogram(group), _oracle_histogram(group)
+        assert (hist.counts, hist.ramified, hist.vertical_key) == \
+            (oracle.counts, oracle.ramified, oracle.vertical_key)
+        assert hist.ramified_patterns == oracle.ramified_patterns
+
+
 def test_fiber_pattern_past_int64_products():
     # p > 2^32: products of residues pass int64, so the classifier's
     # element arrays hold Python ints; past 2^64 so do the elements
@@ -496,7 +516,11 @@ def test_stickelberger_parity(q, poly):
 def test_stickelberger_parity_of_delta(pds):
     # Swan 1962 on Delta_M itself: on every unramified finite fiber of full
     # degree, Delta_M(u) is a square exactly when d - r(u) is even, with
-    # r(u) the number of irreducible factors from the distinct-degree counts
+    # r(u) the number of irreducible factors from the distinct-degree counts.
+    # The classifier now reads this parity from Delta_M for every degree, and
+    # for quadratic fibers and cubic ones with a non-square Delta_M(u) it
+    # decides the pattern alone, so for those this test restates the input;
+    # their independent check is the per-fiber factor oracle above
     pd = pds[0]
     E = pd.field
     ar = GridArith(E)
