@@ -393,6 +393,8 @@ def _moved_form(form: HomogeneousForm, P):
 def is_smooth(f: BivariatePoly):
     """(smooth, witness): certify smoothness of the projective closure.
 
+    The witness is a singular point, or None when the curve is smooth or
+    is singular with no singular point over F_{q^6} (see _smoothness).
     Requires p not dividing d so the Euler relation recovers the third
     partial from the other two.
     """
@@ -406,10 +408,10 @@ def is_smooth(f: BivariatePoly):
         raise CharacteristicDividesDegree(
             f"characteristic {F.p} divides degree {d}")
     form, P = _point_off_curve(f)
-    witness = _singular_point(_moved_form(form, P))
+    smooth, witness = _smoothness(_moved_form(form, P))
     if witness is not None:
-        return False, _unshear(witness, form.field, P)
-    return True, None
+        witness = _unshear(witness, form.field, P)
+    return smooth, witness
 
 
 def _point_off_curve(f: BivariatePoly):
@@ -439,8 +441,8 @@ def _unshear(w: SingularWitness, F, P):
     return SingularWitness(E, (T, Z, X))
 
 
-def _singular_point(form: HomogeneousForm):
-    """Singular point of a form whose X^d coefficient is nonzero, or None.
+def _smoothness(form: HomogeneousForm):
+    """(smooth, witness) for a form whose X^d coefficient is nonzero.
 
     At infinity the singular X are the common roots of f, f_X and f_Z at
     T = 1.  In the chart Z = 1, f and f_X have constant leading
@@ -448,6 +450,10 @@ def _singular_point(form: HomogeneousForm):
     f_T vanish, tau is a root of D = disc_X f and of R = Res_X(f_X, f_T),
     and so of G = gcd(D, R), which is D when R = 0 (Fulton, Algebraic
     Curves, ch. 3).  A constant G certifies the chart smooth over F_q.
+    D = 0 means that f and f_X, of degree d - 1, share a factor over
+    F_q(T): f is reducible or not reduced, so singular where two
+    components meet (Bezout; Fulton, ch. 5), and the witness is the first
+    affine one over F_{q^m}, m <= 6, or None.
     Otherwise the irreducible factors of D are tried by (multiplicity,
     sort_key), those not dividing G skipped: each tried factor's root tau
     is taken in its residue field and the repeated roots of f(tau, x) in
@@ -468,21 +474,19 @@ def _singular_point(form: HomogeneousForm):
         irr = facs[0][0]
         E = make_field(F.p, F.k * irr.degree())
         xi = roots_in_field(irr.map_coeffs(lambda c: embed(F, E, c), E))[0]
-        return SingularWitness(E, (E.one, xi, E.zero))
+        return False, SingularWitness(E, (E.one, xi, E.zero))
 
     # Affine chart Z = 1: singular T-coordinates are roots of G.
     slices = form.x_slices()
+    ft_slices = form.partial("T").x_slices()
     D = discriminant_poly_coeffs(slices, d, F)
     if D.is_zero():
-        # Identically vanishing discriminant: the curve has a repeated or
-        # shared component; fall back to a direct point search.
-        return _brute_force_singular(form, 6)
-    ft_slices = form.partial("T").x_slices()
+        return False, _affine_singular_point(slices, ft_slices)
     R = resultant_poly_coeffs(form.partial("X").x_slices(), d - 1,
                               ft_slices, d - 1, F)
     G = D.gcd(R)
     if G.is_constant():
-        return None
+        return True, None
     for irr, _ in sorted(factor(D)[1],
                          key=lambda fm: (fm[1], fm[0].sort_key())):
         if not (G % irr).is_zero():
@@ -502,77 +506,31 @@ def _singular_point(form: HomogeneousForm):
             lift2 = lambda c: embed(E, E2, c)
             for xi in roots_in_field(irr2.map_coeffs(lift2, E2)):
                 if ft_at.map_coeffs(lift2, E2).evaluate(xi) == E2.zero:
-                    return SingularWitness(
+                    return False, SingularWitness(
                         E2, (embed(E, E2, tau), xi, E2.one))
-    return None
+    return True, None
 
 
-def _brute_force_singular(form: HomogeneousForm, m_max: int):
-    """Exhaustive singular-point search over F_{q^m}, m <= m_max.
-
-    Per affine T-value the X-coordinates of singular points are repeated
-    roots of the fiber, so each T costs one gcd of small univariate
-    polynomials instead of a full X-scan.
-    """
-    F = form.field
-
-    # The single point (0:1:0).
-    zero, one = F.zero, F.one
-    if (form.evaluate(zero, one, zero) == zero
-            and form.partial("T").evaluate(zero, one, zero) == zero
-            and form.partial("X").evaluate(zero, one, zero) == zero
-            and form.partial("Z").evaluate(zero, one, zero) == zero):
-        return SingularWitness(F, (zero, one, zero))
-
-    # Rest of the line at infinity: T = 1, Z = 0.
-    g = form.restrict_infinity().gcd(form.partial("X").restrict_infinity())
-    if not g.is_constant():
-        g = g.gcd(form.partial("Z").restrict_infinity())
-        if not g.is_constant():
-            g = g.gcd(form.partial("T").restrict_infinity())
-    if not g.is_constant():
-        for irr, _ in factor(g)[1]:
-            if F.k * irr.degree() <= F.k * m_max:
-                E = make_field(F.p, F.k * irr.degree())
-                xi = roots_in_field(
-                    irr.map_coeffs(lambda c: embed(F, E, c), E))[0]
-                return SingularWitness(E, (E.one, xi, E.zero))
-
-    # Affine chart Z = 1.
-    slices = form.x_slices()
-    ft_slices = form.partial("T").x_slices()
-    fz_slices = form.partial("Z").x_slices()
-    for m in range(1, m_max + 1):
+def _affine_singular_point(slices, ft_slices):
+    """The first singular point (tau : xi : 1) of the chart Z = 1 with tau
+    in F_{q^m}, m = 1..6 in turn, tau in index order and xi its least
+    root, or None; slices and ft_slices are the X^j coefficients of f and
+    f_T.  Every fiber f(tau, x) has degree d and a nonzero derivative, and
+    f_Z vanishes where f, f_X and f_T do (Euler), so xi is a common root
+    of f(tau, x), its derivative and f_T(tau, x)."""
+    F = slices[0].field
+    for m in range(1, 7):
         E = make_field(F.p, F.k * m)
         lift = lambda c: embed(F, E, c)
-        sl = [p.map_coeffs(lift, E) for p in slices]
+        fl = [p.map_coeffs(lift, E) for p in slices]
         tl = [p.map_coeffs(lift, E) for p in ft_slices]
-        zl = [p.map_coeffs(lift, E) for p in fz_slices]
         for tau in range(E.q):
-            fv = UnivariatePoly(E, [p.evaluate(tau) for p in sl])
-            if fv.degree() < 1:
-                if fv.is_zero():
-                    # whole vertical fiber on the curve: check partials there
-                    ftv = UnivariatePoly(E, [p.evaluate(tau) for p in tl])
-                    fzv = UnivariatePoly(E, [p.evaluate(tau) for p in zl])
-                    g2 = ftv.gcd(fzv)
-                    cand = range(E.q) if g2.is_zero() else roots_in_field(g2)
-                    for xi in cand:
-                        return SingularWitness(E, (tau, xi, E.one))
+            fv = UnivariatePoly(E, [p.evaluate(tau) for p in fl])
+            g = fv.gcd(fv.derivative())
+            if g.is_constant():
                 continue
-            ftv = UnivariatePoly(E, [p.evaluate(tau) for p in tl])
-            dfv = fv.derivative()
-            g2 = fv.gcd(dfv if not dfv.is_zero() else fv)
-            if g2.is_constant():
-                continue
-            g2 = g2.gcd(ftv)
-            if g2.is_constant():
-                continue
-            fzv = UnivariatePoly(E, [p.evaluate(tau) for p in zl])
-            g2 = g2.gcd(fzv)
-            if g2.is_constant():
-                continue
-            roots = roots_in_field(g2) if g2.degree() >= 1 else []
+            roots = roots_in_field(
+                g.gcd(UnivariatePoly(E, [p.evaluate(tau) for p in tl])))
             if roots:
                 return SingularWitness(E, (tau, roots[0], E.one))
     return None

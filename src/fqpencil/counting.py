@@ -542,6 +542,10 @@ def check_hypotheses(fs):
         _check_char(f)
         smooth, witness = is_smooth(f)
         if not smooth:
+            if witness is None:
+                raise HypothesisViolation(
+                    f"curve {f.format()} is singular: reducible or not "
+                    f"reduced, with no singular point over F_{f.field.q}^6")
             point = tuple(tuple(witness.field.to_vector(c))
                           for c in witness.point)
             raise HypothesisViolation(

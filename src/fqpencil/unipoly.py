@@ -9,6 +9,7 @@ distinct degree / equal degree factorization, resultants and discriminants.
 from __future__ import annotations
 
 import random
+from itertools import compress, count
 
 import numpy as np
 
@@ -143,7 +144,10 @@ class UnivariatePoly:
         return UnivariatePoly(F, quot), UnivariatePoly(F, rem)
 
     def __mod__(self, other):
-        return self.divmod(other)[1]
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        return UnivariatePoly(
+            self.field, _reduce(list(self.coeffs), other.coeffs, self.field))
 
     def exact_div(self, other):
         q, r = self.divmod(other)
@@ -475,8 +479,11 @@ def factor(f: UnivariatePoly, seed: int = 0):
         raise ZeroOrConstant("cannot factor a constant polynomial")
     unit = f.leading()
     rng = random.Random(seed ^ 0x5EED)
-    factors = []
-    for g, mult in squarefree_decomposition(f):
+    # x^m comes out first: Yun's steps on it take time quadratic in m
+    m = next(compress(count(), f.coeffs))
+    factors = [(UnivariatePoly.x(F), m)] if m else []
+    for g, mult in squarefree_decomposition(
+            UnivariatePoly(F, f.coeffs[m:])):
         # FrobCtx raises DegreeOutOfRange past polycore._FROB_TABLE_LIMIT
         ctx = (FrobCtx(to_array(g.coeffs, F), F)
                if g.degree() >= _DDF_NUMPY_MIN else None)

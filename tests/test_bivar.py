@@ -1,7 +1,9 @@
 """Bivariate polynomials, smoothness certification, irreducibility certs."""
 
+import ast
 import itertools
 import random
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -127,15 +129,15 @@ def test_moved_form_is_form_after_the_coordinate_change(p, k):
 
 def test_zero_discriminant_falls_back_to_point_search(monkeypatch):
     # (x^5 + t^4)(x + t + 1) over F_5: the x-discriminant vanishes
-    # identically, so is_smooth searches the points directly
+    # identically, so is_smooth searches the affine points directly
     F5 = make_field(5, 1)
     f = parse_poly("x^5+t^4", F5) * parse_poly("x+t+1", F5)
     searches = []
-    search = bivar._brute_force_singular
-    monkeypatch.setattr(bivar, "_brute_force_singular",
-                        lambda form, m: searches.append(m) or search(form, m))
+    search = bivar._affine_singular_point
+    monkeypatch.setattr(bivar, "_affine_singular_point",
+                        lambda *a: searches.append(a) or search(*a))
     smooth, w = is_smooth(f)
-    assert searches == [6]
+    assert len(searches) == 1
     assert not smooth and w.field == F5 and w.point == (0, 0, 1)
     assert brute_force_singular_search(f, 1).point == w.point
 
@@ -149,6 +151,32 @@ def test_brute_force_witness_on_the_line_at_infinity():
     assert w.field == F7 and w.point == (1, 0, 0)
     smooth, witness = is_smooth(f)
     assert not smooth and witness.point == w.point
+
+
+def test_oracles_use_no_private_name_of_fqpencil():
+    # the exhaustive search in oracles.py checks is_smooth, so it may share
+    # none of is_smooth's private helpers
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text())
+    bound, private = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if not (node.module or "").startswith("fqpencil"):
+                continue
+            names = [node.module] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names
+                     if a.name.startswith("fqpencil")]
+        else:
+            continue
+        bound.update((a.asname or a.name).split(".")[0] for a in node.names)
+        private += [n for n in names
+                    if any(part.startswith("_") for part in n.split("."))]
+    private += [node.attr for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and node.attr.startswith("_")
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound]
+    assert private == []
 
 
 def test_smoothness_guards():
@@ -579,6 +607,19 @@ def test_certificates_battery():
     assert cert.status == "reducible"
     cofactor = bivar_exact_div(f, cert.factor)
     assert cofactor is not None and cofactor * cert.factor == f
+
+
+@pytest.mark.parametrize("poly,cert", [
+    ("x^2+1", {"status": "irreducible",
+               "witness": {"kind": "univariate", "variable": "x"}}),
+    ("2*t^3+2*t+2", {"status": "irreducible",
+                     "witness": {"kind": "univariate", "variable": "t"}}),
+    ("x^2-1", {"status": "reducible", "factor": "x+1"}),
+])
+def test_certificates_of_univariate_inputs(poly, cert):
+    # -1 is not a square mod 7, and t^3 + t + 1 has no root in F_7
+    F7 = make_field(7, 1)
+    assert bivariate_irreducible(parse_poly(poly, F7)).as_dict() == cert
 
 
 def test_reducible_product_never_certified_irreducible():

@@ -54,6 +54,18 @@ def test_factor_command():
     assert rep["factors"] == [["x", 16807]]
 
 
+def test_factor_of_a_large_power_of_x_within_seconds():
+    # x^m, m the index of the lowest nonzero coefficient, comes out before
+    # the square-free decomposition, whose Yun steps on x^m take time
+    # quadratic in m: x^16777216 took over a minute; parsing it takes about
+    # 1.5 s of the budget
+    started = time.perf_counter()
+    code, rep = run_json(["factor", "--q", "7", "--poly", "x^16777216"])
+    assert time.perf_counter() - started < 15
+    assert code == 0
+    assert rep["factors"] == [["x", 16777216]]
+
+
 def test_long_coefficient_reduces():
     # a 5,000-digit coefficient is past what int() converts; it reduces
     # mod 7 to 4, (10^5000 - 1)/9 with 10^6 = 1 mod 7
@@ -228,6 +240,16 @@ def test_parse_error_exit_two():
     assert code == 2
     assert rep["error"]["type"] == "ParseError"
     assert rep["error"]["position"] == 2
+
+
+def test_search_budget_exhausted_exit_one():
+    # x^5 + t^5 + 1 has its first irreducible line restriction over F_9
+    code, rep = run_json(["search", "--q", "3", "--poly", "x^5+t^5+1",
+                          "--smax", "1"])
+    assert code == 1
+    assert rep["error"] == {"type": "NotFoundWithinBudget",
+                            "message": "no witness up to s = 1; raise s_max"}
+    assert "witness" not in rep
 
 
 def test_hypothesis_error_exit_two():
@@ -435,6 +457,23 @@ def test_curve_through_every_point_of_the_plane():
     _, witness = _reducible_curve_witness(2, "t^2*x+t*x^2")
     assert witness == {"extension_degree": 2,
                        "point": [[0, 0], [0, 0], [1, 0]]}
+
+
+def test_curve_with_zero_discriminant_is_not_smooth():
+    # (x^2 + t) C over F_2, deg C = 5: x^2 + t is inseparable in x, so
+    # disc_X = 0, and the two components meet in one orbit of 10 points,
+    # over F_{2^10} only.  The report is singular with no witness and no
+    # genus; it was smooth, of genus 15.
+    poly = ("t^5*x^2+x^7+t^6+t^3*x^3+t^2*x^4+t*x^5+t^4*x+t^3*x^2+t*x^4"
+            "+t^2*x^2+x^3+t*x+x^2+t")
+    code, rep = run_json(["curve", "--q", "2", "--poly", poly])
+    assert code == 0
+    curve = rep["curve"]
+    assert (curve["smooth"], curve["genus"], curve["singular_witness"]) == \
+        (False, None, None)
+    assert curve["irreducible"] == {"status": "reducible", "factor": "x^2+t"}
+    f = fqpencil.parse_poly(poly, fqpencil.make_field(2, 1))
+    assert brute_force_singular_search(f, 6) is None
 
 
 def test_smooth_curve_passes_hypotheses_in_count_and_search():

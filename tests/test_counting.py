@@ -701,6 +701,15 @@ def test_check_hypotheses_rejects_singular():
         check_hypotheses([parse_poly("x^2-t^3", F7)])
 
 
+def test_check_hypotheses_names_a_singular_curve_without_witness(monkeypatch):
+    # is_smooth gives no witness when disc_X vanishes and the singular
+    # points lie past F_{q^6}; is_smooth stands in for such a curve
+    monkeypatch.setattr(counting, "is_smooth", lambda f: (False, None))
+    with pytest.raises(HypothesisViolation,
+                       match=r"reducible or not reduced.*F_7\^6"):
+        check_hypotheses([parse_poly("x^2-t^3", F7)])
+
+
 def test_check_hypotheses_rejects_proportional():
     fs = [parse_poly("x^2+x-t", F7), parse_poly("2*x^2+2*x-2*t", F7)]
     with pytest.raises(HypothesisViolation):

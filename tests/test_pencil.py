@@ -366,10 +366,11 @@ SPECIAL = [(2, "x^2-t*x-x"), (2, "x^2-2*t*x+t^2"), (3, "x^2-t^3"),
 
 @st.composite
 def curves(draw, E):
-    """A curve of degree 2..5 over E with p not dividing d(d - 1): one of
+    """A curve of degree 2..7 over E with p not dividing d(d - 1): one of
     SPECIAL, or sparse random coefficients, so that some fibers lose
-    degree at the line's infinity."""
-    degrees = [d for d in (2, 3, 4, 5) if d * (d - 1) % E.p]
+    degree at the line's infinity.  From d = 6 on the distinct-degree
+    counts take a FrobCtx and its Frobenius steps."""
+    degrees = [d for d in range(2, 8) if d * (d - 1) % E.p]
     special = [poly for d, poly in SPECIAL if d in degrees]
     if draw(st.booleans()):
         return parse_poly(draw(st.sampled_from(special)), E)
@@ -409,7 +410,9 @@ def test_batched_histogram_matches_per_fiber_oracle(pds):
 
 
 @pytest.mark.parametrize("q,poly", [(27, "x^5-t^2*x^3+t^4+1"),
-                                    (49, "t^3+x^3+1"), (11, "x^4+t^4+t+3")])
+                                    (49, "t^3+x^3+1"), (11, "x^4+t^4+t+3"),
+                                    (13, "x^6+t^5*x+t^2+1"),
+                                    (25, "x^7+t^6*x^2+t*x+2")])
 def test_histogram_in_small_blocks_and_chunks(monkeypatch, q, poly):
     # blocks of a few parameters and Frobenius tables of one fiber each
     monkeypatch.setattr(pencil, "_BLOCK_DIGITS", 64)
