@@ -2,8 +2,14 @@
 
 Covers the Galois parameters (N, genus) with both bookkeeping tracks, the
 Geyer-Jarden Chebotarev lower bound, the explicit application bound with
-its threshold, exhaustive irreducible-specialization counting over all
-lines x = a*t + b, and the constructive simultaneous-specialization search.
+its threshold, exact irreducible-specialization counting over all lines
+x = a*t + b, and the constructive simultaneous-specialization search.
+
+The count runs on the kernel over every line, or, for a smooth conic or
+cubic, on the curve's rational points: a line meets the curve in d points
+counted with multiplicity (Bezout; Fulton, Algebraic Curves, ch. 5), so a
+value of full degree 2 or 3 is irreducible exactly when its line holds no
+rational point, and the lines are counted by their rational points.
 
 Bound comparisons are carried out on outward-rounded rational enclosures,
 never on floats.
@@ -11,7 +17,7 @@ never on floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
@@ -41,6 +47,14 @@ _BLOCK_DIGITS = 1 << 18
 # near 1.8e6 for cubics with split fibers and 5e6 for quartics, whose
 # fibers take rounds of splitting first; 2^22 lies between the last two.
 _FIBER_ROOTS_MIN = 1 << 22
+# From this q on, count_irreducible_pairs counts a smooth conic or cubic
+# from its rational points (_line_counts), after is_smooth, and not by the
+# kernel.  On x86_64 (numpy 2.4, medians of 9 runs) the two took as long
+# for cubics over prime fields near q = 200, 0.7-0.8 ms; conics, with no
+# Hessian, were faster from q = 25 on.  At q = 256 the closed form took
+# 1.2-2.1 ms against the kernel's 2.0-3.1 ms, and at q = 3001 7 against
+# 35 ms.
+_CLOSED_FORM_MIN = 1 << 8
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +185,8 @@ class CountReport:
     count_full_degree: int
     count_inclusive: int
     mode: str
+    # is_smooth(f)[0] when the count asked it, for verify_application
+    _smooth: bool | None = field(default=None, repr=False, compare=False)
 
     def as_dict(self):
         return {
@@ -197,17 +213,148 @@ def count_irreducible_pairs(f: BivariatePoly, E,
     """Exact counts of (a, b) in E^2 with f(t, a t + b) irreducible.
 
     count_full_degree additionally requires deg_t = d; count_inclusive
-    admits any irreducible specialization of degree >= 1.  Past q = 2^18
-    substitution_rows refuses: the q^2 >= 6.9e10 pairs are out of reach of
-    an exhaustive count.
+    admits any irreducible specialization of degree >= 1.  The kernel's
+    refusals come first: past q = 2^18 the q^2 >= 6.9e10 pairs are out of
+    reach of an exhaustive count.
+
+    From q = _CLOSED_FORM_MIN on, a smooth curve C of degree d <= 3 is
+    counted from its rational points (_line_counts), in O(q) where the
+    kernel takes q^2.  The line x = a t + b is X = a T + b Z, one of the q^2
+    lines of the plane that miss V = (0:1:0), and the value f(t, a t + b)
+    is C on that line: it has full degree d exactly when the line's point
+    at infinity (1:a:0) is off C, and then its roots are the affine
+    points of C on the line.  A value of degree 2 or 3 is irreducible
+    exactly when it has no root.  So count_full_degree is the number of
+    lines that miss C(F_q), less those through V.  Bezout's theorem
+    (Fulton, Algebraic Curves, ch. 5) counts the lines by their rational
+    points: a line meets C in d points with multiplicity, so a line of a
+    conic with one rational point is its tangent there, and a line of a
+    cubic with two rational points is the tangent at one of them or holds
+    a third.
     """
     _check_char(f)
     if f.field != E:
         f = f.map_to(E)
-    full, incl = _count_rows(f, E).sum(axis=0).tolist()
+    _kernel_limits(f.terms, E, 1)
+    smooth = None
+    if f.total_degree() <= 3 and E.q >= _CLOSED_FORM_MIN:
+        smooth, _ = is_smooth(f)
+    if smooth:
+        full, incl = _line_counts(f, E)
+    else:
+        full, incl = _count_rows(f, E).sum(axis=0).tolist()
     return CountReport(q=E.q, total_pairs=E.q ** 2,
                        count_full_degree=full, count_inclusive=incl,
-                       mode=mode)
+                       mode=mode, _smooth=smooth)
+
+
+def _line_counts(f: BivariatePoly, E):
+    """(count_full_degree, count_inclusive) of count_irreducible_pairs for
+    a smooth curve C: f = 0 of degree d = 2 or 3 over E, from its
+    N = #C(F_q) rational points: the affine ones of _curve_points, the
+    points (1:a:0) for the roots a of f_d(1, a), and V = (0:1:0) when f
+    has no x^d term.
+
+    L_i counts the lines of the plane with exactly i rational points of C.
+    A conic has N = q + 1 points, every pair on one line and every point
+    on one tangent: L2 = N(N - 1)/2 and L1 = N.  On a cubic the tangent at
+    each of the N - F points that are no flex (the F rational zeros of
+    the Hessian, p >= 5) holds one more point: L2 = N - F.  The pairs give
+    3 L3 + L2 = N(N - 1)/2, and the q + 1 lines through each point give
+    L1 + 2 L2 + 3 L3 = N(q + 1).  L0 = q^2 + q + 1 - L1 - L2 - L3, less
+    the lines through V with no rational point, is count_full_degree.
+    Those are none when V is on C, and otherwise the vertical lines
+    t = t0 with no affine point, and the line at infinity when C has no
+    rational point there.
+
+    count_inclusive adds the rows a with P = (1:a:0) on C.  The value on
+    the line through P at b has degree d - m, for the intersection
+    multiplicity m of the line and C at P, which is 1 unless the line is
+    the tangent at P; the tangent is a line of the row when F_X(P) != 0,
+    and the line at infinity otherwise.  On a conic the row's values are
+    linear, so irreducible, but the tangent's, which is constant.  On a
+    cubic they are quadratic, irreducible on the q - U_a lines with no
+    affine point, for the U_a distinct b = x0 - a t0 over the affine
+    points; the tangent's value is linear, on a line with one affine
+    point, when P is no flex, and constant, on a line with none, when it
+    is one.
+    """
+    q, d = E.q, f.total_degree()
+    ar = GridArith(E)
+    t0, x0, _ = _curve_points(f.terms, E, ar)
+    top = [f.terms.get((d - j, j), 0) for j in range(d + 1)]  # f_d(1, a)
+    elems = np.arange(q)
+    value = np.zeros(q, dtype=np.int64)
+    for c in reversed(top):
+        value = ar.add(ar.mul(value, elems), c)
+    slopes = np.flatnonzero(value == 0)
+    on_v = int(top[d] == 0)
+    n = t0.size
+    N = n + slopes.size + on_v
+    if d == 2:
+        assert N == q + 1, N
+        lines = N + N * (N - 1) // 2
+    else:
+        points = np.zeros((3, N), dtype=np.int64)  # (T, X, Z)
+        points[0, :n], points[1, :n], points[2, :n] = t0, x0, 1
+        points[0, n:N - on_v], points[1, n:N - on_v] = 1, slopes  # (1:a:0)
+        points[1, N - on_v:] = 1  # V
+        flex = _flexes(f, E, ar, points)
+        L2 = N - int(flex.sum())
+        L3, rest = divmod(N * (N - 1) // 2 - L2, 3)
+        assert rest == 0, (N, L2)
+        lines = N * (q + 1) - L2 - 2 * L3  # L1 + L2 + L3
+    full = q * q + q + 1 - lines
+    if not on_v:
+        full -= q - _distinct(t0, q) + (slopes.size == 0)
+    incl = full
+    for i, a in enumerate(slopes.tolist()):
+        f_x = 0  # F_X(1, a, 0), the derivative of f_d(1, a)
+        for j in range(1, d + 1):
+            f_x = E.add(f_x, E.mul(E.scalar(j, top[j]), E.pow(a, j - 1)))
+        tangent = f_x != 0
+        if d == 2:
+            incl += q - tangent
+        else:
+            b = ar.add(x0, ar.mul(E.neg(a), t0))
+            incl += q - _distinct(b, q) \
+                + tangent * (-1 if flex[n + i] else 1)
+    return full, incl
+
+
+def _distinct(x, q):
+    """The number of distinct elements in the element array x."""
+    seen = np.zeros(q, dtype=bool)
+    seen[x] = True
+    return int(np.count_nonzero(seen))
+
+
+def _flexes(f: BivariatePoly, E, ar: GridArith, points):
+    """Whether the Hessian determinant of the cubic form F of f vanishes
+    at each column (T, X, Z) of the (3, N) element array points: there
+    the point is a flex of the smooth curve, for p >= 5.  Each second
+    partial of F is linear, F_uv(P) = sum_w F_uvw P_w, with the constant
+    third partials F_uvw = e_T! e_X! e_Z! times the coefficient of the
+    monomial T^e_T X^e_X Z^e_Z for u, v and w; one ar.dot gives all six."""
+    pairs = [(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)]
+    third = np.zeros((3, len(pairs)), dtype=np.int64)
+    for r, (u, v) in enumerate(pairs):
+        for w in range(3):
+            e = [0, 0, 0]
+            for var in (u, v, w):
+                e[var] += 1
+            c = f.terms.get((e[0], e[1]), 0)
+            third[w, r] = E.scalar(
+                factorial(e[0]) * factorial(e[1]) * factorial(e[2]), c)
+    h00, h11, h22, h01, h02, h12 = ar.dot(third, ar.columns(points))
+    neg = ar.p - 1  # the element -1
+
+    def minor(a, b, c, e):  # a b - c e
+        return ar.add(ar.mul(a, b), ar.mul(neg, ar.mul(c, e)))
+    det = ar.add(ar.add(ar.mul(h00, minor(h11, h22, h12, h12)),
+                        ar.mul(neg, ar.mul(h01, minor(h01, h22, h12, h02)))),
+                 ar.mul(h02, minor(h01, h12, h11, h02)))
+    return det == 0
 
 
 def _count_rows(f: BivariatePoly, E):
@@ -257,14 +404,7 @@ def substitution_rows(terms, E, D):
     it; a chunk is a whole number of blocks, and a block is one yield.
     """
     q, k = E.q, E.k
-    N = max((i + j * D for i, j in terms), default=0)  # >= every degree
-    if q > _LOG_TABLE_LIMIT:
-        raise ConstraintViolation(
-            f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {q}")
-    if (N + 1) * k * q > _POWER_TABLE_LIMIT:
-        raise DegreeOutOfRange(
-            f"values of degree up to {N} over F_{q} pass "
-            f"{_POWER_TABLE_LIMIT} digits a row")
+    N = _kernel_limits(terms, E, D)
     ar = GridArith(E)
     deg_t = [0] * (1 + max((j for _, j in terms), default=0))
     for i, j in terms:
@@ -305,6 +445,20 @@ def substitution_rows(terms, E, D):
                 deg = np.repeat(deg, q, axis=1)
                 deg[r], irr[r] = deg_r.reshape(-1, q), irr_r.reshape(-1, q)
             yield rows[b], deg, irr
+
+
+def _kernel_limits(terms, E, D):
+    """N, a bound on the degrees of the values f(t, g(t)), deg g <= D,
+    after the refusals of substitution_rows, which allocate nothing."""
+    N = max((i + j * D for i, j in terms), default=0)
+    if E.q > _LOG_TABLE_LIMIT:
+        raise ConstraintViolation(
+            f"counting needs q <= {_LOG_TABLE_LIMIT}, got q = {E.q}")
+    if (N + 1) * E.k * E.q > _POWER_TABLE_LIMIT:
+        raise DegreeOutOfRange(
+            f"values of degree up to {N} over F_{E.q} pass "
+            f"{_POWER_TABLE_LIMIT} digits a row")
+    return N
 
 
 def _root_marker(terms, E, ar: GridArith, D, block):
@@ -646,7 +800,9 @@ def verify_application(f: BivariatePoly, E,
     report["d"] = d
     try:
         _check_char(f)
-        smooth, _ = is_smooth(f)
+        smooth = counts._smooth if counts else None
+        if smooth is None:
+            smooth, _ = is_smooth(f)
         report["smooth"] = smooth
         report["irreducible"] = ("irreducible" if smooth
                                  else bivariate_irreducible(f).status)

@@ -146,5 +146,7 @@ def parse_univariate(text: str, field) -> tuple[UnivariatePoly, str]:
     else:
         g = f
         var = "t"
-    coeffs = [g.terms.get((i, 0), field.zero) for i in range(g.deg_t() + 1)]
+    coeffs = [field.zero] * (g.deg_t() + 1)
+    for (i, _), c in g.terms.items():
+        coeffs[i] = c
     return UnivariatePoly(field, coeffs), var

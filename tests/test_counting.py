@@ -7,11 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fqpencil import counting, polycore
-from fqpencil.bivar import BivariatePoly
+from fqpencil.bivar import BivariatePoly, is_smooth
 from fqpencil.field import GridArith, make_field, prime_power
 from fqpencil.parsing import parse_poly
 from fqpencil.reducible import conrad_polynomial, verify_conrad
@@ -624,6 +624,122 @@ def test_vertical_fibers_root_every_value(monkeypatch, text, q, work):
     assert vertical.tolist() == [c]
     rep = count_irreducible_pairs(f, E)
     assert (rep.count_full_degree, rep.count_inclusive) == _brute_count(f, E)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form counts of smooth conics and cubics, against the kernel
+
+
+@st.composite
+def _smooth_low_curves(draw, E):
+    """Smooth conics and cubics over E: random ones, and families with V =
+    (0:1:0) on the curve, a Weierstrass flex at infinity whose tangent is
+    the line at infinity, and a point (1:0:0) whose tangent X = 0 is a
+    line x = a t + b, at a flex (x Q + c) or not (x Q + Z^2 (alpha t +
+    beta), and the conic x L + c)."""
+    nonzero = st.integers(1, E.q - 1).map(E.element_at)
+    elem = st.one_of(st.just(0), nonzero)
+    kind = draw(st.sampled_from(
+        ["random", "V on C", "Weierstrass", "row flex", "row tangent"]))
+    d = draw(st.sampled_from([d for d in (2, 3) if d * (d - 1) % E.p]))
+    if kind == "random":
+        f = draw(_curves(E, (d,)))
+    elif kind == "V on C":
+        terms = {(i, j): draw(elem)
+                 for i in range(d + 1) for j in range(d + 1 - i)}
+        terms[(0, d)] = 0
+        terms[(d, 0)] = draw(nonzero)
+        f = BivariatePoly(E, {ij: c for ij, c in terms.items() if c})
+    elif kind == "Weierstrass" and d == 3:  # t^2 = x^3 + alpha x + beta
+        f = BivariatePoly(E, {(2, 0): 1, (0, 3): E.neg(1),
+                              (0, 1): draw(elem), (0, 0): draw(elem)})
+    else:  # x L + c for a conic, x Q + c or x Q + alpha t + beta for a cubic
+        terms = {(i, j + 1): draw(elem)
+                 for i in range(d) for j in range(d - i)}
+        terms[(d - 1, 1)] = draw(nonzero)
+        terms[(0, 0)] = draw(elem)
+        if kind == "row tangent" and d == 3:
+            terms[(1, 0)] = draw(nonzero)
+        else:
+            terms[(0, 0)] = draw(nonzero)
+        f = BivariatePoly(E, {ij: c for ij, c in terms.items() if c})
+    assume(f.total_degree() == d and is_smooth(f)[0])
+    return f
+
+
+@pytest.mark.parametrize("p, k", [
+    (5, 1), (7, 1), (11, 1), (13, 1), (37, 1), (3, 2), (5, 2), (3, 3),
+    (7, 2)])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_form_matches_the_kernel(p, k, data):
+    E = make_field(p, k)
+    f = data.draw(_smooth_low_curves(E))
+    assert list(counting._line_counts(f, E)) == \
+        counting._count_rows(f, E).sum(axis=0).tolist()
+
+
+def test_closed_form_at_a_benchmark_size(monkeypatch):
+    E = make_field(3001, 1)
+    f = parse_poly("t^3+x^3+t+1", E)
+    calls = []
+    line_counts = counting._line_counts
+    monkeypatch.setattr(counting, "_line_counts",
+                        lambda *args: calls.append(args) or line_counts(*args))
+    rep = count_irreducible_pairs(f, E)
+    assert len(calls) == 1
+    assert [rep.count_full_degree, rep.count_inclusive] == \
+        counting._count_rows(f, E).sum(axis=0).tolist()
+
+
+# Singular curves, quartics and fields below _CLOSED_FORM_MIN stay on the
+# kernel; a smooth conic or cubic from it on takes the closed form.
+@pytest.mark.parametrize("poly, q, closed", [
+    ("x^2-t^3-t^2", 13, False), ("x^4+t^4+3", 13, False),
+    ("t^3+x^3+1", 7, False), ("t^3+x^3+1", 13, True),
+    ("x^2+x-t", 11, True)])
+def test_closed_form_takes_smooth_low_degree_curves(monkeypatch, poly, q,
+                                                    closed):
+    monkeypatch.setattr(counting, "_CLOSED_FORM_MIN", 11)
+    calls = []
+    monkeypatch.setattr(counting, "_line_counts",
+                        lambda *args: calls.append(args) or (0, 0))
+    count_irreducible_pairs(*_curve(poly, q))
+    assert len(calls) == closed
+
+
+# verify_application reuses the smoothness that the count asked for, so a
+# count command runs is_smooth once, on either path.
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "257", "--poly", "t^3+x^3+1"],
+    ["count", "--q", "257", "--poly", "x^2-t^3-t^2"],
+    ["count", "--q", "31", "--poly", "x^2+x-t"],
+    ["count", "--q", "13", "--poly", "x^4+t^4+3"]])
+def test_count_command_runs_is_smooth_once(monkeypatch, argv):
+    from fqpencil.cli import run_command
+    calls = []
+    monkeypatch.setattr(counting, "is_smooth",
+                        lambda f: calls.append(f) or is_smooth(f))
+    code, _ = run_command(argv)
+    assert code == 0 and len(calls) == 1
+
+
+# N counts each rational point once: _curve_points lists each (t, x) once
+# in both regimes, on fibers with double and triple roots (x^2 - t and
+# x^3 - t at t = 0, the vertical tangents of a Weierstrass cubic).
+@pytest.mark.parametrize("poly", [
+    "x^2-t", "x^3-t", "x^3+x^2-t", "t^2-x^3-x-1", "x^2-t^3-t-1",
+    "t^3+x^3+1", "x^2+x-t"])
+@pytest.mark.parametrize("q", [7, 13, 25, 49])
+@pytest.mark.parametrize("work", [0, 1 << 62])
+def test_curve_points_lists_each_point_once(monkeypatch, poly, q, work):
+    monkeypatch.setattr(counting, "_FIBER_ROOTS_MIN", work)
+    E = make_field(*prime_power(q))
+    f = parse_poly(poly, E)
+    t, x, vertical = counting._curve_points(f.terms, E, GridArith(E))
+    points = list(zip(t.tolist(), x.tolist()))
+    assert len(set(points)) == len(points)
+    assert (sorted(points), vertical.tolist()) == _points_oracle(f, E)
 
 
 def _curve(poly, q):
